@@ -7,7 +7,7 @@ subspaces between F_{i-1} and F_{i+1}; the line-insertion operator x sums,
 over every line L <= F_i not inside F_{i-1}, the flag
     L < L + F_1 < ... < L + F_{i-2} < F_i < ... < F_n.
 Both actions are integer matrices on the flag basis and satisfy the Hecke
-relations at q = p.
+relations at q = p; the generators make the flags a HeckeModule at q0 = p.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .hecke import top_ops
+from .hecke import HeckeModule, top_ops
 
 
 class UnsupportedSize(ValueError):
@@ -59,8 +59,9 @@ def subspace_vectors(basis, p):
     return out
 
 
-class FlagSpace:
-    """All complete flags of F_p^n, in a deterministic order."""
+class FlagSpace(HeckeModule):
+    """All complete flags of F_p^n, in a deterministic order, as a right
+    H_n(p)-module."""
 
     def __init__(self, n, p):
         if p not in (2, 3) or n > 4 or n < 1:
@@ -84,19 +85,20 @@ class FlagSpace:
         self.index = {f: i for i, f in enumerate(flags)}
         self.size = len(flags)
         assert all(len(f[i]) == i + 1 for f in flags for i in range(n))
+        super().__init__(n, p, self.size,
+                         {i: self._gen_rows(i) for i in range(1, n)})
 
-    def gen_matrix(self, i):
-        """Integer matrix of T_{s_i}: swap out F_i for the other subspaces."""
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"generator {i} out of range")
+    def _gen_rows(self, i):
+        """Sparse rows of T_{s_i}: swap out F_i for the other subspaces."""
         p, n = self.p, self.n
-        mat = [[0] * self.size for _ in range(self.size)]
-        for idx, flag in enumerate(self.flags):
+        rows = []
+        for flag in self.flags:
             lower = flag[i - 2] if i >= 2 else ()
             upper = flag[i]
             inside_lower = (subspace_vectors(lower, p) if lower
                             else {tuple([0] * n)})
             seen = set()
+            row = []
             for v in subspace_vectors(upper, p):
                 if v in inside_lower:
                     continue
@@ -105,8 +107,9 @@ class FlagSpace:
                     continue
                 seen.add(mid)
                 new_flag = flag[:i - 1] + (mid,) + flag[i:]
-                mat[idx][self.index[new_flag]] += 1
-        return mat
+                row.append((self.index[new_flag], Fraction(1)))
+            rows.append(row)
+        return rows
 
     def x_matrix(self):
         """Integer matrix of the line-insertion operator."""
@@ -134,37 +137,12 @@ class FlagSpace:
                     mat[idx][self.index[new_flag]] += 1
         return mat
 
-    def element_matrix(self, elem):
-        """Right action of a HeckeElement with integer coefficients at q = p."""
-        gens = {i: self.gen_matrix(i) for i in range(1, self.n)}
-        total = [[0] * self.size for _ in range(self.size)]
-        for w, coeff in elem.terms.items():
-            c = coeff.eval(self.p)
-            if c.denominator != 1:
-                raise ValueError("flag action needs integer coefficients")
-            prod = [[int(i == j) for j in range(self.size)]
-                    for i in range(self.size)]
-            for i in w.reduced_word():
-                prod = _int_mat_mul(prod, gens[i])
-            for a in range(self.size):
-                for b in range(self.size):
-                    total[a][b] += int(c) * prod[a][b]
-        return total
-
-
-def _int_mat_mul(a, b):
-    size = len(a)
-    out = [[0] * size for _ in range(size)]
-    for i in range(size):
-        ai = a[i]
-        for k in range(size):
-            if ai[k]:
-                bk = b[k]
-                row = out[i]
-                for j in range(size):
-                    if bk[j]:
-                        row[j] += ai[k] * bk[j]
-    return out
+    def _terms_at(self, elem):
+        """The flag action needs integer coefficients at q = p."""
+        terms = super()._terms_at(elem)
+        if any(c.denominator != 1 for _word, c in terms):
+            raise ValueError("flag action needs integer coefficients")
+        return terms
 
 
 def q_int_at(m, p):
@@ -182,7 +160,7 @@ def flag_count(n, p):
 def verify_commutation(space):
     """Line insertion equals right action by the q-random-to-top element."""
     _, tstar = top_ops(space.n)
-    return space.x_matrix() == space.element_matrix(tstar)
+    return space.x_matrix() == space.hecke_matrix(tstar)
 
 
 def x_spectrum(space):

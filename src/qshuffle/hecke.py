@@ -6,6 +6,10 @@ Right multiplication by a generator follows
     T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w       otherwise,
 and general products iterate this along reduced words.  Identity checks on
 these symbolic elements certify statements for all q at once.
+
+At a rational point q0 every module of H_n(q0) used here (word modules,
+the regular representation, flags) is a HeckeModule: sparse rows of the
+generators, from which every action and matrix is built.
 """
 
 from __future__ import annotations
@@ -161,10 +165,6 @@ class HeckeElement:
         res.terms = {flip * w * flip: c for w, c in self.terms.items()}
         return res
 
-    def eval_coeffs(self, q0):
-        """Mapping w -> rational coefficient at q0."""
-        return {w: c.eval(q0) for w, c in self.terms.items()}
-
     def to_json(self):
         ws = sorted(self.terms, key=Permutation.lehmer_rank)
         return {"n": self.n,
@@ -176,18 +176,12 @@ class HeckeElement:
 
 def b2r(n):
     """B_n(q) = sum_{i=1}^n T_{s_{n-1}} T_{s_{n-2}} ... T_{s_i}."""
-    total = HeckeElement.zero(n)
-    for i in range(1, n + 1):
-        total = total + HeckeElement.t_word(range(n - 1, i - 1, -1), n)
-    return total
+    return b2r_embedded(n, n)
 
 
 def r2b(n):
     """B*_n(q) = sum_{j=1}^n T_{s_j} T_{s_{j+1}} ... T_{s_{n-1}}."""
-    total = HeckeElement.zero(n)
-    for j in range(1, n + 1):
-        total = total + HeckeElement.t_word(range(j, n), n)
-    return total
+    return r2b_embedded(n, n)
 
 
 def r2r(n):
@@ -260,24 +254,113 @@ def c_op(j, n):
     return total
 
 
+# -- modules at a rational point --------------------------------------
+
+def word_gen_rows(words, q0):
+    """Sparse rows of each T_{s_i} on the span of words at q = q0:
+        w . T_{s_i} = q w                      if w_i = w_{i+1}
+        w . T_{s_i} = w s_i                    if w_i < w_{i+1}
+        w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}.
+    The words are tuples of one length, closed under swapping neighbours.
+    """
+    q0 = Fraction(q0)
+    index = {w: k for k, w in enumerate(words)}
+    gen_rows = {}
+    for i in range(1, len(words[0])):
+        rows = []
+        for k, w in enumerate(words):
+            a, b = w[i - 1], w[i]
+            if a == b:
+                rows.append([(k, q0)])
+                continue
+            j = index[w[:i - 1] + (b, a) + w[i + 1:]]
+            rows.append([(j, Fraction(1))] if a < b
+                        else [(j, q0), (k, q0 - 1)])
+        gen_rows[i] = rows
+    return gen_rows
+
+
+class HeckeModule:
+    """A right H_n(q0)-module at a rational q0, given by generator rows.
+
+    gen_rows[i][r] lists the (column, coefficient) pairs of e_r . T_{s_i}.
+    Vectors are dense lists of Fractions; row r of a matrix is the image
+    of the basis vector e_r.
+    """
+
+    def __init__(self, n, q0, dim, gen_rows):
+        self.n = n
+        self.q0 = Fraction(q0)
+        self.dim = dim
+        self.gen_rows = gen_rows
+
+    def _apply_rows(self, v, rows):
+        """v times the sparse matrix whose row r is rows[r]."""
+        out = [Fraction(0)] * self.dim
+        for idx, x in enumerate(v):
+            if x:
+                for j, c in rows[idx]:
+                    out[j] += x * c
+        return out
+
+    def apply_gen(self, v, i):
+        return self._apply_rows(v, self.gen_rows[i])
+
+    def apply_word(self, v, word):
+        for i in word:
+            v = self.apply_gen(v, i)
+        return v
+
+    def _terms_at(self, elem):
+        """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
+        if elem.n != self.n:
+            raise SizeMismatch("HeckeElement size != module n")
+        return [(w.reduced_word(), c.eval(self.q0))
+                for w, c in elem.terms.items()]
+
+    def _apply_terms(self, v, terms):
+        out = [Fraction(0)] * self.dim
+        for word, c in terms:
+            img = self.apply_word(v, word)
+            for j, x in enumerate(img):
+                if x:
+                    out[j] += c * x
+        return out
+
+    def apply_hecke(self, v, elem):
+        """v . a for a HeckeElement a."""
+        return self._apply_terms(v, self._terms_at(elem))
+
+    def matrix_of(self, apply_fn):
+        """Dense matrix whose row idx is apply_fn(e_idx)."""
+        out = []
+        for idx in range(self.dim):
+            v = [Fraction(0)] * self.dim
+            v[idx] = Fraction(1)
+            out.append(apply_fn(v))
+        return out
+
+    def gen_matrix(self, i):
+        return self.matrix_of(lambda v: self.apply_gen(v, i))
+
+    def hecke_matrix(self, elem):
+        """Matrix of right multiplication by elem."""
+        terms = self._terms_at(elem)
+        return self.matrix_of(lambda v: self._apply_terms(v, terms))
+
+
 # -- matrices and identity checks -------------------------------------
 
 def regular_rep_matrix(a, q0):
     """Matrix of right multiplication by a on the T_w basis at q = q0.
 
-    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.
+    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.  The
+    regular representation is the word module W^(1^n) on the one-line
+    words, which all_permutations lists in Lehmer-rank order.
     """
-    n = a.n
-    perms = all_permutations(n)
-    size = len(perms)
-    rows = []
-    for w in perms:
-        prod = HeckeElement.t_perm(w) * a
-        row = [Fraction(0)] * size
-        for u, c in prod.terms.items():
-            row[u.lehmer_rank()] = c.eval(q0)
-        rows.append(row)
-    return rows
+    words = [w.one_line for w in all_permutations(a.n)]
+    module = HeckeModule(a.n, q0, len(words), word_gen_rows(words, q0))
+    return module.hecke_matrix(a)
 
 
 def recursion_check(n):

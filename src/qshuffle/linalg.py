@@ -47,10 +47,6 @@ def mat_scale(a, c):
     return [[x * c for x in row] for row in a]
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def vec_mat(v, m):
     """Row vector times matrix."""
     cols = len(m[0])

@@ -18,11 +18,9 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
+from .hecke import HeckeModule, jucys_murphy_scaled, word_gen_rows
 from .qpoly import qint
-from .symmetric import Permutation
-from .tableaux import (Partition, ShapeMismatch, StandardTableau, enumerate_syt,
-                       superstandard)
-from .hecke import transposition_word
+from .tableaux import ShapeMismatch, enumerate_syt
 
 
 class InadmissibleQ(ValueError):
@@ -54,109 +52,39 @@ def content_words(lam):
     return sorted(set(itertools.permutations(letters)))
 
 
-class WordModuleRep:
-    """W^lambda over exact rationals at q0, with sparse generator action."""
+class WordModuleRep(HeckeModule):
+    """W^lambda over exact rationals at q0, on the words of content lambda."""
 
     def __init__(self, lam, q0):
         self.lam = lam
-        self.n = lam.size
-        self.q0 = check_admissible(q0, self.n)
+        q0 = check_admissible(q0, lam.size)
         self.basis = content_words(lam)
         self.index = {w: i for i, w in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        q = self.q0
-        qm1 = q - 1
-        # gen_rows[i][row] = [(col, coeff), ...] for e_row . T_{s_i}
-        self.gen_rows = {}
-        for i in range(1, self.n):
-            rows = []
-            for w in self.basis:
-                a, b = w[i - 1], w[i]
-                if a == b:
-                    rows.append([(self.index[w], q)])
-                else:
-                    swapped = w[:i - 1] + (b, a) + w[i + 1:]
-                    j = self.index[swapped]
-                    if a < b:
-                        rows.append([(j, Fraction(1))])
-                    else:
-                        rows.append([(j, q), (self.index[w], qm1)])
-            self.gen_rows[i] = rows
+        super().__init__(lam.size, q0, len(self.basis),
+                         word_gen_rows(self.basis, q0))
         self._jm_rows = {}
-
-    # -- vector helpers ----------------------------------------------
 
     def basis_vector(self, word):
         v = [Fraction(0)] * self.dim
         v[self.index[tuple(word)]] = Fraction(1)
         return v
 
-    def apply_gen(self, v, i):
-        rows = self.gen_rows[i]
-        out = [Fraction(0)] * self.dim
-        for idx, x in enumerate(v):
-            if x:
-                for j, c in rows[idx]:
-                    out[j] += x * c
-        return out
-
-    def apply_word(self, v, word):
-        for i in word:
-            v = self.apply_gen(v, i)
-        return v
-
-    def apply_hecke(self, v, elem):
-        """v . a for a HeckeElement a (same n)."""
-        if elem.n != self.n:
-            raise ShapeMismatch("HeckeElement size != n")
-        out = [Fraction(0)] * self.dim
-        for w, coeff in elem.terms.items():
-            c = coeff.eval(self.q0)
-            img = self.apply_word(v, w.reduced_word())
-            for j in range(self.dim):
-                if img[j]:
-                    out[j] += c * img[j]
-        return out
-
     def jm_rows(self, m):
         """Sparse rows of J_m(q0) = sum_{i<m} q0^{i-m} T_{(i,m)}."""
         if m not in self._jm_rows:
-            rows = [dict() for _ in range(self.dim)]
-            for i in range(1, m):
-                scale = self.q0 ** (i - m)
-                word = transposition_word(i, m)
-                for idx in range(self.dim):
-                    v = [Fraction(0)] * self.dim
-                    v[idx] = Fraction(1)
-                    img = self.apply_word(v, word)
-                    row = rows[idx]
-                    for j, x in enumerate(img):
-                        if x:
-                            row[j] = row.get(j, Fraction(0)) + scale * x
-            self._jm_rows[m] = [sorted((j, c) for j, c in row.items() if c)
-                                for row in rows]
+            scale = self.q0 ** -m
+            mat = self.hecke_matrix(jucys_murphy_scaled(self.n, m))
+            self._jm_rows[m] = [[(j, scale * c) for j, c in enumerate(row)
+                                 if c] for row in mat]
         return self._jm_rows[m]
 
     def apply_jm(self, v, m):
-        rows = self.jm_rows(m)
-        out = [Fraction(0)] * self.dim
-        for idx, x in enumerate(v):
-            if x:
-                for j, c in rows[idx]:
-                    out[j] += x * c
-        return out
-
-    def jm_matrix(self, m):
-        rows = self.jm_rows(m)
-        out = linalg.zeros(self.dim, self.dim)
-        for idx, row in enumerate(rows):
-            for j, c in row:
-                out[idx][j] = c
-        return out
+        return self._apply_rows(v, self.jm_rows(m))
 
     def apply_idempotent(self, v, t):
-        """v . p_t for a straight standard tableau t (entries 1..t.n <= n)."""
-        for m in range(1, t.n + 1):
+        """v . p_t for a standard tableau t of shape lambda/mu (entries
+        |mu|+1..t.n <= n); the factors run over those entries only."""
+        for m in range(t.shape.inner.size + 1, t.n + 1):
             cm = t.content_of(m)
             cm_val = qint(cm).eval(self.q0)
             for d in content_classes(m):
@@ -181,29 +109,8 @@ class WordModuleRep:
                 out[j] += img[j]
         return out
 
-    # -- dense matrices ----------------------------------------------
-
-    def matrix_of(self, apply_fn):
-        """Dense matrix whose row idx is apply_fn(e_idx)."""
-        out = []
-        for idx in range(self.dim):
-            v = [Fraction(0)] * self.dim
-            v[idx] = Fraction(1)
-            out.append(apply_fn(v))
-        return out
-
-    def gen_matrix(self, i):
-        out = linalg.zeros(self.dim, self.dim)
-        for idx, row in enumerate(self.gen_rows[i]):
-            for j, c in row:
-                out[idx][j] = c
-        return out
-
     def idempotent_matrix(self, t):
         return self.matrix_of(lambda v: self.apply_idempotent(v, t))
-
-    def hecke_matrix(self, elem):
-        return self.matrix_of(lambda v: self.apply_hecke(v, elem))
 
 
 class SpechtRep:
@@ -246,10 +153,6 @@ class SpechtRep:
         return rows
 
 
-def seminormal_units(lam, q0):
-    return SpechtRep(lam, q0)
-
-
 def dipper_james_action(t, i, q0):
     """Expected w_t . T_{s_i} from the four-case seminormal formula.
 
@@ -279,8 +182,7 @@ def phi_map(t_skew):
     """The concatenation map Phi_t: W^mu -> W^lambda on basis words.
 
     word(s) . Phi_t appends the row indices of the entries |mu|+1..|lambda|
-    of the skew tableau t.  Returns (suffix, mapper) where mapper sends a
-    word of content mu to a word of content lambda.
+    of the skew tableau t.  Returns that suffix, the tuple of row indices.
     """
     lo = t_skew.shape.inner.size
     hi = t_skew.shape.outer.size

@@ -258,29 +258,11 @@ def check_projection_compat(n, q0):
             rep_s = SpechtRep(mu, q0)
             for unit in rep_s.units:
                 v = phi_apply(unit, rep_s.word_module, rep_lam, t_skew)
-                a = _apply_skew_idempotent(rep_lam, v, lam, mu, t_skew)
+                a = rep_lam.apply_idempotent(v, t_skew)
                 b = rep_lam.apply_p_lambda(v)
                 if a != b:
                     return False
     return True
-
-
-def _apply_skew_idempotent(rep_lam, v, lam, mu, t_skew):
-    """v . p_{t_skew}: interpolation factors for entries |mu|+1..n only."""
-    from .seminormal import content_classes
-    from .qpoly import qint as _qint
-    q0 = rep_lam.q0
-    for m in range(mu.size + 1, lam.size + 1):
-        cm = t_skew.content_of(m)
-        cm_val = _qint(cm).eval(q0)
-        for d in content_classes(m):
-            if d == cm:
-                continue
-            d_val = _qint(d).eval(q0)
-            jv = rep_lam.apply_jm(v, m)
-            v = [(jv[j] - d_val * v[j]) / (cm_val - d_val)
-                 for j in range(rep_lam.dim)]
-    return v
 
 
 def check_one_step_recursion(n, q0):

@@ -11,7 +11,7 @@ from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
 from qshuffle.qpoly import ONE, Q, QM1, qfactorial, qint
 from qshuffle.symmetric import Composition, Permutation, all_permutations, \
     from_word
-from qshuffle.verify import (check_c_factorization,
+from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
                              check_hecke_relations_symbolic, check_jm_commute,
                              check_push_through_lemma)
 
@@ -144,6 +144,26 @@ def test_regular_rep_row_sums():
     n = 3
     mat = regular_rep_matrix(r2r(n), Fraction(1))
     assert all(sum(row) == n * n for row in mat)
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 2), Fraction(7, 5),
+                                Fraction(1)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_regular_rep_rows_are_symbolic_products(n, q0):
+    # row r is T_{w_r} * a multiplied out symbolically, then evaluated
+    perms = all_permutations(n)
+    for a in (r2r(n), b2r(n), r2b(n), m_alpha(Composition([1, 1, n - 2]))):
+        for w, row in zip(perms, regular_rep_matrix(a, q0)):
+            expect = [Fraction(0)] * len(perms)
+            for u, c in (HeckeElement.t_perm(w) * a).terms.items():
+                expect[u.lehmer_rank()] = c.eval(q0)
+            assert row == expect
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_bstar_kernel_lift(n, q0):
+    assert check_bstar_kernel_lift(n, q0)
 
 
 def test_json_serialization_sorted_by_rank():

@@ -12,8 +12,9 @@ from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
 from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
                                superstandard)
 from qshuffle.verify import (check_dominance_vanishing, check_idempotents,
-                             check_phi_morphism, check_seminormal_action,
-                             check_tower_rule, check_word_module_relations)
+                             check_phi_morphism, check_projection_compat,
+                             check_seminormal_action, check_tower_rule,
+                             check_word_module_relations)
 
 Q_VALUES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
@@ -156,6 +157,13 @@ def test_phi_is_injective_on_basis():
 def test_dominance_vanishing():
     for n in range(1, 5):
         assert check_dominance_vanishing(n, Fraction(2))
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_projection_compat(n, q0):
+    # the skew idempotent p_{t^strip} agrees with p_lambda on Phi(S^mu)
+    assert check_projection_compat(n, q0)
 
 
 def test_empty_shape_module():
