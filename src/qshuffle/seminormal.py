@@ -5,11 +5,17 @@ lambda_i times); the right action of a generator on a word w is
     w . T_{s_i} = q w                      if w_i = w_{i+1}
     w . T_{s_i} = w s_i                    if w_i < w_{i+1}
     w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}.
-Young idempotents are Lagrange interpolation products in the Jucys-Murphy
-elements, applied to vectors factor by factor; seminormal units are
-w_t = word(t) . p_t and span the Specht module S^lambda.
+Young idempotents are Murphy's restricted Lagrange interpolation products
+in the Jucys-Murphy elements, applied to vectors factor by factor: entry m
+of t contributes one factor (J_m - [c]) / ([c_t(m)] - [c]) for each content
+c != c_t(m) of a cell addable to shape(t|_{m-1}), the only eigenvalues J_m
+can take on the image of p_{t|_{m-1}} (G. E. Murphy, J. Algebra 173 (1995)
+97-121).  Seminormal units are w_t = word(t) . p_t and span the Specht
+module S^lambda.
 
-All arithmetic is exact rational at an admissible evaluation point q0.
+word_module and specht_module share one built module per (lambda, q0);
+clear_module_cache empties that cache.  All arithmetic is exact rational
+at an admissible evaluation point q0.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from . import linalg
 from .hecke import HeckeModule, jucys_murphy_scaled, word_gen_rows
 from .qpoly import qint
-from .tableaux import ShapeMismatch, enumerate_syt
+from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
 
 class InadmissibleQ(ValueError):
@@ -36,14 +42,6 @@ def check_admissible(q0, n):
         if qint(m).eval(q0) == 0:
             raise InadmissibleQ(f"[{m}]_q vanishes at q0 = {q0}")
     return q0
-
-
-def content_classes(m):
-    """Classical contents an entry m can have: (-m, m), minus 0 for m in {2,3}."""
-    out = [d for d in range(-m + 1, m)]
-    if m in (2, 3):
-        out.remove(0)
-    return out
 
 
 def content_words(lam):
@@ -83,11 +81,18 @@ class WordModuleRep(HeckeModule):
 
     def apply_idempotent(self, v, t):
         """v . p_t for a standard tableau t of shape lambda/mu (entries
-        |mu|+1..t.n <= n); the factors run over those entries only."""
+        |mu|+1..t.n <= n); the factors run over those entries only.
+
+        Entry m contributes one factor per content of a cell addable to
+        the running shape mu + (cells of |mu|+1..m-1), so for a skew t the
+        result is v . p_t only when v lies in the image of some p_s with
+        shape(s) = mu (for example v = u . Phi_t, u in S^mu); for a
+        straight t (mu empty) it holds for every v."""
+        shape = list(t.shape.inner.parts)
         for m in range(t.shape.inner.size + 1, t.n + 1):
             cm = t.content_of(m)
             cm_val = qint(cm).eval(self.q0)
-            for d in content_classes(m):
+            for d in Partition(shape).addable_contents():
                 if d == cm:
                     continue
                 d_val = qint(d).eval(self.q0)
@@ -97,6 +102,10 @@ class WordModuleRep(HeckeModule):
                         f"idempotent denominator vanishes at q0 = {self.q0}")
                 jv = self.apply_jm(v, m)
                 v = [(jv[j] - d_val * v[j]) / denom for j in range(self.dim)]
+            row = t.row_of(m)
+            if row > len(shape):
+                shape.append(0)
+            shape[row - 1] += 1
         return v
 
     def apply_p_lambda(self, v, lam=None):
@@ -119,7 +128,7 @@ class SpechtRep:
     def __init__(self, lam, q0):
         self.lam = lam
         self.q0 = Fraction(q0)
-        self.word_module = WordModuleRep(lam, q0)
+        self.word_module = word_module(lam, q0)
         self.tableaux = enumerate_syt(lam)
         self.units = []
         for t in self.tableaux:
@@ -151,6 +160,32 @@ class SpechtRep:
                 raise ArithmeticError("unit span is not stable under element")
             rows.append(coords)
         return rows
+
+
+_WORD_MODULES = {}
+_SPECHT_MODULES = {}
+
+
+def word_module(lam, q0):
+    """The shared WordModuleRep of lam at q0, built on first use."""
+    key = (lam, Fraction(q0))
+    if key not in _WORD_MODULES:
+        _WORD_MODULES[key] = WordModuleRep(lam, q0)
+    return _WORD_MODULES[key]
+
+
+def specht_module(lam, q0):
+    """The shared SpechtRep of lam at q0, built on first use."""
+    key = (lam, Fraction(q0))
+    if key not in _SPECHT_MODULES:
+        _SPECHT_MODULES[key] = SpechtRep(lam, q0)
+    return _SPECHT_MODULES[key]
+
+
+def clear_module_cache():
+    """Forget every shared word and Specht module."""
+    _WORD_MODULES.clear()
+    _SPECHT_MODULES.clear()
 
 
 def dipper_james_action(t, i, q0):

@@ -17,7 +17,7 @@ from . import linalg
 from .hecke import b2r_embedded, r2r, regular_rep_matrix
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
-from .seminormal import SpechtRep, WordModuleRep, phi_apply
+from .seminormal import phi_apply, specht_module, word_module
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, f_lambda,
                        horizontal_strips, partitions_of, q_content,
                        superstandard)
@@ -130,7 +130,7 @@ def bruteforce_charpoly(op, q0):
 
 def specht_r2r_matrix(lam, q0):
     """Matrix of R_|lam| on S^lambda in the seminormal unit basis."""
-    rep = SpechtRep(lam, q0)
+    rep = specht_module(lam, q0)
     if lam.size == 0:
         return rep, linalg.zeros(1, 1)
     return rep, rep.hecke_action_matrix(r2r(lam.size))
@@ -158,7 +158,7 @@ def kernel_basis(lam, q0):
 
     Vectors are returned in W^lambda coordinates; the count is d^lambda.
     """
-    rep = SpechtRep(lam, q0)
+    rep = specht_module(lam, q0)
     if lam.size == 0:
         return rep, [rep.units[0][:]]
     mat = rep.hecke_action_matrix(r2r(lam.size))
@@ -213,7 +213,7 @@ def build_eigenbasis(lam, q0):
     q0 = Fraction(q0)
     if q0 <= 0:
         raise ValueError("eigenbasis construction requires q0 > 0")
-    rep_lam = WordModuleRep(lam, q0)
+    rep_lam = word_module(lam, q0)
     n = lam.size
     r_op = r2r(n) if n else None
     records = []
@@ -246,8 +246,8 @@ def strip_vanishing_check(lam, mu, q0):
     shape = SkewShape(lam, mu)
     if shape.is_horizontal_strip():
         raise ValueError("expected a non-strip")
-    rep_mu = SpechtRep(mu, q0)
-    rep_lam = WordModuleRep(lam, q0)
+    rep_mu = specht_module(mu, q0)
+    rep_lam = word_module(lam, q0)
     for t_skew in enumerate_syt(shape):
         for u in rep_mu.units:
             v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
@@ -266,7 +266,7 @@ def straightening_scalars(lam, mu, q0):
     """
     from .tableaux import extend
     shape = SkewShape(lam, mu)
-    rep_lam = WordModuleRep(lam, q0)
+    rep_lam = word_module(lam, q0)
     t_max = superstandard(shape)
     sources = enumerate_syt(mu)
     out = {}

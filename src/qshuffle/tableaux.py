@@ -71,6 +71,13 @@ class Partition:
                 out.append(Partition(smaller))
         return out
 
+    def addable_contents(self):
+        """Contents of the cells whose addition leaves a partition, top
+        row first: a cell added to row r (1-based) has content
+        self[r-1] + 1 - r."""
+        return [self[i] - i for i in range(len(self.parts) + 1)
+                if i == 0 or self.parts[i - 1] > self[i]]
+
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -1,6 +1,7 @@
 """Verification suites tying the closed-form results to explicit oracles.
 
-Each check is a named callable returning True/False; the CLI runs them and
+Each check is a named callable returning True/False, or raising
+CheckFailed with a witness of where it failed; the CLI runs them and
 assembles a report.  Symbolic checks certify identities for every q at
 once; matrix checks certify at the exact rational points supplied.
 """
@@ -16,7 +17,8 @@ from .hecke import (HeckeElement, annihilator_check, b2r, b2r_embedded, c_op,
                     r2b, r2b_embedded, r2r, recursion_check, regular_rep_matrix,
                     top_ops, x_alpha)
 from .qpoly import Q, qint
-from .seminormal import SpechtRep, WordModuleRep, dipper_james_action, phi_apply
+from .seminormal import (clear_module_cache, dipper_james_action, phi_apply,
+                         specht_module, word_module)
 from .symmetric import Composition, derangement_count
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of, superstandard)
@@ -34,6 +36,21 @@ class CheckResult:
     def to_json(self):
         return {"check": self.check_id, "passed": self.passed,
                 "elapsed_ms": round(self.elapsed_ms, 1), "detail": self.detail}
+
+
+class CheckFailed(AssertionError):
+    """A checked property failed; the message says where."""
+
+
+def _first_cell(a, b):
+    """First (row, col) at which the matrices a and b differ."""
+    return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+
+
+def _first_index(a, b):
+    """First index at which the vectors a and b differ."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
 def sub_partitions(lam):
@@ -100,7 +117,7 @@ def check_jm_commute(n):
 def check_word_module_relations(n, q0):
     """Generator matrices on every W^lambda satisfy the Hecke relations."""
     for lam in partitions_of(n):
-        wm = WordModuleRep(lam, q0)
+        wm = word_module(lam, q0)
         gens = {i: wm.gen_matrix(i) for i in range(1, n)}
         eye = linalg.identity(wm.dim)
         for i, g in gens.items():
@@ -123,7 +140,7 @@ def check_seminormal_action(n, q0):
     """Units diagonalize the Jucys-Murphy elements and follow the
     four-case generator formula."""
     for lam in partitions_of(n):
-        rep = SpechtRep(lam, q0)
+        rep = specht_module(lam, q0)
         wm = rep.word_module
         index = {t: k for k, t in enumerate(rep.tableaux)}
         for k, t in enumerate(rep.tableaux):
@@ -148,45 +165,65 @@ def check_idempotents(n, q0):
     """Shape-lambda idempotents on W^lambda: orthogonal, idempotent, and
     their sum projects onto the Specht component (rank f^lambda, fixes
     every unit).  For n <= 4 the full cross-shape completeness
-    sum over all tableaux of size n = identity is also checked."""
+    sum over all tableaux of size n = identity is also checked.  A failure
+    raises CheckFailed naming lambda, the tableaux, q0 and the first
+    differing entry."""
     for lam in partitions_of(n):
-        rep = SpechtRep(lam, q0)
+        rep = specht_module(lam, q0)
         wm = rep.word_module
+        where = f"on W^{lam} at q0 = {wm.q0}"
         mats = [wm.idempotent_matrix(t) for t in rep.tableaux]
-        for a, ma in enumerate(mats):
-            for b, mb in enumerate(mats):
+        zero = linalg.zeros(wm.dim, wm.dim)
+        for a, ma in zip(rep.tableaux, mats):
+            for b, mb in zip(rep.tableaux, mats):
                 prod = linalg.mat_mul(ma, mb)
-                if a == b:
-                    if prod != ma:
-                        return False
-                elif any(any(row) for row in prod):
-                    return False
+                want = ma if a == b else zero
+                if prod != want:
+                    prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
+                    raise CheckFailed(
+                        f"{prop} fails for s = {a}, t = {b} {where}, first "
+                        f"difference at (row, col) {_first_cell(prod, want)}")
         total = mats[0]
         for m in mats[1:]:
             total = linalg.mat_add(total, m)
-        if linalg.mat_mul(total, total) != total:
-            return False
+        square = linalg.mat_mul(total, total)
+        if square != total:
+            raise CheckFailed(
+                f"p_lambda p_lambda = p_lambda fails {where}, first "
+                f"difference at (row, col) {_first_cell(square, total)}")
         trace = sum(total[i][i] for i in range(wm.dim))
         if trace != f_lambda(lam):  # rank of an idempotent is its trace
-            return False
-        for unit in rep.units:
-            if linalg.vec_mat(unit, total) != unit:
-                return False
+            raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
+                              f"= {f_lambda(lam)}, {where}")
+        for t, unit in zip(rep.tableaux, rep.units):
+            image = linalg.vec_mat(unit, total)
+            if image != unit:
+                raise CheckFailed(
+                    f"w_t p_lambda = w_t fails for t = {t} {where}, first "
+                    f"difference at index {_first_index(image, unit)}")
         if n <= 4:
             everything = linalg.zeros(wm.dim, wm.dim)
             for mu in partitions_of(n):
-                for t in enumerate_syt(mu):
-                    everything = linalg.mat_add(everything,
-                                                wm.idempotent_matrix(t))
-            if everything != linalg.identity(wm.dim):
-                return False
+                if mu == lam:
+                    shape_mats = mats
+                else:
+                    shape_mats = [wm.idempotent_matrix(t)
+                                  for t in enumerate_syt(mu)]
+                for m in shape_mats:
+                    everything = linalg.mat_add(everything, m)
+            eye = linalg.identity(wm.dim)
+            if everything != eye:
+                raise CheckFailed(
+                    f"sum of p_t over all tableaux of size {n} = 1 fails "
+                    f"{where}, first difference at (row, col) "
+                    f"{_first_cell(everything, eye)}")
     return True
 
 
 def check_tower_rule(n, q0):
     """p_t equals the product of the shape projectors of its restrictions."""
     for lam in partitions_of(n):
-        wm = WordModuleRep(lam, q0)
+        wm = word_module(lam, q0)
         for t in enumerate_syt(lam):
             direct = wm.idempotent_matrix(t)
             total = linalg.identity(wm.dim)
@@ -203,9 +240,9 @@ def check_phi_morphism(n, q0):
     """Phi_t commutes with the embedded H_|mu| action, and gluing satisfies
     w_{t(s)} = w_s Phi_t p_t."""
     for lam in partitions_of(n):
-        rep_lam = WordModuleRep(lam, q0)
+        rep_lam = word_module(lam, q0)
         for mu in sub_partitions(lam):
-            rep_mu = WordModuleRep(mu, q0)
+            rep_mu = word_module(mu, q0)
             skews = enumerate_syt(SkewShape(lam, mu))
             for t_skew in skews:
                 for idx in range(rep_mu.dim):
@@ -220,7 +257,7 @@ def check_phi_morphism(n, q0):
                             return False
             if mu.size == 0:
                 continue
-            rep_s = SpechtRep(mu, q0)
+            rep_s = specht_module(mu, q0)
             for t_skew in skews:
                 for k, s in enumerate(rep_s.tableaux):
                     glued = extend(s, t_skew)
@@ -237,7 +274,7 @@ def check_phi_morphism(n, q0):
 def check_dominance_vanishing(n, q0):
     """word(s) . p_t = 0 unless s is dominated by t."""
     for lam in partitions_of(n):
-        wm = WordModuleRep(lam, q0)
+        wm = word_module(lam, q0)
         tabs = enumerate_syt(lam)
         for t in tabs:
             for s in tabs:
@@ -248,20 +285,26 @@ def check_dominance_vanishing(n, q0):
 
 
 def check_projection_compat(n, q0):
-    """u Phi p_{t^strip} = u Phi p_lambda on S^mu for horizontal strips."""
+    """u Phi p_{t^strip} = u Phi p_lambda on S^mu for horizontal strips; a
+    failure raises CheckFailed naming lambda, mu, the tableaux, q0 and the
+    first differing index."""
     for lam in partitions_of(n):
-        rep_lam = WordModuleRep(lam, q0)
+        rep_lam = word_module(lam, q0)
         for mu in horizontal_strips(lam):
             if mu == lam or mu.size == 0:
                 continue
             t_skew = superstandard(SkewShape(lam, mu))
-            rep_s = SpechtRep(mu, q0)
-            for unit in rep_s.units:
+            rep_s = specht_module(mu, q0)
+            for s, unit in zip(rep_s.tableaux, rep_s.units):
                 v = phi_apply(unit, rep_s.word_module, rep_lam, t_skew)
                 a = rep_lam.apply_idempotent(v, t_skew)
                 b = rep_lam.apply_p_lambda(v)
                 if a != b:
-                    return False
+                    raise CheckFailed(
+                        f"w_s Phi p_t = w_s Phi p_lambda fails for lambda = "
+                        f"{lam}, mu = {mu}, s = {s}, t = {t_skew} at q0 = "
+                        f"{rep_lam.q0}, first difference at index "
+                        f"{_first_index(a, b)}")
     return True
 
 
@@ -271,11 +314,11 @@ def check_one_step_recursion(n, q0):
     q0 = Fraction(q0)
     r_op = r2r(n)
     for lam in partitions_of(n):
-        rep_lam = WordModuleRep(lam, q0)
+        rep_lam = word_module(lam, q0)
         for smaller in lam.removable_corners():
             for rec in spectra.build_eigenbasis(smaller, q0):
                 t_skew = superstandard(SkewShape(lam, smaller))
-                rep_small = WordModuleRep(smaller, q0)
+                rep_small = word_module(smaller, q0)
                 v = phi_apply(rec.vector, rep_small, rep_lam, t_skew)
                 v = rep_lam.apply_hecke(v, b2r_embedded(n, n))
                 v = rep_lam.apply_p_lambda(v)
@@ -339,7 +382,7 @@ def check_b_charpoly(n, q0, route="regular"):
         for op in (b2r(n), r2b(n)):
             product = [Fraction(1)]
             for lam in partitions_of(n):
-                rep = SpechtRep(lam, q0)
+                rep = specht_module(lam, q0)
                 mat = rep.hecke_action_matrix(op)
                 factor = linalg.charpoly(mat)
                 for _ in range(f_lambda(lam)):
@@ -426,7 +469,11 @@ def _poly_mul(a, b):
 # -- suite runner ------------------------------------------------------
 
 def run_suite(n, q_values, route="regular"):
-    """Run every check for one n; returns a list of CheckResult."""
+    """Run every check for one n; returns a list of CheckResult.
+
+    Starts from an empty module cache, so each run builds its own word and
+    Specht modules."""
+    clear_module_cache()
     results = []
 
     def run(check_id, fn):
