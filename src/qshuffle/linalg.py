@@ -2,14 +2,16 @@
 
 Matrices are lists of rows of Fractions.  Pivoting is deterministic
 (first nonzero column, then the largest row index among nonzero entries),
-so kernel bases and echelon forms are reproducible run to run.
+so kernel bases and echelon forms are reproducible run to run.  Char polys
+clear denominators and run the division-free Berkowitz algorithm over the
+integers, then rescale (S. J. Berkowitz, Inf. Process. Lett. 18 (1984)
+147-150).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import sympy
 
 
 def zeros(rows, cols):
@@ -134,19 +136,27 @@ def solve_in_span(rows, target):
 
 
 def charpoly(matrix):
-    """Characteristic polynomial det(yI - M) as a list of Fractions.
-
-    Coefficients are returned highest degree first (monic).  Uses the
-    division-free Berkowitz algorithm via sympy for exactness.
-    """
-    size = len(matrix)
-    if size == 0:
-        return [Fraction(1)]
-    m = sympy.Matrix(size, size,
-                     [sympy.Rational(x.numerator, x.denominator)
-                      for row in matrix for x in row])
-    poly = m.charpoly()
-    return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
+    """det(yI - M) as monic Fractions, highest degree first.  Berkowitz over
+    Python ints on d*M, d the lcm of the entry denominators: the char poly
+    of a leading block [[A, C], [R, a]] is the Toeplitz matrix of (1, -a,
+    -RC, -RAC, ...) times that of A; coefficient k is then divided by d^k."""
+    d = math.lcm(*(x.denominator for row in matrix for x in row))
+    m = [[x.numerator * (d // x.denominator) for x in row] for row in matrix]
+    poly, block = [1], []  # block: sparse rows (col, entry) of A
+    for k, row in enumerate(m):
+        r = [(j, x) for j, x in enumerate(row[:k]) if x]
+        v = [m[i][k] for i in range(k)]
+        toeplitz = [1, -row[k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * v[j] for j, x in r))
+            v = [sum(x * v[j] for j, x in b) for b in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+        for i in range(k):
+            if m[i][k]:
+                block[i].append((k, m[i][k]))
+        block.append([(j, x) for j, x in enumerate(row[:k + 1]) if x])
+    return [Fraction(c, d ** k) for k, c in enumerate(poly)]
 
 
 def poly_from_roots(root_mult_pairs):

@@ -140,18 +140,8 @@ class SpechtRep:
         """Coordinates of v in the unit basis, or None if outside the span."""
         return linalg.solve_in_span(self.units, v)
 
-    def gen_action_matrix(self, i):
-        """Matrix of T_{s_i} on S^lambda in the seminormal unit basis."""
-        rows = []
-        for u in self.units:
-            img = self.word_module.apply_gen(u, i)
-            coords = self.coords(img)
-            if coords is None:
-                raise ArithmeticError("unit span is not generator-stable")
-            rows.append(coords)
-        return rows
-
     def hecke_action_matrix(self, elem):
+        """Matrix of elem on S^lambda in the seminormal unit basis."""
         rows = []
         for u in self.units:
             img = self.word_module.apply_hecke(u, elem)

@@ -95,14 +95,6 @@ def spectrum_table(n):
     return rows
 
 
-def aggregate_spectrum(rows):
-    """Total multiplicity per distinct eigenvalue polynomial."""
-    out = {}
-    for row in rows:
-        out[row.eigenvalue] = out.get(row.eigenvalue, 0) + row.multiplicity
-    return out
-
-
 def r2r_charpoly_factored(n):
     """(eigenvalue, exponent) pairs of the char poly of R_n(q) on H_n(q)."""
     return [(row.eigenvalue, row.multiplicity)
@@ -128,21 +120,14 @@ def bruteforce_charpoly(op, q0):
     return linalg.charpoly(regular_rep_matrix(op, q0))
 
 
-def specht_r2r_matrix(lam, q0):
-    """Matrix of R_|lam| on S^lambda in the seminormal unit basis."""
-    rep = specht_module(lam, q0)
-    if lam.size == 0:
-        return rep, linalg.zeros(1, 1)
-    return rep, rep.hecke_action_matrix(r2r(lam.size))
-
-
 def specht_spectrum(lam, q0):
     """Eigenvalue multiset of R_n(q0) on S^lambda, certified by char poly.
 
     Returns {rational eigenvalue: multiplicity}; raises if the computed
     characteristic polynomial disagrees with the strip formula.
     """
-    _, mat = specht_r2r_matrix(lam, q0)
+    mat = (linalg.zeros(1, 1) if lam.size == 0 else
+           specht_module(lam, q0).hecke_action_matrix(r2r(lam.size)))
     expected = [(eigenvalue_formula(lam, mu).eval(q0), d_mu(mu))
                 for mu in horizontal_strips(lam) if d_mu(mu)]
     if linalg.charpoly(mat) != linalg.poly_from_roots(expected):

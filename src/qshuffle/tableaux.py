@@ -198,19 +198,12 @@ class StandardTableau:
     def n(self):
         return self.shape.outer.size
 
-    @property
-    def is_straight(self):
-        return self.shape.inner.size == 0
-
     def cell_of(self, k):
         return self._cell_of[k]
 
     def content_of(self, k):
         r, c = self._cell_of[k]
         return c - r
-
-    def q_content_of(self, k):
-        return qint(self.content_of(k))
 
     def row_of(self, k):
         return self._cell_of[k][0]

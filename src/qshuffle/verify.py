@@ -364,34 +364,16 @@ def check_strip_vanishing(n, q0):
 def check_r2r_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
         [(e.eval(q0), m) for e, m in spectra.r2r_charpoly_factored(n)])
-    if route == "specht":
-        product = [Fraction(1)]
-        for lam in partitions_of(n):
-            _, mat = spectra.specht_r2r_matrix(lam, q0)
-            factor = linalg.charpoly(mat)
-            for _ in range(f_lambda(lam)):
-                product = _poly_mul(product, factor)
-        return product == expected
-    return spectra.bruteforce_charpoly(r2r(n), q0) == expected
+    return _charpoly_agrees("r2r", q0, route,
+                            _route_factors(r2r(n), n, q0, route), expected)
 
 
 def check_b_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
         [(e.eval(q0), m) for e, m in spectra.b_charpoly_factored(n)])
-    if route == "specht":
-        for op in (b2r(n), r2b(n)):
-            product = [Fraction(1)]
-            for lam in partitions_of(n):
-                rep = specht_module(lam, q0)
-                mat = rep.hecke_action_matrix(op)
-                factor = linalg.charpoly(mat)
-                for _ in range(f_lambda(lam)):
-                    product = _poly_mul(product, factor)
-            if product != expected:
-                return False
-        return True
-    return (spectra.bruteforce_charpoly(b2r(n), q0) == expected
-            and spectra.bruteforce_charpoly(r2b(n), q0) == expected)
+    return all(_charpoly_agrees(name, q0, route,
+                                _route_factors(op, n, q0, route), expected)
+               for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))))
 
 
 def check_bstar_kernel_lift(n, q0):
@@ -429,7 +411,8 @@ def check_walk_spectrum(n, q0):
     norm = qint(n).eval(q0) ** 2
     expected = linalg.poly_from_roots(
         [(e.eval(q0) / norm, m) for e, m in spectra.r2r_charpoly_factored(n)])
-    return linalg.charpoly(mat) == expected
+    return _charpoly_agrees("the Mallows walk", q0, "transition matrix",
+                            [(None, linalg.charpoly(mat))], expected)
 
 
 def check_second_eigenvalue(n, q0):
@@ -456,6 +439,45 @@ def check_positivity_degree(n):
 
 def check_diagonalizable(n, q0):
     return spectra.diagonalizability_check(n, q0)
+
+
+def _route_factors(op, n, q0, route):
+    """(lam, char poly of op on S^lambda) for each lam |- n on the Specht
+    route, else [(None, char poly of op on the regular representation)]."""
+    if route == "specht":
+        return [(lam, linalg.charpoly(
+            specht_module(lam, q0).hecke_action_matrix(op)))
+            for lam in partitions_of(n)]
+    return [(None, spectra.bruteforce_charpoly(op, q0))]
+
+
+def _charpoly_agrees(op, q0, route, factors, expected):
+    """True if the product of factor^(f^lam) over the (lam, factor) pairs
+    (lam None: taken once) equals expected; else CheckFailed naming op, q0,
+    the route, the first lam after whose factors the product stops dividing
+    expected, and the first differing coefficient index."""
+    product, prefixes = [Fraction(1)], []
+    for lam, factor in factors:
+        for _ in range(1 if lam is None else f_lambda(lam)):
+            product = _poly_mul(product, factor)
+        prefixes.append((lam, product))
+    if product == expected:
+        return True
+    culprit = next((f" on S^{lam}" for lam, prefix in prefixes
+                    if lam is not None and any(_poly_rem(expected, prefix))),
+                   "")
+    raise CheckFailed(f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, "
+                      f"route {route}, differs from the formula at "
+                      f"coefficient index {_first_index(product, expected)}")
+
+
+def _poly_rem(a, b):
+    """Remainder of a by the monic b, coefficients highest degree first."""
+    a, cut = list(a), max(len(a) - len(b) + 1, 0)
+    for i in range(cut):
+        for j in range(1, len(b)):
+            a[i + j] -= a[i] * b[j]
+    return a[cut:]
 
 
 def _poly_mul(a, b):

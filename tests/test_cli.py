@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -7,6 +10,7 @@ from click.testing import CliRunner
 from qshuffle.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture()
@@ -165,3 +169,12 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "qshuffle" in result.output
+
+
+def test_cli_import_does_not_load_sympy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, qshuffle.cli; "
+            "assert 'sympy' not in sys.modules, 'sympy was imported'")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

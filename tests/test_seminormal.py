@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import linalg
-from qshuffle.hecke import r2r
+from qshuffle.hecke import HeckeElement, r2r
 from qshuffle.qpoly import qint
 from qshuffle import seminormal
 from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
@@ -115,7 +115,7 @@ def test_gen_matrices_satisfy_quadratic_relation():
     rep = SpechtRep(Partition((2, 2)), q0)
     eye = linalg.identity(rep.dim)
     for i in range(1, 4):
-        g = rep.gen_action_matrix(i)
+        g = rep.hecke_action_matrix(HeckeElement.t_word([i], 4))
         assert linalg.mat_mul(g, g) == linalg.mat_add(
             linalg.mat_scale(g, q0 - 1), linalg.mat_scale(eye, q0))
 

@@ -9,10 +9,11 @@ from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
 from qshuffle.symmetric import derangement_count
 from qshuffle.tableaux import Partition, d_mu, f_lambda, partitions_of
-from qshuffle.verify import (check_b_charpoly, check_diagonalizable,
-                             check_eigenbasis, check_one_step_recursion,
-                             check_positivity_degree, check_r2r_charpoly,
-                             check_straightening, check_strip_vanishing)
+from qshuffle.verify import (CheckFailed, check_b_charpoly,
+                             check_diagonalizable, check_eigenbasis,
+                             check_one_step_recursion, check_positivity_degree,
+                             check_r2r_charpoly, check_straightening,
+                             check_strip_vanishing, run_suite)
 
 
 def P(*parts):
@@ -77,6 +78,46 @@ def test_r2r_charpoly_specht_route_n5():
 def test_b_charpoly_oracle(q0):
     for n in range(1, 5):
         assert check_b_charpoly(n, q0, "regular")
+
+
+def test_charpoly_failures_name_operator_and_q(monkeypatch):
+    original = linalg.charpoly
+
+    def wrong(matrix):
+        coeffs = original(matrix)
+        coeffs[-1] += 1
+        return coeffs
+
+    monkeypatch.setattr(linalg, "charpoly", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    expect = {"r2r-charpoly[q=7/5,regular]": ["char poly of r2r at"],
+              "b-charpoly[q=7/5,regular]": ["char poly of b2r at"],
+              "walk-spectrum[q=7/5]": ["char poly of the Mallows walk at",
+                                       "route transition matrix"]}
+    for check_id, names in expect.items():
+        detail = report[check_id].detail
+        assert not report[check_id].passed
+        assert detail.startswith("CheckFailed: ")
+        for name in names + ["q0 = 7/5", "coefficient index 6"]:
+            assert name in detail
+
+
+def test_specht_charpoly_failure_names_the_shape(monkeypatch):
+    original = linalg.charpoly
+
+    def wrong(matrix):  # only S^(2,1) has dimension 2 at n = 3
+        coeffs = original(matrix)
+        if len(matrix) == 2:
+            coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(linalg, "charpoly", wrong)
+    for check in (check_r2r_charpoly, check_b_charpoly):
+        with pytest.raises(CheckFailed) as err:
+            check(3, Fraction(2), "specht")
+        message = str(err.value)
+        assert " on S^(2,1) at q0 = 2, route specht" in message
+        assert "coefficient index 1" in message
 
 
 def test_b_charpoly_exponents_sum():
