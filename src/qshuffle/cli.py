@@ -242,6 +242,9 @@ def verify_cmd(ctx, n, q_text, route):
 def eigvectors(ctx, lam_text, q_text):
     """Recursive eigenvector basis of one Specht module as JSON."""
     lam = _parse_partition(lam_text)
+    if lam.size > 6:
+        raise click.UsageError("eigenvector construction supports |lambda| "
+                               "<= 6")
     q0 = _parse_q(q_text)
     if q0 <= 0:
         raise click.UsageError("eigenvector construction needs q > 0")
@@ -268,6 +271,8 @@ def simulate(ctx, n, q_text, steps, csv_path):
     """Exact total-variation mixing curve of the normalized walk."""
     if n < 1 or n > 5:
         raise click.UsageError("simulation supports 1 <= n <= 5")
+    if steps < 0:
+        raise click.UsageError("--steps must be >= 0")
     q0 = _parse_q(q_text)
     try:
         curve = markov.tv_mixing_curve(n, q0, steps)

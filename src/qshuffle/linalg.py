@@ -1,17 +1,34 @@
-"""Exact rational dense linear algebra: elimination, kernels, char polys.
+"""Exact rational dense linear algebra: elimination, kernels, products,
+char polys.
 
-Matrices are lists of rows of Fractions.  Pivoting is deterministic
-(first nonzero column, then the largest row index among nonzero entries),
-so kernel bases and echelon forms are reproducible run to run.  Char polys
-clear denominators and run the division-free Berkowitz algorithm over the
-integers, then rescale (S. J. Berkowitz, Inf. Process. Lett. 18 (1984)
-147-150).
+Matrices are lists of rows of Fractions, and every kernel takes and returns
+them, but the work is done over the integers: a kernel clears denominators
+on the way in (`_cleared`) and builds Fractions only on the way out.  RREF
+is Gauss-Jordan on primitive integer rows, products accumulate integer
+rows, and char polys run the division-free Berkowitz algorithm (S. J.
+Berkowitz, Inf. Process. Lett. 18 (1984) 147-150).  Pivoting is
+deterministic (first nonzero column, then the largest row index among
+nonzero entries), so kernel bases and echelon forms are reproducible run to
+run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+def _cleared(matrix):
+    """(d, d * matrix as Python ints), d the lcm of the entry denominators:
+    where every kernel here enters the integers.  Only nonzero entries are
+    read twice, which keeps sparse matrices cheap."""
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+    d = math.lcm(*(x.denominator for row in nonzero for _, x in row))
+    out = [[0] * len(row) for row in matrix]
+    for dense, row in zip(out, nonzero):
+        for j, x in row:
+            dense[j] = x.numerator * (d // x.denominator)
+    return d, out
 
 
 def zeros(rows, cols):
@@ -26,17 +43,23 @@ def identity(size):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai, oi = a[i], out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
+    """Product of Fraction matrices, computed over Z: each operand is scaled
+    by the lcm of its denominators, the nonzero entries of each integer row
+    of a are multiplied into an integer accumulator, and each entry x of
+    the result leaves as Fraction(x, d_a * d_b)."""
+    d_a, a = _cleared(a)
+    d_b, b = _cleared(b)
+    d, cols = d_a * d_b, len(b[0])
+    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, bk in zip(row, b):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        out.append([Fraction(x, d) if x else zero for x in acc])
     return out
 
 
@@ -63,8 +86,14 @@ def vec_mat(v, m):
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(row) for row in matrix]
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Gauss-Jordan over Z: each row is scaled by the lcm of its denominators,
+    and each row update p*row - f*pivot_row is divided by the gcd of its
+    entries, so rows stay primitive.  Scaling a row never changes which
+    entries are zero, so the pivots are those of the same elimination over
+    Q; the pivot rows are divided by their pivots on the way out."""
+    m = [_cleared([row])[1][0] for row in matrix]
     if not m:
         return [], []
     rows, cols = len(m), len(m[0])
@@ -81,15 +110,23 @@ def rref(matrix):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return m, pivots
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row]
+           for row, c in zip(m, pivots)]
+    out += [[zero] * cols for _ in range(rows - r)]
+    return out, pivots
 
 
 def rank(matrix):
@@ -140,8 +177,7 @@ def charpoly(matrix):
     Python ints on d*M, d the lcm of the entry denominators: the char poly
     of a leading block [[A, C], [R, a]] is the Toeplitz matrix of (1, -a,
     -RC, -RAC, ...) times that of A; coefficient k is then divided by d^k."""
-    d = math.lcm(*(x.denominator for row in matrix for x in row))
-    m = [[x.numerator * (d // x.denominator) for x in row] for row in matrix]
+    d, m = _cleared(matrix)
     poly, block = [1], []  # block: sparse rows (col, entry) of A
     for k, row in enumerate(m):
         r = [(j, x) for j, x in enumerate(row[:k]) if x]

@@ -280,8 +280,10 @@ def straightening_scalars(lam, mu, q0):
     return out
 
 
-def diagonalizability_check(n, q0):
-    """Geometric = algebraic multiplicity for every eigenvalue of R_n(q0)."""
+def diagonalizability_defect(n, q0):
+    """First formula eigenvalue of R_n(q0) whose geometric multiplicity
+    (size - rank on the regular representation) differs from its algebraic
+    one, as (eigenvalue, geometric, algebraic); None if there is none."""
     mat = regular_rep_matrix(r2r(n), q0)
     size = len(mat)
     mults = {}
@@ -292,6 +294,7 @@ def diagonalizability_check(n, q0):
     for value, mult in mults.items():
         shifted = [[mat[i][j] - (value if i == j else 0) for j in range(size)]
                    for i in range(size)]
-        if size - linalg.rank(shifted) != mult:
-            return False
-    return True
+        geometric = size - linalg.rank(shifted)
+        if geometric != mult:
+            return value, geometric, mult
+    return None

@@ -48,6 +48,14 @@ def _first_cell(a, b):
                  for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
 
 
+def _require_equal(got, want, what):
+    """Raise CheckFailed saying what failed and the first (row, col) at which
+    the matrices got and want differ, unless they are equal."""
+    if got != want:
+        raise CheckFailed(
+            f"{what}, first difference at (row, col) {_first_cell(got, want)}")
+
+
 def _first_index(a, b):
     """First index at which the vectors a and b differ."""
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
@@ -115,24 +123,30 @@ def check_jm_commute(n):
 
 
 def check_word_module_relations(n, q0):
-    """Generator matrices on every W^lambda satisfy the Hecke relations."""
+    """Generator matrices on every W^lambda satisfy the Hecke relations; a
+    failure raises CheckFailed naming lambda, the relation, the generator
+    indices, q0 and the first differing (row, col)."""
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
+        where = f"on W^{lam} at q0 = {wm.q0}"
         gens = {i: wm.gen_matrix(i) for i in range(1, n)}
         eye = linalg.identity(wm.dim)
         for i, g in gens.items():
             quad = linalg.mat_add(linalg.mat_scale(g, wm.q0 - 1),
                                   linalg.mat_scale(eye, wm.q0))
-            if linalg.mat_mul(g, g) != quad:
-                return False
+            _require_equal(linalg.mat_mul(g, g), quad,
+                           f"quadratic relation for T_{i} fails {where}")
             for j in range(i + 1, n):
                 lhs = linalg.mat_mul(g, gens[j])
                 rhs = linalg.mat_mul(gens[j], g)
-                if j > i + 1 and lhs != rhs:
-                    return False
-                if j == i + 1:
-                    if linalg.mat_mul(lhs, g) != linalg.mat_mul(rhs, gens[j]):
-                        return False
+                if j > i + 1:
+                    _require_equal(lhs, rhs, f"commutation relation for "
+                                   f"T_{i}, T_{j} fails {where}")
+                else:
+                    _require_equal(linalg.mat_mul(lhs, g),
+                                   linalg.mat_mul(rhs, gens[j]),
+                                   f"braid relation for T_{i}, T_{j} fails "
+                                   f"{where}")
     return True
 
 
@@ -176,21 +190,14 @@ def check_idempotents(n, q0):
         zero = linalg.zeros(wm.dim, wm.dim)
         for a, ma in zip(rep.tableaux, mats):
             for b, mb in zip(rep.tableaux, mats):
-                prod = linalg.mat_mul(ma, mb)
-                want = ma if a == b else zero
-                if prod != want:
-                    prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
-                    raise CheckFailed(
-                        f"{prop} fails for s = {a}, t = {b} {where}, first "
-                        f"difference at (row, col) {_first_cell(prod, want)}")
+                prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
+                _require_equal(linalg.mat_mul(ma, mb), ma if a == b else zero,
+                               f"{prop} fails for s = {a}, t = {b} {where}")
         total = mats[0]
         for m in mats[1:]:
             total = linalg.mat_add(total, m)
-        square = linalg.mat_mul(total, total)
-        if square != total:
-            raise CheckFailed(
-                f"p_lambda p_lambda = p_lambda fails {where}, first "
-                f"difference at (row, col) {_first_cell(square, total)}")
+        _require_equal(linalg.mat_mul(total, total), total,
+                       f"p_lambda p_lambda = p_lambda fails {where}")
         trace = sum(total[i][i] for i in range(wm.dim))
         if trace != f_lambda(lam):  # rank of an idempotent is its trace
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
@@ -211,12 +218,9 @@ def check_idempotents(n, q0):
                                   for t in enumerate_syt(mu)]
                 for m in shape_mats:
                     everything = linalg.mat_add(everything, m)
-            eye = linalg.identity(wm.dim)
-            if everything != eye:
-                raise CheckFailed(
-                    f"sum of p_t over all tableaux of size {n} = 1 fails "
-                    f"{where}, first difference at (row, col) "
-                    f"{_first_cell(everything, eye)}")
+            _require_equal(everything, linalg.identity(wm.dim),
+                           f"sum of p_t over all tableaux of size {n} = 1 "
+                           f"fails {where}")
     return True
 
 
@@ -378,7 +382,9 @@ def check_b_charpoly(n, q0, route="regular"):
 
 def check_bstar_kernel_lift(n, q0):
     """u in ker B*_j gives a B*_n-eigenvector m_{(1^j, n-j)} u with
-    eigenvalue [n-j]_{q0}, in the regular representation."""
+    eigenvalue [n-j]_{q0}, in the regular representation; a failure raises
+    CheckFailed naming j, q0, the index of the kernel vector and the first
+    differing index."""
     bstar_n = regular_rep_matrix(r2b(n), q0)
     for j in range(2, n):
         bstar_j = regular_rep_matrix(
@@ -386,11 +392,16 @@ def check_bstar_kernel_lift(n, q0):
         m_mat = regular_rep_matrix(
             m_alpha(Composition([1] * j + [n - j])), q0)
         value = qint(n - j).eval(q0)
-        for u in linalg.left_kernel(bstar_j):
+        for k, u in enumerate(linalg.left_kernel(bstar_j)):
             lifted = linalg.vec_mat(u, m_mat)
             image = linalg.vec_mat(lifted, bstar_n)
-            if image != [value * x for x in lifted]:
-                return False
+            want = [value * x for x in lifted]
+            if image != want:
+                raise CheckFailed(
+                    f"the lift of kernel vector {k} of B*_{j} is not a "
+                    f"B*_{n}-eigenvector with eigenvalue [{n - j}]_q for "
+                    f"j = {j} at q0 = {Fraction(q0)}, first difference at "
+                    f"index {_first_index(image, want)}")
     return True
 
 
@@ -438,7 +449,17 @@ def check_positivity_degree(n):
 
 
 def check_diagonalizable(n, q0):
-    return spectra.diagonalizability_check(n, q0)
+    """R_n(q0) on the regular representation is diagonalizable with the
+    formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
+    and its geometric and algebraic multiplicities."""
+    defect = spectra.diagonalizability_defect(n, q0)
+    if defect:
+        value, geometric, algebraic = defect
+        raise CheckFailed(
+            f"eigenvalue {value} of r2r at q0 = {Fraction(q0)} has geometric "
+            f"multiplicity {geometric} (size - rank), algebraic multiplicity "
+            f"{algebraic}")
+    return True
 
 
 def _route_factors(op, n, q0, route):

@@ -178,3 +178,16 @@ def test_cli_import_does_not_load_sympy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_eigvectors_refuses_partitions_of_more_than_six(runner):
+    result = runner.invoke(main, ["eigvectors", "--lam", "3,2,1,1"])
+    assert result.exit_code == 2
+    assert "|lambda| <= 6" in result.output
+
+
+def test_simulate_rejects_negative_steps(runner):
+    result = runner.invoke(main, ["simulate", "--n", "3", "--q", "2",
+                                  "--steps", "-1"])
+    assert result.exit_code == 2
+    assert "--steps must be >= 0" in result.output

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qshuffle import linalg
 from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
                             b2r_embedded, c_op, intermediate_recursion_check,
                             jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
@@ -13,7 +14,7 @@ from qshuffle.symmetric import Composition, Permutation, all_permutations, \
     from_word
 from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
                              check_hecke_relations_symbolic, check_jm_commute,
-                             check_push_through_lemma)
+                             check_push_through_lemma, run_suite)
 
 
 def test_hecke_relations_symbolic():
@@ -182,3 +183,22 @@ def test_full_sum_of_lengths():
     total = sum((HeckeElement.t_perm(w).scale(Q ** w.length())
                  for w in all_permutations(n)), HeckeElement.zero(n))
     assert sum(total.terms.values(), -qfactorial(n)).is_zero()
+
+
+def test_bstar_kernel_lift_failure_names_j_and_kernel_vector(monkeypatch):
+    original, last = linalg.left_kernel, []
+
+    def wrong(matrix):  # perturbs ker B*_2 in H_3 only
+        basis = original(matrix)
+        if len(matrix) == 6:
+            basis[-1][0] += 1
+            last.append(len(basis) - 1)
+        return basis
+
+    monkeypatch.setattr(linalg, "left_kernel", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["bstar-kernel-lift[q=7/5]"].detail
+    assert detail.startswith(f"CheckFailed: the lift of kernel vector "
+                             f"{last[0]} of B*_2 is not a B*_3-eigenvector "
+                             f"with eigenvalue [1]_q for j = 2 at q0 = 7/5, "
+                             f"first difference at index ")

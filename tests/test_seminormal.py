@@ -317,3 +317,23 @@ def test_projection_compat_failure_names_strip_and_q(monkeypatch):
     message = str(err.value)
     assert "lambda = (2,1), mu = (2)" in message
     assert "at q0 = 2, first difference at index 1" in message
+
+
+@pytest.mark.parametrize("gen, relation", [(1, "quadratic relation for T_1"),
+                                           (2, "braid relation for T_1, T_2")])
+def test_word_module_relations_failure_names_relation(monkeypatch, gen,
+                                                      relation):
+    lam = Partition((2, 1))
+    original = WordModuleRep.gen_matrix
+
+    def wrong(self, i):
+        mat = original(self, i)
+        if self.lam == lam and i == gen:
+            mat[0][0] += 1
+        return mat
+
+    monkeypatch.setattr(WordModuleRep, "gen_matrix", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["word-module-relations[q=7/5]"].detail
+    assert detail.startswith(f"CheckFailed: {relation} fails on W^{lam} at "
+                             f"q0 = 7/5, first difference at (row, col) (")

@@ -195,3 +195,28 @@ def test_diagonalizable():
 def test_eigenbasis_requires_positive_q():
     with pytest.raises(ValueError):
         build_eigenbasis(P(2, 1), Fraction(-2, 3))
+
+
+def test_diagonalizable_failure_names_eigenvalue_and_multiplicities(
+        monkeypatch):
+    q0, original, calls = Fraction(7, 5), linalg.rank, []
+
+    def wrong(matrix):  # one too many for the first eigenvalue of R_3 only
+        rank = original(matrix)
+        if len(matrix) == 6:
+            calls.append(matrix)
+            return rank + (len(calls) == 1)
+        return rank
+
+    monkeypatch.setattr(linalg, "rank", wrong)
+    report = {r.check_id: r for r in run_suite(3, [q0])}
+    assert [k for k, r in report.items() if not r.passed] \
+        == ["diagonalizable[q=7/5]"]
+    rows = [row for row in spectrum_table(3) if row.multiplicity]
+    value = rows[0].eigenvalue.eval(q0)
+    algebraic = sum(row.multiplicity for row in rows
+                    if row.eigenvalue.eval(q0) == value)
+    assert report["diagonalizable[q=7/5]"].detail == (
+        f"CheckFailed: eigenvalue {value} of r2r at q0 = 7/5 has geometric "
+        f"multiplicity {algebraic - 1} (size - rank), algebraic multiplicity "
+        f"{algebraic}")
