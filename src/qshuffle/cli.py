@@ -64,8 +64,12 @@ def _emit(ctx, text, output):
         prefix = ctx.obj.get("output_dir")
         if prefix and not output.startswith("/"):
             output = f"{prefix}/{output}"
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise click.UsageError(
+                f"cannot write {output}: {exc.strerror or exc}")
     else:
         click.echo(text, nl=False)
 
@@ -273,6 +277,8 @@ def simulate(ctx, n, q_text, steps, csv_path):
         raise click.UsageError("simulation supports 1 <= n <= 5")
     if steps < 0:
         raise click.UsageError("--steps must be >= 0")
+    if steps > 200:  # the exact curve costs more than linearly in --steps
+        raise click.UsageError("--steps must be <= 200")
     q0 = _parse_q(q_text)
     try:
         curve = markov.tv_mixing_curve(n, q0, steps)

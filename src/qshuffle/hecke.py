@@ -8,12 +8,14 @@ and general products iterate this along reduced words.  Identity checks on
 these symbolic elements certify statements for all q at once.
 
 At a rational point q0 every module of H_n(q0) used here (word modules,
-the regular representation, flags) is a HeckeModule: sparse rows of the
-generators, from which every action and matrix is built.
+the regular representation, flags) is a HeckeModule: sparse integer rows
+of the generators, each with one denominator, from which every action and
+matrix is built over the integers; Fractions appear only at its boundary.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .qpoly import LaurentPoly, ONE, Q, QM1, qint
@@ -280,36 +282,81 @@ def word_gen_rows(words, q0):
     return gen_rows
 
 
+def _ints(v):
+    """(numerators, den) of a rational vector: den > 0 is the lcm of the
+    entry denominators.  Where a vector enters the integer engine."""
+    den = math.lcm(*(x.denominator for x in v if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in v], den
+
+
+_ZERO = Fraction(0)  # one shared zero, so comparing outputs skips zeros
+
+
+def _fractions(num, den):
+    """The Fraction vector num / den.  Where a vector leaves the engine."""
+    return [Fraction(x, den) if x else _ZERO for x in num]
+
+
+def _cleared_rows(rows):
+    """(d, integer rows of d * rows) for sparse rows of rationals, d the lcm
+    of the entry denominators."""
+    d = math.lcm(*(c.denominator for row in rows for _, c in row))
+    return d, [[(j, c.numerator * (d // c.denominator)) for j, c in row]
+               for row in rows]
+
+
+def _fraction_rows(d, rows):
+    """The sparse Fraction rows of (integer rows) / d."""
+    return [[(j, Fraction(c, d)) for j, c in row] for row in rows]
+
+
 class HeckeModule:
     """A right H_n(q0)-module at a rational q0, given by generator rows.
 
-    gen_rows[i][r] lists the (column, coefficient) pairs of e_r . T_{s_i}.
-    Vectors are dense lists of Fractions; row r of a matrix is the image
-    of the basis vector e_r.
+    gen_rows[i][r] lists the (column, coefficient) pairs of e_r . T_{s_i};
+    row r of a matrix is the image of the basis vector e_r.  The module
+    works over the integers: each generator is stored once as integer rows
+    with one positive denominator d (the lcm of its row denominators: the
+    denominator of q0 for word modules, 1 for flags), and a vector inside
+    the engine is (integer list, den > 0), whose den a generator step
+    multiplies by d.  Fractions appear only at the public boundary: every
+    public method takes and returns dense lists of Fractions, converting
+    once on the way in and once on the way out.
     """
 
     def __init__(self, n, q0, dim, gen_rows):
         self.n = n
         self.q0 = Fraction(q0)
         self.dim = dim
-        self.gen_rows = gen_rows
+        self._gens = {i: _cleared_rows(rows) for i, rows in gen_rows.items()}
 
-    def _apply_rows(self, v, rows):
-        """v times the sparse matrix whose row r is rows[r]."""
-        out = [Fraction(0)] * self.dim
-        for idx, x in enumerate(v):
+    @property
+    def gen_rows(self):
+        """The generator rows as sparse Fraction rows, derived from the
+        stored integer ones."""
+        return {i: _fraction_rows(d, rows)
+                for i, (d, rows) in self._gens.items()}
+
+    def _times(self, num, rows):
+        """The integer vector num times the sparse integer rows."""
+        out = [0] * self.dim
+        for x, row in zip(num, rows):
             if x:
-                for j, c in rows[idx]:
+                for j, c in row:
                     out[j] += x * c
         return out
 
+    def _word(self, num, den, word):
+        for i in word:
+            d, rows = self._gens[i]
+            num, den = self._times(num, rows), den * d
+        return num, den
+
     def apply_gen(self, v, i):
-        return self._apply_rows(v, self.gen_rows[i])
+        return _fractions(*self._word(*_ints(v), (i,)))
 
     def apply_word(self, v, word):
-        for i in word:
-            v = self.apply_gen(v, i)
-        return v
+        return _fractions(*self._word(*_ints(v), word))
 
     def _terms_at(self, elem):
         """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
@@ -318,18 +365,30 @@ class HeckeModule:
         return [(w.reduced_word(), c.eval(self.q0))
                 for w, c in elem.terms.items()]
 
-    def _apply_terms(self, v, terms):
-        out = [Fraction(0)] * self.dim
-        for word, c in terms:
-            img = self.apply_word(v, word)
+    def _int_terms(self, terms):
+        """(L, [(word, f)]) with sum_w f_w (integer rows of the word) / L equal
+        to sum_w c_w T_w for the (word, c_w) terms: L is the lcm over the
+        terms of den(c_w) times the product of the word's generator dens."""
+        scaled = [(word, c, c.denominator
+                   * math.prod(self._gens[i][0] for i in word))
+                  for word, c in terms]
+        lcm = math.lcm(*(d for _, _, d in scaled))
+        return lcm, [(word, c.numerator * (lcm // d)) for word, c, d in scaled]
+
+    def _apply_terms(self, num, den, int_terms):
+        lcm, terms = int_terms
+        out = [0] * self.dim
+        for word, f in terms:
+            img, _ = self._word(num, den, word)
             for j, x in enumerate(img):
                 if x:
-                    out[j] += c * x
-        return out
+                    out[j] += f * x
+        return out, den * lcm
 
     def apply_hecke(self, v, elem):
         """v . a for a HeckeElement a."""
-        return self._apply_terms(v, self._terms_at(elem))
+        terms = self._int_terms(self._terms_at(elem))
+        return _fractions(*self._apply_terms(*_ints(v), terms))
 
     def matrix_of(self, apply_fn):
         """Dense matrix whose row idx is apply_fn(e_idx)."""
@@ -340,13 +399,28 @@ class HeckeModule:
             out.append(apply_fn(v))
         return out
 
+    def _int_matrix(self, apply_int):
+        """Dense Fraction matrix whose row r is apply_int(e_r, 1), for an
+        apply_int taking and returning (integer list, den)."""
+        out = []
+        for r in range(self.dim):
+            e = [0] * self.dim
+            e[r] = 1
+            out.append(_fractions(*apply_int(e, 1)))
+        return out
+
+    def word_matrix(self, word):
+        """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
+        return self._int_matrix(lambda num, den: self._word(num, den, word))
+
     def gen_matrix(self, i):
-        return self.matrix_of(lambda v: self.apply_gen(v, i))
+        return self.word_matrix((i,))
 
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""
-        terms = self._terms_at(elem)
-        return self.matrix_of(lambda v: self._apply_terms(v, terms))
+        terms = self._int_terms(self._terms_at(elem))
+        return self._int_matrix(
+            lambda num, den: self._apply_terms(num, den, terms))
 
 
 # -- matrices and identity checks -------------------------------------

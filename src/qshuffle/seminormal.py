@@ -13,18 +13,25 @@ can take on the image of p_{t|_{m-1}} (G. E. Murphy, J. Algebra 173 (1995)
 97-121).  Seminormal units are w_t = word(t) . p_t and span the Specht
 module S^lambda.
 
-word_module and specht_module share one built module per (lambda, q0);
-clear_module_cache empties that cache.  All arithmetic is exact rational
-at an admissible evaluation point q0.
+Word modules ride the integer HeckeModule engine: J_m is stored once as
+integer rows with one denominator, and each idempotent factor is one
+integer row update of a (numerators, den) vector followed by a gcd
+reduction, so Fractions appear only where vectors enter and leave.
+
+word_module and specht_module share one built module per (lambda, q0), and
+spectra.kernel_basis one kernel basis; clear_module_cache empties both.
+All arithmetic is exact at an admissible evaluation point q0.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import HeckeModule, jucys_murphy_scaled, word_gen_rows
+from .hecke import (HeckeModule, _fraction_rows, _fractions, _ints,
+                    jucys_murphy_scaled, word_gen_rows)
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -60,24 +67,88 @@ class WordModuleRep(HeckeModule):
         self.index = {w: i for i, w in enumerate(self.basis)}
         super().__init__(lam.size, q0, len(self.basis),
                          word_gen_rows(self.basis, q0))
-        self._jm_rows = {}
+        self._jm_int = {}
+        self._factors = {}
 
     def basis_vector(self, word):
         v = [Fraction(0)] * self.dim
         v[self.index[tuple(word)]] = Fraction(1)
         return v
 
+    def _jm(self, m):
+        """(d_J, integer rows of d_J J_m(q0)), d_J > 0 the least such
+        denominator; built on first use."""
+        if m not in self._jm_int:
+            scale = self.q0 ** -m
+            terms = self._int_terms(
+                [(word, scale * c) for word, c in
+                 self._terms_at(jucys_murphy_scaled(self.n, m))])
+            rows = []
+            for r in range(self.dim):
+                e = [0] * self.dim
+                e[r] = 1
+                img, d_j = self._apply_terms(e, 1, terms)
+                rows.append([(j, x) for j, x in enumerate(img) if x])
+            g = math.gcd(d_j, *(x for row in rows for _, x in row))
+            self._jm_int[m] = (d_j // g, [[(j, x // g) for j, x in row]
+                                          for row in rows])
+        return self._jm_int[m]
+
+    def _jm_times(self, num, m):
+        """The integer vector num times the integer rows of d_J J_m: the one
+        step through which every J_m factor goes."""
+        return self._times(num, self._jm(m)[1])
+
     def jm_rows(self, m):
         """Sparse rows of J_m(q0) = sum_{i<m} q0^{i-m} T_{(i,m)}."""
-        if m not in self._jm_rows:
-            scale = self.q0 ** -m
-            mat = self.hecke_matrix(jucys_murphy_scaled(self.n, m))
-            self._jm_rows[m] = [[(j, scale * c) for j, c in enumerate(row)
-                                 if c] for row in mat]
-        return self._jm_rows[m]
+        return _fraction_rows(*self._jm(m))
 
     def apply_jm(self, v, m):
-        return self._apply_rows(v, self.jm_rows(m))
+        num, den = _ints(v)
+        return _fractions(self._jm_times(num, m), den * self._jm(m)[0])
+
+    def _factor(self, m, c, d):
+        """(p, r, s), s > 0, such that the factor (J_m - [d]) / ([c] - [d])
+        maps num / den to (p J num - r num) / (den s), J the integer rows of
+        d_J J_m: with [d] = a/b and [c] - [d] = e/f, (p, r, s) = (f b,
+        f a d_J, d_J b e), the sign of e moved into p and r.  Computed once
+        per (m, c, d)."""
+        key = (m, c, d)
+        if key not in self._factors:
+            d_val = qint(d).eval(self.q0)
+            denom = qint(c).eval(self.q0) - d_val
+            if denom == 0:
+                raise InadmissibleQ(
+                    f"idempotent denominator vanishes at q0 = {self.q0}")
+            a, b = d_val.numerator, d_val.denominator
+            e, f = denom.numerator, denom.denominator
+            if e < 0:
+                e, f = -e, -f
+            d_j = self._jm(m)[0]
+            self._factors[key] = (f * b, f * a * d_j, d_j * b * e)
+        return self._factors[key]
+
+    def _idempotent(self, num, den, t):
+        """(num, den) . p_t over the integers: one row update per factor,
+        then division by gcd(den, *num)."""
+        shape = list(t.shape.inner.parts)
+        for m in range(t.shape.inner.size + 1, t.n + 1):
+            cm = t.content_of(m)
+            for d in Partition(shape).addable_contents():
+                if d == cm:
+                    continue
+                p, r, s = self._factor(m, cm, d)
+                jv = self._jm_times(num, m)
+                num = [p * x - r * y for x, y in zip(jv, num)]
+                den *= s
+                g = math.gcd(den, *num)
+                if g > 1:
+                    num, den = [x // g for x in num], den // g
+            row = t.row_of(m)
+            if row > len(shape):
+                shape.append(0)
+            shape[row - 1] += 1
+        return num, den
 
     def apply_idempotent(self, v, t):
         """v . p_t for a standard tableau t of shape lambda/mu (entries
@@ -88,38 +159,26 @@ class WordModuleRep(HeckeModule):
         result is v . p_t only when v lies in the image of some p_s with
         shape(s) = mu (for example v = u . Phi_t, u in S^mu); for a
         straight t (mu empty) it holds for every v."""
-        shape = list(t.shape.inner.parts)
-        for m in range(t.shape.inner.size + 1, t.n + 1):
-            cm = t.content_of(m)
-            cm_val = qint(cm).eval(self.q0)
-            for d in Partition(shape).addable_contents():
-                if d == cm:
-                    continue
-                d_val = qint(d).eval(self.q0)
-                denom = cm_val - d_val
-                if denom == 0:
-                    raise InadmissibleQ(
-                        f"idempotent denominator vanishes at q0 = {self.q0}")
-                jv = self.apply_jm(v, m)
-                v = [(jv[j] - d_val * v[j]) / denom for j in range(self.dim)]
-            row = t.row_of(m)
-            if row > len(shape):
-                shape.append(0)
-            shape[row - 1] += 1
-        return v
+        return _fractions(*self._idempotent(*_ints(v), t))
 
     def apply_p_lambda(self, v, lam=None):
-        """v . p_lambda = sum over t in SYT(lambda) of v . p_t."""
-        lam = lam or self.lam
-        out = [Fraction(0)] * self.dim
-        for t in enumerate_syt(lam):
-            img = self.apply_idempotent(v, t)
-            for j in range(self.dim):
-                out[j] += img[j]
-        return out
+        """v . p_lambda = sum over t in SYT(lambda) of v . p_t, summed over
+        the integers at the lcm of the image denominators."""
+        num, den = _ints(v)
+        images = [self._idempotent(num, den, t)
+                  for t in enumerate_syt(lam or self.lam)]
+        common = math.lcm(*(d for _, d in images))
+        out = [0] * self.dim
+        for img, d in images:
+            scale = common // d
+            for j, x in enumerate(img):
+                if x:
+                    out[j] += scale * x
+        return _fractions(out, common)
 
     def idempotent_matrix(self, t):
-        return self.matrix_of(lambda v: self.apply_idempotent(v, t))
+        return self._int_matrix(
+            lambda num, den: self._idempotent(num, den, t))
 
 
 class SpechtRep:
@@ -154,6 +213,7 @@ class SpechtRep:
 
 _WORD_MODULES = {}
 _SPECHT_MODULES = {}
+_KERNEL_BASES = {}  # filled by spectra.kernel_basis, keyed like the modules
 
 
 def word_module(lam, q0):
@@ -173,9 +233,10 @@ def specht_module(lam, q0):
 
 
 def clear_module_cache():
-    """Forget every shared word and Specht module."""
+    """Forget every shared word and Specht module and kernel basis."""
     _WORD_MODULES.clear()
     _SPECHT_MODULES.clear()
+    _KERNEL_BASES.clear()
 
 
 def dipper_james_action(t, i, q0):

@@ -17,7 +17,7 @@ from . import linalg
 from .hecke import b2r_embedded, r2r, regular_rep_matrix
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
-from .seminormal import phi_apply, specht_module, word_module
+from .seminormal import _KERNEL_BASES, phi_apply, specht_module, word_module
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, f_lambda,
                        horizontal_strips, partitions_of, q_content,
                        superstandard)
@@ -142,20 +142,26 @@ def kernel_basis(lam, q0):
     """kappa_lambda: deterministic basis of ker(R_|lam| on S^lambda).
 
     Vectors are returned in W^lambda coordinates; the count is d^lambda.
+    Each (lambda, q0) is computed once, next to the shared modules, until
+    seminormal.clear_module_cache.
     """
+    key = (lam, Fraction(q0))
+    if key in _KERNEL_BASES:
+        return _KERNEL_BASES[key]
     rep = specht_module(lam, q0)
     if lam.size == 0:
-        return rep, [rep.units[0][:]]
-    mat = rep.hecke_action_matrix(r2r(lam.size))
-    coords = linalg.left_kernel(mat)
-    vectors = []
-    for x in coords:
-        v = [Fraction(0)] * rep.word_module.dim
-        for c, unit in zip(x, rep.units):
-            if c:
-                for jdx in range(len(v)):
-                    v[jdx] += c * unit[jdx]
-        vectors.append(v)
+        vectors = [rep.units[0][:]]
+    else:
+        mat = rep.hecke_action_matrix(r2r(lam.size))
+        vectors = []
+        for x in linalg.left_kernel(mat):
+            v = [Fraction(0)] * rep.word_module.dim
+            for c, unit in zip(x, rep.units):
+                if c:
+                    for jdx in range(len(v)):
+                        v[jdx] += c * unit[jdx]
+            vectors.append(v)
+    _KERNEL_BASES[key] = rep, vectors
     return rep, vectors
 
 

@@ -12,10 +12,10 @@ import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (HeckeElement, annihilator_check, b2r, b2r_embedded, c_op,
-                    intermediate_recursion_check, jucys_murphy_scaled, m_alpha,
-                    r2b, r2b_embedded, r2r, recursion_check, regular_rep_matrix,
-                    top_ops, x_alpha)
+from .hecke import (HeckeElement, HeckeModule, annihilator_check, b2r,
+                    b2r_embedded, c_op, intermediate_recursion_check,
+                    jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
+                    recursion_check, regular_rep_matrix, top_ops, x_alpha)
 from .qpoly import Q, qint
 from .seminormal import (clear_module_cache, dipper_james_action, phi_apply,
                          specht_module, word_module)
@@ -123,28 +123,32 @@ def check_jm_commute(n):
 
 
 def check_word_module_relations(n, q0):
-    """Generator matrices on every W^lambda satisfy the Hecke relations; a
-    failure raises CheckFailed naming lambda, the relation, the generator
-    indices, q0 and the first differing (row, col)."""
+    """Generator matrices on every W^lambda satisfy the Hecke relations.  The
+    matrices are loaded back into the integer engine as sparse generator
+    rows, and each side of a relation is the engine's matrix of a word (row
+    r of T_i T_j is e_r . T_i . T_j) or, for (q - 1) T_i + q, of an
+    element.  A failure raises CheckFailed naming lambda, the relation, the
+    generator indices, q0 and the first differing (row, col)."""
+    one = HeckeElement.one(n)
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
         where = f"on W^{lam} at q0 = {wm.q0}"
-        gens = {i: wm.gen_matrix(i) for i in range(1, n)}
-        eye = linalg.identity(wm.dim)
-        for i, g in gens.items():
-            quad = linalg.mat_add(linalg.mat_scale(g, wm.q0 - 1),
-                                  linalg.mat_scale(eye, wm.q0))
-            _require_equal(linalg.mat_mul(g, g), quad,
+        gens = HeckeModule(n, wm.q0, wm.dim, {
+            i: [[(j, x) for j, x in enumerate(row) if x]
+                for row in wm.gen_matrix(i)] for i in range(1, n)})
+        for i in range(1, n):
+            quad = HeckeElement.t_word([i], n).scale(Q - 1) + one.scale(Q)
+            _require_equal(gens.word_matrix((i, i)), gens.hecke_matrix(quad),
                            f"quadratic relation for T_{i} fails {where}")
             for j in range(i + 1, n):
-                lhs = linalg.mat_mul(g, gens[j])
-                rhs = linalg.mat_mul(gens[j], g)
                 if j > i + 1:
-                    _require_equal(lhs, rhs, f"commutation relation for "
-                                   f"T_{i}, T_{j} fails {where}")
+                    _require_equal(gens.word_matrix((i, j)),
+                                   gens.word_matrix((j, i)),
+                                   f"commutation relation for T_{i}, T_{j} "
+                                   f"fails {where}")
                 else:
-                    _require_equal(linalg.mat_mul(lhs, g),
-                                   linalg.mat_mul(rhs, gens[j]),
+                    _require_equal(gens.word_matrix((i, j, i)),
+                                   gens.word_matrix((j, i, j)),
                                    f"braid relation for T_{i}, T_{j} fails "
                                    f"{where}")
     return True
@@ -152,26 +156,37 @@ def check_word_module_relations(n, q0):
 
 def check_seminormal_action(n, q0):
     """Units diagonalize the Jucys-Murphy elements and follow the
-    four-case generator formula."""
+    four-case generator formula; a failure raises CheckFailed naming
+    lambda, t, q0, the JM index m or generator i, and the first differing
+    index."""
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
+        where = f"on W^{lam} at q0 = {wm.q0}"
         index = {t: k for k, t in enumerate(rep.tableaux)}
         for k, t in enumerate(rep.tableaux):
             unit = rep.units[k]
             if not any(unit):
-                return False
+                raise CheckFailed(f"unit w_t is zero for t = {t} {where}")
             for m in range(1, n + 1):
                 value = qint(t.content_of(m)).eval(q0)
-                if wm.apply_jm(unit, m) != [value * x for x in unit]:
-                    return False
+                got, want = wm.apply_jm(unit, m), [value * x for x in unit]
+                if got != want:
+                    raise CheckFailed(
+                        f"w_t J_{m} = [{t.content_of(m)}]_q w_t fails for "
+                        f"t = {t} {where}, first difference at index "
+                        f"{_first_index(got, want)}")
             for i in range(1, n):
-                expect = [Fraction(0)] * wm.dim
+                want = [Fraction(0)] * wm.dim
                 for tt, c in dipper_james_action(t, i, q0).items():
                     other = rep.units[index[tt]]
-                    expect = [e + c * x for e, x in zip(expect, other)]
-                if wm.apply_gen(unit, i) != expect:
-                    return False
+                    want = [e + c * x for e, x in zip(want, other)]
+                got = wm.apply_gen(unit, i)
+                if got != want:
+                    raise CheckFailed(
+                        f"w_t T_{i} = the four-case formula fails for t = "
+                        f"{t} {where}, first difference at index "
+                        f"{_first_index(got, want)}")
     return True
 
 
@@ -276,7 +291,8 @@ def check_phi_morphism(n, q0):
 
 
 def check_dominance_vanishing(n, q0):
-    """word(s) . p_t = 0 unless s is dominated by t."""
+    """word(s) . p_t = 0 unless s is dominated by t; a failure raises
+    CheckFailed naming lambda, s, t, q0 and the first nonzero index."""
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
         tabs = enumerate_syt(lam)
@@ -284,7 +300,10 @@ def check_dominance_vanishing(n, q0):
             for s in tabs:
                 img = wm.apply_idempotent(wm.basis_vector(s.word()), t)
                 if not s.dominance_leq(t) and any(img):
-                    return False
+                    raise CheckFailed(
+                        f"word(s) p_t = 0 fails for s = {s} not dominated by "
+                        f"t = {t} on W^{lam} at q0 = {wm.q0}, first nonzero "
+                        f"index {next(j for j, x in enumerate(img) if x)}")
     return True
 
 

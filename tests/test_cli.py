@@ -191,3 +191,22 @@ def test_simulate_rejects_negative_steps(runner):
                                   "--steps", "-1"])
     assert result.exit_code == 2
     assert "--steps must be >= 0" in result.output
+
+
+def test_simulate_refuses_more_than_200_steps(runner):
+    result = runner.invoke(main, ["simulate", "--n", "3", "--q", "2",
+                                  "--steps", "201"])
+    assert result.exit_code == 2
+    assert "--steps must be <= 200" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--n", "3", "--output"],
+    ["simulate", "--n", "3", "--steps", "2", "--csv"]])
+def test_unwritable_output_path_is_refused(runner, tmp_path, command):
+    path = str(tmp_path / "missing" / "out.txt")
+    result = runner.invoke(main, command + [path])
+    assert result.exit_code == 2
+    assert f"Error: cannot write {path}: No such file or directory" in (
+        result.output)
+    assert "Traceback" not in result.output

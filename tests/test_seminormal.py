@@ -5,6 +5,7 @@ import pytest
 from qshuffle import linalg
 from qshuffle.hecke import HeckeElement, r2r
 from qshuffle.qpoly import qint
+from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
 from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
                                  check_admissible, content_words,
@@ -215,13 +216,13 @@ def test_restricted_product_factor_count(monkeypatch, n):
     # c_t(m): 3 or 4 factors per tableau at n = 4, where the full product
     # applies 10
     calls = []
-    original = WordModuleRep.apply_jm
+    original = WordModuleRep._jm_times
 
-    def counted(self, v, m):
+    def counted(self, num, m):
         calls.append(m)
-        return original(self, v, m)
+        return original(self, num, m)
 
-    monkeypatch.setattr(WordModuleRep, "apply_jm", counted)
+    monkeypatch.setattr(WordModuleRep, "_jm_times", counted)
     wm = WordModuleRep(Partition([1] * n), Fraction(2))
     for lam in partitions_of(n):
         for t in enumerate_syt(lam):
@@ -280,6 +281,15 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         fresh = SpechtRep(lam, q0)
         assert rep.word_module is word_module(lam, q0)
         assert rep.tableaux == fresh.tableaux and rep.units == fresh.units
+    # every cached kernel basis equals a fresh computation, and
+    # clear_module_cache forgets them with the modules
+    cached = dict(seminormal._KERNEL_BASES)
+    assert cached
+    seminormal.clear_module_cache()
+    assert not seminormal._KERNEL_BASES
+    for (lam, q0), (rep, vectors) in cached.items():
+        fresh_rep, fresh = kernel_basis(lam, q0)
+        assert fresh_rep.units == rep.units and fresh == vectors, (lam, q0)
 
 
 def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
@@ -337,3 +347,44 @@ def test_word_module_relations_failure_names_relation(monkeypatch, gen,
     detail = report["word-module-relations[q=7/5]"].detail
     assert detail.startswith(f"CheckFailed: {relation} fails on W^{lam} at "
                              f"q0 = 7/5, first difference at (row, col) (")
+
+
+@pytest.mark.parametrize("site, what", [
+    ("apply_jm", "w_t J_2 = [1]_q w_t fails"),
+    ("apply_gen", "w_t T_1 = the four-case formula fails")])
+def test_seminormal_action_failure_names_tableau_index_and_q(monkeypatch,
+                                                             site, what):
+    lam = Partition((2, 1))
+    original = getattr(WordModuleRep, site)
+
+    def wrong(self, v, k):
+        out = original(self, v, k)
+        if self.lam == lam and k == (2 if site == "apply_jm" else 1):
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, site, wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    first = enumerate_syt(lam)[0]
+    assert report["seminormal-action[q=7/5]"].detail == (
+        f"CheckFailed: {what} for t = {first} on W^{lam} at q0 = 7/5, first "
+        f"difference at index 1")
+
+
+def test_dominance_vanishing_failure_names_both_tableaux(monkeypatch):
+    lam = Partition((2, 1))
+    original = WordModuleRep.apply_idempotent
+
+    def wrong(self, v, t):
+        out = original(self, v, t)
+        if self.lam == lam:
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    tabs = enumerate_syt(lam)
+    t, s = next((t, s) for t in tabs for s in tabs if not s.dominance_leq(t))
+    assert report["dominance-vanishing[q=7/5]"].detail == (
+        f"CheckFailed: word(s) p_t = 0 fails for s = {s} not dominated by "
+        f"t = {t} on W^{lam} at q0 = 7/5, first nonzero index 2")
