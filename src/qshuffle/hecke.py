@@ -176,6 +176,12 @@ class HeckeElement:
 
 # -- shuffle operators ------------------------------------------------
 
+# The shuffle elements b2r_embedded, r2b_embedded and r2r, keyed by (name,
+# k, n), until seminormal.clear_module_cache.  Callers share these
+# elements and must not change their terms.
+_OPERATORS = {}
+
+
 def b2r(n):
     """B_n(q) = sum_{i=1}^n T_{s_{n-1}} T_{s_{n-2}} ... T_{s_i}."""
     return b2r_embedded(n, n)
@@ -187,8 +193,12 @@ def r2b(n):
 
 
 def r2r(n):
-    """R_n(q) = B*_n(q) B_n(q), the q-random-to-random element."""
-    return r2b(n) * b2r(n)
+    """R_n(q) = B*_n(q) B_n(q), the q-random-to-random element; built once
+    per n."""
+    key = ("r2r", n, n)
+    if key not in _OPERATORS:
+        _OPERATORS[key] = r2b(n) * b2r(n)
+    return _OPERATORS[key]
 
 
 def top_ops(n):
@@ -234,18 +244,26 @@ def x_alpha(alpha):
 
 
 def b2r_embedded(k, n):
-    """B_k(q) inside H_n(q) (generators with index < k)."""
-    total = HeckeElement.zero(n)
-    for i in range(1, k + 1):
-        total = total + HeckeElement.t_word(range(k - 1, i - 1, -1), n)
-    return total
+    """B_k(q) inside H_n(q) (generators with index < k); built once per
+    (k, n)."""
+    key = ("b2r", k, n)
+    if key not in _OPERATORS:
+        total = HeckeElement.zero(n)
+        for i in range(1, k + 1):
+            total = total + HeckeElement.t_word(range(k - 1, i - 1, -1), n)
+        _OPERATORS[key] = total
+    return _OPERATORS[key]
 
 
 def r2b_embedded(k, n):
-    total = HeckeElement.zero(n)
-    for j in range(1, k + 1):
-        total = total + HeckeElement.t_word(range(j, k), n)
-    return total
+    """B*_k(q) inside H_n(q); built once per (k, n)."""
+    key = ("r2b", k, n)
+    if key not in _OPERATORS:
+        total = HeckeElement.zero(n)
+        for j in range(1, k + 1):
+            total = total + HeckeElement.t_word(range(j, k), n)
+        _OPERATORS[key] = total
+    return _OPERATORS[key]
 
 
 def c_op(j, n):
@@ -321,7 +339,9 @@ class HeckeModule:
     the engine is (integer list, den > 0), whose den a generator step
     multiplies by d.  Fractions appear only at the public boundary: every
     public method takes and returns dense lists of Fractions, converting
-    once on the way in and once on the way out.
+    once on the way in and once on the way out.  The integer terms of each
+    HeckeElement it acts by are computed once, keyed by the element's
+    equality, not its identity.
     """
 
     def __init__(self, n, q0, dim, gen_rows):
@@ -329,6 +349,7 @@ class HeckeModule:
         self.q0 = Fraction(q0)
         self.dim = dim
         self._gens = {i: _cleared_rows(rows) for i, rows in gen_rows.items()}
+        self._elements = {}  # HeckeElement -> its _int_terms at q0
 
     @property
     def gen_rows(self):
@@ -375,6 +396,14 @@ class HeckeModule:
         lcm = math.lcm(*(d for _, _, d in scaled))
         return lcm, [(word, c.numerator * (lcm // d)) for word, c, d in scaled]
 
+    def _element_terms(self, elem):
+        """The integer terms of elem at q0, evaluated on first use."""
+        terms = self._elements.get(elem)
+        if terms is None:
+            terms = self._elements[elem] = self._int_terms(
+                self._terms_at(elem))
+        return terms
+
     def _apply_terms(self, num, den, int_terms):
         lcm, terms = int_terms
         out = [0] * self.dim
@@ -387,8 +416,8 @@ class HeckeModule:
 
     def apply_hecke(self, v, elem):
         """v . a for a HeckeElement a."""
-        terms = self._int_terms(self._terms_at(elem))
-        return _fractions(*self._apply_terms(*_ints(v), terms))
+        return _fractions(*self._apply_terms(*_ints(v),
+                                             self._element_terms(elem)))
 
     def matrix_of(self, apply_fn):
         """Dense matrix whose row idx is apply_fn(e_idx)."""
@@ -418,23 +447,30 @@ class HeckeModule:
 
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""
-        terms = self._int_terms(self._terms_at(elem))
+        terms = self._element_terms(elem)
         return self._int_matrix(
             lambda num, den: self._apply_terms(num, den, terms))
 
 
 # -- matrices and identity checks -------------------------------------
 
+_REGULAR_MODULES = {}  # (n, q0) -> the regular HeckeModule
+
+
 def regular_rep_matrix(a, q0):
     """Matrix of right multiplication by a on the T_w basis at q = q0.
 
     Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.  The
     regular representation is the word module W^(1^n) on the one-line
-    words, which all_permutations lists in Lehmer-rank order.
+    words, which all_permutations lists in Lehmer-rank order; it is built
+    once per (n, q0), until seminormal.clear_module_cache.
     """
-    words = [w.one_line for w in all_permutations(a.n)]
-    module = HeckeModule(a.n, q0, len(words), word_gen_rows(words, q0))
-    return module.hecke_matrix(a)
+    key = (a.n, Fraction(q0))
+    if key not in _REGULAR_MODULES:
+        words = [w.one_line for w in all_permutations(a.n)]
+        _REGULAR_MODULES[key] = HeckeModule(a.n, q0, len(words),
+                                            word_gen_rows(words, q0))
+    return _REGULAR_MODULES[key].hecke_matrix(a)
 
 
 def recursion_check(n):

@@ -2,9 +2,11 @@
 char polys.
 
 Matrices are lists of rows of Fractions, and every kernel takes and returns
-them, but the work is done over the integers: a kernel clears denominators
+them (rank also takes ints, and int_mat_mul multiplies integer matrices),
+but the work is done over the integers: a kernel clears denominators
 on the way in (`_cleared`) and builds Fractions only on the way out.  RREF
-is Gauss-Jordan on primitive integer rows, products accumulate integer
+is Gauss-Jordan on primitive integer rows, rank is forward elimination on
+them (no back-substitution, no Fractions), products accumulate integer
 rows, and char polys run the division-free Berkowitz algorithm (S. J.
 Berkowitz, Inf. Process. Lett. 18 (1984) 147-150).  Pivoting is
 deterministic (first nonzero column, then the largest row index among
@@ -31,27 +33,12 @@ def _cleared(matrix):
     return d, out
 
 
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(size):
-    out = zeros(size, size)
-    for i in range(size):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a, b):
-    """Product of Fraction matrices, computed over Z: each operand is scaled
-    by the lcm of its denominators, the nonzero entries of each integer row
-    of a are multiplied into an integer accumulator, and each entry x of
-    the result leaves as Fraction(x, d_a * d_b)."""
-    d_a, a = _cleared(a)
-    d_b, b = _cleared(b)
-    d, cols = d_a * d_b, len(b[0])
+def int_mat_mul(a, b):
+    """Product of integer matrices: the nonzero entries of each row of a
+    are multiplied into an integer accumulator along the sparse rows of b.
+    The kernel under mat_mul, for callers that hold integer matrices."""
+    cols = len(b[0])
     b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    zero = Fraction(0)
     out = []
     for row in a:
         acc = [0] * cols
@@ -59,17 +46,19 @@ def mat_mul(a, b):
             if x:
                 for j, y in bk:
                     acc[j] += x * y
-        out.append([Fraction(x, d) if x else zero for x in acc])
+        out.append(acc)
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
+def mat_mul(a, b):
+    """Product of Fraction matrices, computed over Z: each operand is scaled
+    by the lcm of its denominators, and each entry x of the integer product
+    leaves as Fraction(x, d_a * d_b)."""
+    d_a, a = _cleared(a)
+    d_b, b = _cleared(b)
+    d, zero = d_a * d_b, Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row]
+            for row in int_mat_mul(a, b)]
 
 
 def vec_mat(v, m):
@@ -85,18 +74,16 @@ def vec_mat(v, m):
     return out
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rref rows, pivot column list).
-
-    Gauss-Jordan over Z: each row is scaled by the lcm of its denominators,
-    and each row update p*row - f*pivot_row is divided by the gcd of its
-    entries, so rows stay primitive.  Scaling a row never changes which
-    entries are zero, so the pivots are those of the same elimination over
-    Q; the pivot rows are divided by their pivots on the way out."""
+def _eliminate(matrix, full):
+    """(primitive integer rows, pivot columns) of a fraction-free
+    elimination of matrix.  Each row is scaled by the lcm of its
+    denominators, and each row update p*row - f*pivot_row is divided by the
+    gcd of its entries, so rows stay primitive.  Scaling a row never
+    changes which entries are zero, so the pivots are those of the same
+    elimination over Q.  full clears the entries above each pivot too
+    (Gauss-Jordan); otherwise only those below it (forward elimination)."""
     m = [_cleared([row])[1][0] for row in matrix]
-    if not m:
-        return [], []
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(cols):
@@ -112,7 +99,7 @@ def rref(matrix):
         m[r], m[pivot_row] = m[pivot_row], m[r]
         prow = m[r]
         p = prow[c]
-        for i in range(rows):
+        for i in range(0 if full else r + 1, rows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 g = math.gcd(p, f)
@@ -122,16 +109,29 @@ def rref(matrix):
                 m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
+    return m, pivots
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Gauss-Jordan over Z (_eliminate); the pivot rows are divided by their
+    pivots on the way out."""
+    if not matrix:
+        return [], []
+    m, pivots = _eliminate(matrix, full=True)
+    zero, cols = Fraction(0), len(m[0])
     out = [[Fraction(x, row[c]) if x else zero for x in row]
            for row, c in zip(m, pivots)]
-    out += [[zero] * cols for _ in range(rows - r)]
+    out += [[zero] * cols for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
 def rank(matrix):
-    _, pivots = rref(matrix)
-    return len(pivots)
+    """The number of pivots of rref(matrix), by forward elimination only:
+    the same pivot rule, no back-substitution and no Fraction output.
+    Entries may be Fractions or ints."""
+    return len(_eliminate(matrix, full=False)[1])
 
 
 def kernel(matrix):

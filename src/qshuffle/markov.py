@@ -9,7 +9,6 @@ rational; floats appear only in the optional display columns.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .hecke import r2r, regular_rep_matrix
@@ -66,24 +65,6 @@ def tv_mixing_curve(n, q0, steps):
                 for j in range(len(dist))]
         curve.append(tv_distance(dist, pi))
     return curve
-
-
-def sample_trajectory(n, q0, steps, seed):
-    """Monte-Carlo walk (Lehmer ranks); exploratory only, never certifying."""
-    rng = random.Random(seed)
-    mat = transition_matrix(n, q0)
-    state = 0
-    path = [state]
-    for _ in range(steps):
-        r = Fraction(rng.random()).limit_denominator(10 ** 9)
-        acc = Fraction(0)
-        for j, p in enumerate(mat[state]):
-            acc += p
-            if r < acc:
-                state = j
-                break
-        path.append(state)
-    return path
 
 
 def mixing_csv(curve):

@@ -19,7 +19,8 @@ integer row update of a (numerators, den) vector followed by a gcd
 reduction, so Fractions appear only where vectors enter and leave.
 
 word_module and specht_module share one built module per (lambda, q0), and
-spectra.kernel_basis one kernel basis; clear_module_cache empties both.
+spectra.kernel_basis one kernel basis; clear_module_cache empties these and
+the caches of hecke (the symbolic shuffle elements, the regular modules).
 All arithmetic is exact at an admissible evaluation point q0.
 """
 
@@ -30,8 +31,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import (HeckeModule, _fraction_rows, _fractions, _ints,
-                    jucys_murphy_scaled, word_gen_rows)
+from .hecke import (_OPERATORS, _REGULAR_MODULES, HeckeModule,
+                    _fraction_rows, _fractions, _ints, jucys_murphy_scaled,
+                    word_gen_rows)
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -176,9 +178,16 @@ class WordModuleRep(HeckeModule):
                     out[j] += scale * x
         return _fractions(out, common)
 
-    def idempotent_matrix(self, t):
-        return self._int_matrix(
-            lambda num, den: self._idempotent(num, den, t))
+    def idempotent_int_matrix(self, t):
+        """(D, P) with P an integer matrix and p_t = P / D: row r of P is
+        e_r . p_t, brought to D > 0, the lcm of the row denominators."""
+        rows = []
+        for r in range(self.dim):
+            e = [0] * self.dim
+            e[r] = 1
+            rows.append(self._idempotent(e, 1, t))
+        d = math.lcm(*(den for _, den in rows))
+        return d, [[x * (d // den) for x in num] for num, den in rows]
 
 
 class SpechtRep:
@@ -233,10 +242,13 @@ def specht_module(lam, q0):
 
 
 def clear_module_cache():
-    """Forget every shared word and Specht module and kernel basis."""
+    """Forget every shared word, Specht and regular module, kernel basis
+    and symbolic shuffle element."""
     _WORD_MODULES.clear()
     _SPECHT_MODULES.clear()
     _KERNEL_BASES.clear()
+    _REGULAR_MODULES.clear()
+    _OPERATORS.clear()
 
 
 def dipper_james_action(t, i, q0):

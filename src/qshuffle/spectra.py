@@ -120,24 +120,6 @@ def bruteforce_charpoly(op, q0):
     return linalg.charpoly(regular_rep_matrix(op, q0))
 
 
-def specht_spectrum(lam, q0):
-    """Eigenvalue multiset of R_n(q0) on S^lambda, certified by char poly.
-
-    Returns {rational eigenvalue: multiplicity}; raises if the computed
-    characteristic polynomial disagrees with the strip formula.
-    """
-    mat = (linalg.zeros(1, 1) if lam.size == 0 else
-           specht_module(lam, q0).hecke_action_matrix(r2r(lam.size)))
-    expected = [(eigenvalue_formula(lam, mu).eval(q0), d_mu(mu))
-                for mu in horizontal_strips(lam) if d_mu(mu)]
-    if linalg.charpoly(mat) != linalg.poly_from_roots(expected):
-        raise AssertionError(f"Specht spectrum mismatch for {lam} at q0={q0}")
-    out = {}
-    for value, mult in expected:
-        out[value] = out.get(value, 0) + mult
-    return out
-
-
 def kernel_basis(lam, q0):
     """kappa_lambda: deterministic basis of ker(R_|lam| on S^lambda).
 
@@ -232,21 +214,25 @@ def build_eigenbasis(lam, q0):
     return records
 
 
-def strip_vanishing_check(lam, mu, q0):
-    """u . Phi_t . C_|mu| . p_lambda = 0 when lambda/mu is not a strip."""
+def strip_vanishing_defect(lam, mu, q0):
+    """u . Phi_t . C_|mu| . p_lambda = 0 when lambda/mu is not a strip, for
+    every skew tableau t of shape lambda/mu and every unit u = w_s of S^mu.
+    Returns the first (t, s, first nonzero index) where the image is not
+    zero, or None if there is none."""
     shape = SkewShape(lam, mu)
     if shape.is_horizontal_strip():
         raise ValueError("expected a non-strip")
     rep_mu = specht_module(mu, q0)
     rep_lam = word_module(lam, q0)
     for t_skew in enumerate_syt(shape):
-        for u in rep_mu.units:
+        for s, u in zip(rep_mu.tableaux, rep_mu.units):
             v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
             v = apply_c_op(rep_lam, v, mu.size)
             v = rep_lam.apply_p_lambda(v)
-            if any(v):
-                return False
-    return True
+            nonzero = next((j for j, x in enumerate(v) if x), None)
+            if nonzero is not None:
+                return t_skew, s, nonzero
+    return None
 
 
 def straightening_scalars(lam, mu, q0):
@@ -289,17 +275,22 @@ def straightening_scalars(lam, mu, q0):
 def diagonalizability_defect(n, q0):
     """First formula eigenvalue of R_n(q0) whose geometric multiplicity
     (size - rank on the regular representation) differs from its algebraic
-    one, as (eigenvalue, geometric, algebraic); None if there is none."""
+    one, as (eigenvalue, geometric, algebraic); None if there is none.
+    With M = dm / d, d the lcm of the entry denominators, the rank of
+    M - (a/b) I is that of the integer matrix b dm - a d I."""
     mat = regular_rep_matrix(r2r(n), q0)
     size = len(mat)
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    dm = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
     mults = {}
     for value, mult in ((row.eigenvalue.eval(q0), row.multiplicity)
                         for row in spectrum_table(n)):
         if mult:
             mults[value] = mults.get(value, 0) + mult
     for value, mult in mults.items():
-        shifted = [[mat[i][j] - (value if i == j else 0) for j in range(size)]
-                   for i in range(size)]
+        a, b = value.numerator, value.denominator
+        shifted = [[b * x - (a * d if i == j else 0)
+                    for j, x in enumerate(row)] for i, row in enumerate(dm)]
         geometric = size - linalg.rank(shifted)
         if geometric != mult:
             return value, geometric, mult

@@ -8,11 +8,12 @@ once; matrix checks certify at the exact rational points supplied.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (HeckeElement, HeckeModule, annihilator_check, b2r,
+from .hecke import (HeckeElement, HeckeModule, _ints, annihilator_check, b2r,
                     b2r_embedded, c_op, intermediate_recursion_check,
                     jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
                     recursion_check, regular_rep_matrix, top_ops, x_alpha)
@@ -194,65 +195,70 @@ def check_idempotents(n, q0):
     """Shape-lambda idempotents on W^lambda: orthogonal, idempotent, and
     their sum projects onto the Specht component (rank f^lambda, fixes
     every unit).  For n <= 4 the full cross-shape completeness
-    sum over all tableaux of size n = identity is also checked.  A failure
-    raises CheckFailed naming lambda, the tableaux, q0 and the first
-    differing entry."""
+    sum over all tableaux of size n = identity is also checked.  Every
+    comparison is over the integers: p_t = P_t / D_t, each sum is taken at
+    the lcm of its denominators, and each side of an equation is scaled by
+    the same integer, so each differs where the rational sides do.  A
+    failure raises CheckFailed naming lambda, the tableaux, q0 and the
+    first differing entry."""
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
         where = f"on W^{lam} at q0 = {wm.q0}"
-        mats = [wm.idempotent_matrix(t) for t in rep.tableaux]
-        zero = linalg.zeros(wm.dim, wm.dim)
-        for a, ma in zip(rep.tableaux, mats):
-            for b, mb in zip(rep.tableaux, mats):
+        mats = [wm.idempotent_int_matrix(t) for t in rep.tableaux]
+        zero = [[0] * wm.dim for _ in range(wm.dim)]
+        for a, (_, ma) in zip(rep.tableaux, mats):
+            for b, (db, mb) in zip(rep.tableaux, mats):
+                # p_a p_b = P_a P_b / (D_a D_b); p_a p_a = p_a iff
+                # P_a P_a = D_a P_a
                 prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
-                _require_equal(linalg.mat_mul(ma, mb), ma if a == b else zero,
+                _require_equal(linalg.int_mat_mul(ma, mb),
+                               _scaled(db, ma) if a == b else zero,
                                f"{prop} fails for s = {a}, t = {b} {where}")
-        total = mats[0]
-        for m in mats[1:]:
-            total = linalg.mat_add(total, m)
-        _require_equal(linalg.mat_mul(total, total), total,
+        den, total = _int_sum(mats)  # p_lambda = total / den
+        _require_equal(linalg.int_mat_mul(total, total), _scaled(den, total),
                        f"p_lambda p_lambda = p_lambda fails {where}")
-        trace = sum(total[i][i] for i in range(wm.dim))
+        trace = Fraction(sum(total[i][i] for i in range(wm.dim)), den)
         if trace != f_lambda(lam):  # rank of an idempotent is its trace
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
                               f"= {f_lambda(lam)}, {where}")
         for t, unit in zip(rep.tableaux, rep.units):
-            image = linalg.vec_mat(unit, total)
-            if image != unit:
+            num, _ = _ints(unit)
+            image = linalg.int_mat_mul([num], total)[0]
+            want = [den * x for x in num]
+            if image != want:
                 raise CheckFailed(
                     f"w_t p_lambda = w_t fails for t = {t} {where}, first "
-                    f"difference at index {_first_index(image, unit)}")
+                    f"difference at index {_first_index(image, want)}")
         if n <= 4:
-            everything = linalg.zeros(wm.dim, wm.dim)
-            for mu in partitions_of(n):
-                if mu == lam:
-                    shape_mats = mats
-                else:
-                    shape_mats = [wm.idempotent_matrix(t)
-                                  for t in enumerate_syt(mu)]
-                for m in shape_mats:
-                    everything = linalg.mat_add(everything, m)
-            _require_equal(everything, linalg.identity(wm.dim),
+            every = [m for mu in partitions_of(n) for m in (
+                mats if mu == lam else
+                [wm.idempotent_int_matrix(t) for t in enumerate_syt(mu)])]
+            den, everything = _int_sum(every)
+            identity = [[den if i == j else 0 for j in range(wm.dim)]
+                        for i in range(wm.dim)]
+            _require_equal(everything, identity,
                            f"sum of p_t over all tableaux of size {n} = 1 "
                            f"fails {where}")
     return True
 
 
-def check_tower_rule(n, q0):
-    """p_t equals the product of the shape projectors of its restrictions."""
-    for lam in partitions_of(n):
-        wm = word_module(lam, q0)
-        for t in enumerate_syt(lam):
-            direct = wm.idempotent_matrix(t)
-            total = linalg.identity(wm.dim)
-            for k in range(1, n + 1):
-                shape = t.shape_up_to(k)
-                level = wm.matrix_of(lambda v: wm.apply_p_lambda(v, shape))
-                total = linalg.mat_mul(total, level)
-            if total != direct:
-                return False
-    return True
+def _scaled(c, matrix):
+    return [[c * x for x in row] for row in matrix]
+
+
+def _int_sum(mats):
+    """(L, S) with S / L the sum of P / D over the (D, P) in mats, L the
+    lcm of the D."""
+    den = math.lcm(*(d for d, _ in mats))
+    total = [[0] * len(mats[0][1][0]) for _ in mats[0][1]]
+    for d, mat in mats:
+        scale = den // d
+        for out, row in zip(total, mat):
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += scale * x
+    return den, total
 
 
 def check_phi_morphism(n, q0):
@@ -333,7 +339,9 @@ def check_projection_compat(n, q0):
 
 def check_one_step_recursion(n, q0):
     """Every R_{n-1}-eigenvector u on S^{lambda'} maps to zero or an
-    R_n-eigenvector u Phi B_n p_lambda with eigenvalue q E + [n]_q + q^n c."""
+    R_n-eigenvector u Phi B_n p_lambda with eigenvalue q E + [n]_q + q^n c;
+    a failure raises CheckFailed naming lambda, lambda', the strip mu and
+    index of u, the skew tableau, q0 and the first differing index."""
     q0 = Fraction(q0)
     r_op = r2r(n)
     for lam in partitions_of(n):
@@ -350,8 +358,15 @@ def check_one_step_recursion(n, q0):
                 value = (q0 * rec.eigenvalue_at_q0 + qint(n).eval(q0)
                          + q0 ** n * cell_content)
                 image = rep_lam.apply_hecke(v, r_op)
-                if image != [value * x for x in v]:
-                    return False
+                want = [value * x for x in v]
+                if image != want:
+                    raise CheckFailed(
+                        f"u Phi B_{n} p_lambda is not an R_{n}-eigenvector "
+                        f"with eigenvalue {value} for lambda = {lam}, "
+                        f"lambda' = {smaller}, u = eigenvector "
+                        f"{rec.source_index} of strip {smaller}/{rec.mu}, "
+                        f"t = {t_skew} at q0 = {q0}, first difference at "
+                        f"index {_first_index(image, want)}")
     return True
 
 
@@ -374,13 +389,22 @@ def check_straightening(n, q0):
 
 
 def check_strip_vanishing(n, q0):
+    """u Phi_t C_|mu| p_lambda = 0 for every mu inside lambda with
+    lambda/mu not a horizontal strip; a failure raises CheckFailed naming
+    lambda, mu, the skew tableau t, the unit w_s, q0 and the first nonzero
+    index."""
     for lam in partitions_of(n):
         strips = set(horizontal_strips(lam))
         for mu in sub_partitions(lam):
             if mu in strips:
                 continue
-            if not spectra.strip_vanishing_check(lam, mu, q0):
-                return False
+            defect = spectra.strip_vanishing_defect(lam, mu, q0)
+            if defect:
+                t_skew, s, index = defect
+                raise CheckFailed(
+                    f"w_s Phi_t C_{mu.size} p_lambda = 0 fails for lambda = "
+                    f"{lam}, mu = {mu}, t = {t_skew}, s = {s} at q0 = "
+                    f"{Fraction(q0)}, first nonzero index {index}")
     return True
 
 

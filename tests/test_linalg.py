@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -129,10 +130,13 @@ def test_poly_from_roots():
 
 
 def test_mat_helpers():
-    eye = linalg.identity(2)
+    eye = [[F(1), F(0)], [F(0), F(1)]]
     m = [[F(1), F(2)], [F(3), F(4)]]
     assert linalg.mat_mul(m, eye) == m
-    assert linalg.mat_add(m, linalg.mat_scale(m, F(-1))) == linalg.zeros(2, 2)
+    assert linalg.mat_mul(m, [[F(-1), F(0)], [F(0), F(-1)]]) \
+        == [[-x for x in row] for row in m]
+    assert linalg.int_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) \
+        == [[2, 1], [4, 3]]
     assert linalg.vec_mat([F(1), F(1)], m) == [F(4), F(6)]
 
 
@@ -218,6 +222,12 @@ def assert_mat_mul_matches_oracle(a, b):
     assert all_fractions(got)
 
 
+def idempotent_matrix(wm, t):
+    """The Fraction matrix of p_t on wm, from its integer form."""
+    d, mat = wm.idempotent_int_matrix(t)
+    return [[Fraction(x, d) for x in row] for row in mat]
+
+
 mixed = st.one_of(st.just(Fraction(0)),
                   st.builds(Fraction, st.integers(-30, 30),
                             st.sampled_from([1, 2, 3, 5, 7, 12])))
@@ -258,6 +268,27 @@ def test_mat_mul_matches_fraction_oracle(rows, inner, cols, data):
         data.draw(rational_matrices(inner, cols)))
 
 
+@given(rational_matrices(), st.integers(1, 7))
+def test_rank_counts_the_pivots_of_rref(m, scale):
+    # forward elimination finds as many pivots as Gauss-Jordan, on Fraction
+    # matrices and on the integer matrices scale * d * m
+    assert linalg.rank(m) == len(linalg.rref(m)[1])
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    ints = [[int(x * d * scale) for x in row] for row in m]
+    assert all(type(x) is int for row in ints for x in row)
+    assert linalg.rank(ints) == len(linalg.rref(m)[1])
+
+
+def test_rank_negative_pivots_and_mixed_denominators():
+    m = [[F(0), Fraction(-3, 4), Fraction(5, 6)],
+         [Fraction(-2, 3), Fraction(1, 2), F(0)],
+         [Fraction(-4, 3), Fraction(-1, 2), Fraction(5, 3)]]
+    assert linalg.rank(m) == len(linalg.rref(m)[1]) == 2
+    assert linalg.rank([[0, -2, 4], [0, 0, 0], [0, -1, 2]]) == 1
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    assert linalg.rank([]) == 0
+
+
 def test_rref_negative_pivots_and_mixed_denominators():
     m = [[F(0), Fraction(-3, 4), Fraction(5, 6)],
          [Fraction(-2, 3), Fraction(1, 2), F(0)],
@@ -288,7 +319,7 @@ def test_integer_kernels_on_word_modules(q0):
     for lam in partitions_of(3):
         wm = word_module(lam, q0)
         mats = [wm.gen_matrix(i) for i in range(1, 3)]
-        mats += [wm.idempotent_matrix(t) for t in enumerate_syt(lam)]
+        mats += [idempotent_matrix(wm, t) for t in enumerate_syt(lam)]
         for a in mats:
             assert_rref_matches_oracle(a)
             for b in mats:

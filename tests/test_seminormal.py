@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import linalg
-from qshuffle.hecke import HeckeElement, r2r
+from qshuffle import hecke, linalg, verify
+from qshuffle.hecke import HeckeElement, HeckeModule, r2r, word_gen_rows
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
@@ -13,11 +13,11 @@ from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
                                  specht_module, word_module)
 from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
                                horizontal_strips, partitions_of, superstandard)
+from qshuffle.symmetric import all_permutations
 from qshuffle.verify import (CheckFailed, check_dominance_vanishing,
                              check_idempotents, check_phi_morphism,
                              check_projection_compat, check_seminormal_action,
-                             check_tower_rule, check_word_module_relations,
-                             run_suite)
+                             check_word_module_relations, run_suite)
 
 Q_VALUES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
@@ -99,6 +99,32 @@ def test_idempotents(q0):
         assert check_idempotents(n, q0)
 
 
+def identity(size):
+    return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+
+
+def idempotent_matrix(wm, t):
+    """The Fraction matrix of p_t on wm, from its integer form."""
+    d, mat = wm.idempotent_int_matrix(t)
+    return [[Fraction(x, d) for x in row] for row in mat]
+
+
+def check_tower_rule(n, q0):
+    """p_t equals the product of the shape projectors of its restrictions."""
+    for lam in partitions_of(n):
+        wm = word_module(lam, q0)
+        for t in enumerate_syt(lam):
+            direct = idempotent_matrix(wm, t)
+            total = identity(wm.dim)
+            for k in range(1, n + 1):
+                shape = t.shape_up_to(k)
+                level = wm.matrix_of(lambda v: wm.apply_p_lambda(v, shape))
+                total = linalg.mat_mul(total, level)
+            if total != direct:
+                return False
+    return True
+
+
 def test_tower_rule():
     for n in range(1, 5):
         assert check_tower_rule(n, Fraction(2))
@@ -114,11 +140,12 @@ def test_units_are_independent():
 def test_gen_matrices_satisfy_quadratic_relation():
     q0 = Fraction(3)
     rep = SpechtRep(Partition((2, 2)), q0)
-    eye = linalg.identity(rep.dim)
+    eye = identity(rep.dim)
     for i in range(1, 4):
         g = rep.hecke_action_matrix(HeckeElement.t_word([i], 4))
-        assert linalg.mat_mul(g, g) == linalg.mat_add(
-            linalg.mat_scale(g, q0 - 1), linalg.mat_scale(eye, q0))
+        assert linalg.mat_mul(g, g) == [
+            [(q0 - 1) * x + q0 * e for x, e in zip(row, eye_row)]
+            for row, eye_row in zip(g, eye)]
 
 
 def test_kernel_vector_of_column_shape():
@@ -207,7 +234,7 @@ def test_restricted_product_matches_full(n, q0):
         wm = word_module(lam, q0)
         for t in tableaux:
             full = wm.matrix_of(lambda v: full_product_idempotent(wm, v, t))
-            assert wm.idempotent_matrix(t) == full, (lam, t)
+            assert idempotent_matrix(wm, t) == full, (lam, t)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -290,19 +317,60 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     for (lam, q0), (rep, vectors) in cached.items():
         fresh_rep, fresh = kernel_basis(lam, q0)
         assert fresh_rep.units == rep.units and fresh == vectors, (lam, q0)
+    # after a run at n = 4 and four q, every cached symbolic operator and
+    # every cached evaluation of an element on a module equals a fresh
+    # build, and clear_module_cache empties every cache
+    assert all(r.passed for r in run_suite(4, Q_VALUES))
+    operators = dict(hecke._OPERATORS)
+    assert {name for name, _, _ in operators} == {"b2r", "r2b", "r2r"}
+    modules = list(seminormal._WORD_MODULES.values())
+    modules += list(hecke._REGULAR_MODULES.values())
+    evaluations = [(module, elem, terms) for module in modules
+                   for elem, terms in module._elements.items()]
+    assert hecke._REGULAR_MODULES and any(
+        module._elements for module in seminormal._WORD_MODULES.values())
+    seminormal.clear_module_cache()
+    for cache in (seminormal._WORD_MODULES, seminormal._SPECHT_MODULES,
+                  seminormal._KERNEL_BASES, hecke._OPERATORS,
+                  hecke._REGULAR_MODULES):
+        assert not cache
+    # each cached symbolic operator has the terms of a fresh build, so no
+    # caller changed a shared element
+    build = {"b2r": hecke.b2r_embedded, "r2b": hecke.r2b_embedded,
+             "r2r": lambda k, n: hecke.r2r(n)}
+    for (name, k, n), elem in operators.items():
+        seminormal.clear_module_cache()
+        fresh = build[name](k, n)
+        assert fresh is not elem and fresh.terms == elem.terms, (name, k, n)
+    # each cached evaluation equals one on a freshly built module
+    fresh_modules = {}
+    for module, elem, terms in evaluations:
+        assert module._elements[elem] is terms  # the key still hashes alike
+        key = (getattr(module, "lam", None), module.n, module.q0)
+        if key not in fresh_modules:
+            if key[0] is None:
+                words = [w.one_line for w in all_permutations(module.n)]
+                fresh_modules[key] = HeckeModule(
+                    module.n, module.q0, len(words),
+                    word_gen_rows(words, module.q0))
+            else:
+                fresh_modules[key] = WordModuleRep(key[0], module.q0)
+        fresh = fresh_modules[key]
+        assert terms == fresh._int_terms(fresh._terms_at(elem)), key
+    seminormal.clear_module_cache()
 
 
 def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
     lam, bad = Partition((2, 1)), superstandard(Partition((2, 1)))
-    original = WordModuleRep.idempotent_matrix
+    original = WordModuleRep.idempotent_int_matrix
 
-    def wrong(self, t):
-        mat = original(self, t)
+    def wrong(self, t):  # p_t + E_00, with p_t = mat / d
+        d, mat = original(self, t)
         if self.lam == lam and t == bad:
-            mat[0][0] += 1
-        return mat
+            mat[0][0] += d
+        return d, mat
 
-    monkeypatch.setattr(WordModuleRep, "idempotent_matrix", wrong)
+    monkeypatch.setattr(WordModuleRep, "idempotent_int_matrix", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
     failed = [k for k, r in report.items() if not r.passed]
     assert failed == ["idempotents[q=7/5]"]
@@ -310,6 +378,151 @@ def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
     assert detail.startswith("CheckFailed: p_t p_t = p_t fails")
     assert f"t = {bad} on W^{lam} at q0 = 7/5" in detail
     assert "(row, col) (" in detail
+
+
+def fraction_check_idempotents(n, q0):
+    """check_idempotents as it was before it moved onto the integers: dense
+    Fraction products and sums.  The oracle for its verdicts and messages;
+    it reads p_t and the Specht modules through the same entry points."""
+    def first_cell(a, b):
+        return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
+                     for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+
+    def require_equal(got, want, what):
+        if got != want:
+            raise CheckFailed(f"{what}, first difference at (row, col) "
+                              f"{first_cell(got, want)}")
+
+    def mat_add(a, b):
+        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    for lam in partitions_of(n):
+        rep = verify.specht_module(lam, q0)
+        wm = rep.word_module
+        where = f"on W^{lam} at q0 = {wm.q0}"
+        mats = [idempotent_matrix(wm, t) for t in rep.tableaux]
+        zero = [[Fraction(0)] * wm.dim for _ in range(wm.dim)]
+        for a, ma in zip(rep.tableaux, mats):
+            for b, mb in zip(rep.tableaux, mats):
+                prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
+                require_equal(linalg.mat_mul(ma, mb), ma if a == b else zero,
+                              f"{prop} fails for s = {a}, t = {b} {where}")
+        total = mats[0]
+        for m in mats[1:]:
+            total = mat_add(total, m)
+        require_equal(linalg.mat_mul(total, total), total,
+                      f"p_lambda p_lambda = p_lambda fails {where}")
+        trace = sum(total[i][i] for i in range(wm.dim))
+        if trace != f_lambda(lam):
+            raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
+                              f"= {f_lambda(lam)}, {where}")
+        for t, unit in zip(rep.tableaux, rep.units):
+            image = linalg.vec_mat(unit, total)
+            if image != unit:
+                index = next(i for i, (x, y) in enumerate(zip(image, unit))
+                             if x != y)
+                raise CheckFailed(
+                    f"w_t p_lambda = w_t fails for t = {t} {where}, first "
+                    f"difference at index {index}")
+        if n <= 4:
+            everything = zero
+            for mu in partitions_of(n):
+                shape_mats = mats if mu == lam else [
+                    idempotent_matrix(wm, t) for t in enumerate_syt(mu)]
+                for m in shape_mats:
+                    everything = mat_add(everything, m)
+            require_equal(everything, identity(wm.dim),
+                          f"sum of p_t over all tableaux of size {n} = 1 "
+                          f"fails {where}")
+    return True
+
+
+def _last_of_own_shape(wm, t, index=-1):
+    """t is the last (or index-th) tableau of shape lambda, for lambda
+    neither a row nor a column, so that the checks of earlier shapes pass
+    first."""
+    lam = wm.lam
+    return (lam.parts[0] < lam.size and len(lam.parts) < lam.size
+            and t == enumerate_syt(lam)[index])
+
+
+def _plus_e_cc(wm, t, d, mat):  # p_t + E_cc, t first, c the middle index
+    if _last_of_own_shape(wm, t, 0):
+        mat[wm.dim // 2][wm.dim // 2] += d
+    return d, mat
+
+
+def _zeroed(wm, t, d, mat):
+    if _last_of_own_shape(wm, t):
+        mat = [[0] * len(row) for row in mat]
+    return d, mat
+
+
+def _row_shape_zeroed(wm, t, d, mat):  # only the completeness sum sees it
+    if wm.lam.size > 1 and t == enumerate_syt(Partition([wm.lam.size]))[0] \
+            and wm.lam.parts != (wm.lam.size,):
+        mat = [[0] * len(row) for row in mat]
+    return d, mat
+
+
+def _doubled(wm, t, d, mat):
+    if _last_of_own_shape(wm, t):
+        mat = [[2 * x for x in row] for row in mat]
+    return d, mat
+
+
+def _plus_first(wm, t, d, mat):  # p_t + p_s, s the first of t's shape
+    first = enumerate_syt(wm.lam)[0]
+    if _last_of_own_shape(wm, t) and t != first:
+        d_s, mat_s = wm.idempotent_int_matrix(first)
+        d, mat = d * d_s, [[d_s * x + d * y for x, y in zip(row, row_s)]
+                           for row, row_s in zip(mat, mat_s)]
+    return d, mat
+
+
+class _UnitOffImage:
+    """A Specht module whose first unit is replaced by the first basis
+    vector of W^lambda."""
+
+    def __init__(self, rep):
+        self.word_module, self.tableaux = rep.word_module, rep.tableaux
+        self.units = [rep.word_module.basis_vector(rep.word_module.basis[0])]
+        self.units += rep.units[1:]
+
+
+def _outcome(check, n, q0):
+    try:
+        return check(n, q0)
+    except CheckFailed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("inject, failures", [
+    (None, set()),
+    (_plus_e_cc, {"p_t p_t = p_t fails"}),
+    (_plus_first, {"p_s p_t = 0 fails"}),
+    (_zeroed, {"trace of p_lambda is"}),
+    (_row_shape_zeroed, {"sum of p_t over all tableaux"}),
+    (_doubled, {"p_t p_t = p_t fails"}),
+    ("units", {"w_t p_lambda = w_t fails"})])
+def test_integer_idempotent_check_matches_fraction_oracle(monkeypatch, inject,
+                                                          failures):
+    if inject == "units":
+        original = verify.specht_module
+        monkeypatch.setattr(verify, "specht_module",
+                            lambda lam, q0: _UnitOffImage(original(lam, q0)))
+    elif inject:
+        original = WordModuleRep.idempotent_int_matrix
+        monkeypatch.setattr(WordModuleRep, "idempotent_int_matrix",
+                            lambda self, t: inject(self, t, *original(self, t)))
+    seen = set()
+    for n in range(1, 5):
+        for q0 in Q_VALUES:
+            got = _outcome(check_idempotents, n, q0)
+            assert got == _outcome(fraction_check_idempotents, n, q0), (n, q0)
+            if got is not True:
+                seen.add(next(f for f in failures if got.startswith(f)))
+    assert seen == failures
 
 
 def test_projection_compat_failure_names_strip_and_q(monkeypatch):

@@ -8,7 +8,10 @@ from qshuffle.qpoly import LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
 from qshuffle.symmetric import derangement_count
-from qshuffle.tableaux import Partition, d_mu, f_lambda, partitions_of
+from qshuffle.seminormal import WordModuleRep, specht_module
+from qshuffle.tableaux import (Partition, SkewShape, d_mu, enumerate_syt,
+                               f_lambda, horizontal_strips, partitions_of,
+                               superstandard)
 from qshuffle.verify import (CheckFailed, check_b_charpoly,
                              check_diagonalizable, check_eigenbasis,
                              check_one_step_recursion, check_positivity_degree,
@@ -134,10 +137,24 @@ def test_b_and_bstar_share_charpoly():
             == spectra.bruteforce_charpoly(r2b(n), q0)
 
 
+def specht_spectrum(lam, q0):
+    """{eigenvalue: multiplicity} of R_n(q0) on S^lambda from the strip
+    formula, once the char poly of its matrix in the unit basis equals
+    prod (y - E_{lambda/mu}(q0))^(d^mu)."""
+    expected = [(eigenvalue_formula(lam, mu).eval(q0), d_mu(mu))
+                for mu in horizontal_strips(lam) if d_mu(mu)]
+    mat = specht_module(lam, q0).hecke_action_matrix(r2r(lam.size))
+    assert linalg.charpoly(mat) == linalg.poly_from_roots(expected)
+    out = {}
+    for value, mult in expected:
+        out[value] = out.get(value, 0) + mult
+    return out
+
+
 def test_specht_spectrum():
-    got = spectra.specht_spectrum(P(2, 1), Fraction(2))
+    got = specht_spectrum(P(2, 1), Fraction(2))
     assert got == {Fraction(0): 1, Fraction(15): 1}
-    got = spectra.specht_spectrum(P(1, 1, 1), Fraction(2))
+    got = specht_spectrum(P(1, 1, 1), Fraction(2))
     assert got == {Fraction(1): 1}
 
 
@@ -174,7 +191,6 @@ def test_straightening_scalars():
 
 
 def test_straightening_scalar_values():
-    from qshuffle.tableaux import SkewShape, superstandard
     out = spectra.straightening_scalars(P(2, 1, 1), P(1, 1), Fraction(2))
     t_max = superstandard(SkewShape(P(2, 1, 1), P(1, 1)))
     assert out[t_max] == 1
@@ -220,3 +236,41 @@ def test_diagonalizable_failure_names_eigenvalue_and_multiplicities(
         f"CheckFailed: eigenvalue {value} of r2r at q0 = 7/5 has geometric "
         f"multiplicity {algebraic - 1} (size - rank), algebraic multiplicity "
         f"{algebraic}")
+
+
+def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
+    lam, original = P(2, 1), WordModuleRep.apply_p_lambda
+
+    def wrong(self, v, shape=None):  # only W^(2,1): the R_2 basis is intact
+        out = original(self, v, shape)
+        if self.lam == lam:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, "apply_p_lambda", wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_one_step_recursion(3, Fraction(7, 5))
+    t = superstandard(SkewShape(lam, P(1, 1)))
+    assert str(err.value) == (
+        f"u Phi B_3 p_lambda is not an R_3-eigenvector with eigenvalue "
+        f"888/125 for lambda = (2,1), lambda' = (1,1), u = eigenvector 0 of "
+        f"strip (1,1)/(1,1), t = {t} at q0 = 7/5, first difference at index 0")
+
+
+def test_strip_vanishing_failure_names_strip_tableaux_and_q(monkeypatch):
+    lam, original = P(1, 1, 1), spectra.apply_c_op
+
+    def wrong(rep, v, j):  # u Phi_t C_1 off the kernel of p_(1,1,1)
+        out = original(rep, v, j)
+        if rep.lam == lam and j == 1:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(spectra, "apply_c_op", wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_strip_vanishing(3, Fraction(7, 5))
+    t = enumerate_syt(SkewShape(lam, P(1)))[0]
+    s = enumerate_syt(P(1))[0]
+    assert str(err.value) == (
+        f"w_s Phi_t C_1 p_lambda = 0 fails for lambda = (1,1,1), mu = (1), "
+        f"t = {t}, s = {s} at q0 = 7/5, first nonzero index 0")
