@@ -15,6 +15,7 @@ from fractions import Fraction
 import click
 
 from . import __version__, flags as flags_mod, markov, spectra
+from .hecke import CheckFailed
 from .seminormal import InadmissibleQ, check_admissible
 from .tableaux import Partition
 from .verify import run_suite
@@ -290,6 +291,22 @@ def simulate(ctx, n, q_text, steps, csv_path):
 
 # -- flags -------------------------------------------------------------
 
+def _flag_case(name, check, space, **fields):
+    """One flags report case: the verdict of check(space), the given fields,
+    and, on a failure only, the witness that check raised as detail."""
+    case = {"case": name}
+    try:
+        case["passed"] = bool(check(space))
+        detail = ""
+    except CheckFailed as exc:
+        case["passed"] = False
+        detail = f"{type(exc).__name__}: {exc}"
+    case.update(fields)
+    if not case["passed"]:
+        case["detail"] = detail
+    return case
+
+
 @main.command(name="flags")
 @click.option("--n", "n", type=int, required=True)
 @click.option("--p", "p", type=int, required=True)
@@ -300,22 +317,27 @@ def simulate(ctx, n, q_text, steps, csv_path):
 def flags_cmd(ctx, n, p, which):
     """Line-insertion operator on complete flags over F_p."""
     try:
-        space = flags_mod.FlagSpace(n, p)
+        flags_mod.check_size(n, p)
     except flags_mod.UnsupportedSize as exc:
         raise click.UsageError(str(exc))
+    count = flags_mod.flag_count(n, p)
+    if which != "commutation" and count > flags_mod.SPECTRUM_MAX_FLAGS:
+        raise click.UsageError(
+            f"the spectrum check at n = {n}, p = {p} needs the char poly of "
+            f"a {count}x{count} matrix, which does not finish; use "
+            f"--check commutation")
+    space = flags_mod.FlagSpace(n, p)
     report = {"n": n, "p": p, "flag_count": space.size, "cases": []}
     if which in ("commutation", "all"):
-        report["cases"].append({
-            "case": "commutation",
-            "passed": flags_mod.verify_commutation(space)})
+        report["cases"].append(_flag_case(
+            "commutation", flags_mod.verify_commutation, space))
     if which in ("spectrum", "all"):
         mults = flags_mod.x_spectrum(space)
-        report["cases"].append({
-            "case": "spectrum",
-            "passed": flags_mod.x_spectrum_check(space),
-            "eigenvalues": ([] if mults is None else sorted(mults)),
-            "multiplicities": ({} if mults is None
-                               else {str(k): v for k, v in mults.items()})})
+        report["cases"].append(_flag_case(
+            "spectrum", flags_mod.x_spectrum_check, space,
+            eigenvalues=([] if mults is None else sorted(mults)),
+            multiplicities=({} if mults is None
+                            else {str(k): v for k, v in mults.items()})))
     passed = all(case["passed"] for case in report["cases"])
     report["all_passed"] = passed
     click.echo(json.dumps(report, indent=2))

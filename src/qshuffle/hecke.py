@@ -26,6 +26,10 @@ class SizeMismatch(ValueError):
     pass
 
 
+class CheckFailed(AssertionError):
+    """A checked property failed; the message says where."""
+
+
 class HeckeElement:
     """Formal sum of T_w with LaurentPoly coefficients, all w in S_n."""
 

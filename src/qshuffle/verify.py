@@ -13,10 +13,11 @@ import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (HeckeElement, HeckeModule, _ints, annihilator_check, b2r,
-                    b2r_embedded, c_op, intermediate_recursion_check,
-                    jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
-                    recursion_check, regular_rep_matrix, top_ops, x_alpha)
+from .hecke import (CheckFailed, HeckeElement, HeckeModule, _ints,
+                    annihilator_check, b2r, b2r_embedded, c_op,
+                    intermediate_recursion_check, jucys_murphy_scaled,
+                    m_alpha, r2b, r2b_embedded, r2r, recursion_check,
+                    regular_rep_matrix, top_ops, x_alpha)
 from .qpoly import Q, qint
 from .seminormal import (clear_module_cache, dipper_james_action, phi_apply,
                          specht_module, word_module)
@@ -37,10 +38,6 @@ class CheckResult:
     def to_json(self):
         return {"check": self.check_id, "passed": self.passed,
                 "elapsed_ms": round(self.elapsed_ms, 1), "detail": self.detail}
-
-
-class CheckFailed(AssertionError):
-    """A checked property failed; the message says where."""
 
 
 def _first_cell(a, b):

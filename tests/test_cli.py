@@ -159,10 +159,47 @@ def test_flags_report(runner):
     cases = {c["case"]: c for c in report["cases"]}
     assert cases["commutation"]["passed"]
     assert cases["spectrum"]["multiplicities"] == {"7": 1, "1": 14, "0": 6}
+    assert not any("detail" in case for case in report["cases"])
 
 
 def test_flags_unsupported(runner):
     assert runner.invoke(main, ["flags", "--n", "5", "--p", "2"]).exit_code == 2
+
+
+@pytest.mark.parametrize("check", [[], ["--check", "all"],
+                                   ["--check", "spectrum"]])
+def test_flags_refuses_the_n4_p3_spectrum(runner, check):
+    result = runner.invoke(main, ["flags", "--n", "4", "--p", "3"] + check)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1 and "--check commutation" in errors[0]
+
+
+def test_flags_n4_p3_commutation_passes(runner):
+    result = runner.invoke(main, ["flags", "--n", "4", "--p", "3",
+                                  "--check", "commutation"])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["flag_count"] == 2080
+    assert report["cases"] == [{"case": "commutation", "passed": True}]
+
+
+def test_flags_failing_case_carries_its_witness(runner, monkeypatch):
+    from qshuffle import flags
+
+    def broken(space):
+        raise flags.CheckFailed("(n, p) = (2, 2): witness")
+    monkeypatch.setattr(flags, "x_spectrum_check", broken)
+    result = runner.invoke(main, ["flags", "--n", "2", "--p", "2"])
+    assert result.exit_code == 1
+    commutation, spectrum = json.loads(result.output)["cases"]
+    assert "detail" not in commutation
+    assert spectrum["passed"] is False
+    assert spectrum["detail"] == "CheckFailed: (n, p) = (2, 2): witness"
+    assert list(spectrum) == ["case", "passed", "eigenvalues",
+                              "multiplicities", "detail"]
 
 
 def test_version(runner):
