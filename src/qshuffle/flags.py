@@ -19,9 +19,11 @@ from . import linalg
 from .hecke import CheckFailed, HeckeModule, top_ops
 
 
-# The largest space whose x spectrum the CLI computes: the char poly is a
-# Berkowitz O(N^4), about 30 s at (4, 2) with N = 315 flags and about 1,900
-# times that at (4, 3) with N = 2,080.
+# The largest space whose x spectrum the CLI computes.  The char poly costs
+# O(N^3) residue operations for each prime of its CRT: about 2 s at (4, 2),
+# with N = 315 flags and 3 primes.  (4, 3) has N = 2,080: about 290 times
+# the work per prime, 26 primes for its Hadamard bound, and a dense matrix of
+# 4.3 million 250-bit residues (some 300 MB), so hours of CPU.
 SPECTRUM_MAX_FLAGS = 315
 
 
@@ -184,16 +186,22 @@ def _where(space):
 def verify_commutation(space):
     """Line insertion equals right action by the q-random-to-top element;
     a failure raises CheckFailed naming (n, p) and the first differing
-    (row, col) with both entries."""
+    (row, col) with both entries.  Each row of T* comes from the integer
+    engine (denominator 1 on flags) and is compared with the integer row of
+    x, one row at a time."""
     _, tstar = top_ops(space.n)
-    x, tmat = space.x_matrix(), space.hecke_matrix(tstar)
-    if x == tmat:
-        return True
-    r, c = next((r, c) for r, (a, b) in enumerate(zip(x, tmat))
-                for c, (u, w) in enumerate(zip(a, b)) if u != w)
-    raise CheckFailed(f"{_where(space)}: line insertion differs from right "
-                      f"action by T* at (row, col) ({r}, {c}): x has "
-                      f"{x[r][c]}, T* has {tmat[r][c]}")
+    x = space.x_matrix()
+    for r, (num, den) in enumerate(space._hecke_rows(tstar)):
+        if den == 1 and num == x[r]:
+            continue
+        c = next((c for c, (u, w) in enumerate(zip(x[r], num))
+                  if u * den != w), None)
+        if c is not None:
+            raise CheckFailed(
+                f"{_where(space)}: line insertion differs from right action "
+                f"by T* at (row, col) ({r}, {c}): x has {x[r][c]}, T* has "
+                f"{Fraction(num[c], den)}")
+    return True
 
 
 def _allowed_eigenvalues(n, p):
@@ -204,8 +212,7 @@ def _allowed_eigenvalues(n, p):
 def x_spectrum(space):
     """Eigenvalue multiplicities of x, or None if the char poly does not
     split over the allowed values {[n-j]_p : j in [0,n], j != 1}."""
-    mat = [[Fraction(x) for x in row] for row in space.x_matrix()]
-    coeffs = linalg.charpoly(mat)
+    coeffs = linalg.charpoly(space.x_matrix())
     mults = {}
     for root in _allowed_eigenvalues(space.n, space.p):
         while len(coeffs) > 1 and _poly_eval(coeffs, root) == 0:

@@ -432,28 +432,32 @@ class HeckeModule:
             out.append(apply_fn(v))
         return out
 
-    def _int_matrix(self, apply_int):
-        """Dense Fraction matrix whose row r is apply_int(e_r, 1), for an
+    def _int_rows(self, apply_int):
+        """apply_int(e_r, 1) for each basis vector e_r in turn, for an
         apply_int taking and returning (integer list, den)."""
-        out = []
         for r in range(self.dim):
             e = [0] * self.dim
             e[r] = 1
-            out.append(_fractions(*apply_int(e, 1)))
-        return out
+            yield apply_int(e, 1)
 
     def word_matrix(self, word):
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
-        return self._int_matrix(lambda num, den: self._word(num, den, word))
+        return [_fractions(*row) for row in self._int_rows(
+            lambda num, den: self._word(num, den, word))]
 
     def gen_matrix(self, i):
         return self.word_matrix((i,))
 
+    def _hecke_rows(self, elem):
+        """(integer row, den) of e_r . elem for each basis vector e_r in
+        turn: the rows of hecke_matrix(elem) before they become Fractions."""
+        terms = self._element_terms(elem)
+        return self._int_rows(
+            lambda num, den: self._apply_terms(num, den, terms))
+
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""
-        terms = self._element_terms(elem)
-        return self._int_matrix(
-            lambda num, den: self._apply_terms(num, den, terms))
+        return [_fractions(*row) for row in self._hecke_rows(elem)]
 
 
 # -- matrices and identity checks -------------------------------------

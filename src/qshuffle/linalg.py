@@ -2,22 +2,35 @@
 char polys.
 
 Matrices are lists of rows of Fractions, and every kernel takes and returns
-them (rank also takes ints, and int_mat_mul multiplies integer matrices),
-but the work is done over the integers: a kernel clears denominators
-on the way in (`_cleared`) and builds Fractions only on the way out.  RREF
-is Gauss-Jordan on primitive integer rows, rank is forward elimination on
-them (no back-substitution, no Fractions), products accumulate integer
-rows, and char polys run the division-free Berkowitz algorithm (S. J.
-Berkowitz, Inf. Process. Lett. 18 (1984) 147-150).  Pivoting is
-deterministic (first nonzero column, then the largest row index among
-nonzero entries), so kernel bases and echelon forms are reproducible run to
-run.
+them (rank and charpoly also take ints, and int_mat_mul multiplies integer
+matrices), but the work is done over the integers: a kernel clears
+denominators on the way in (`_cleared`) and builds Fractions only on the
+way out.  RREF is Gauss-Jordan on primitive integer rows, rank is forward
+elimination on them (no back-substitution, no Fractions), and products
+accumulate integer rows.  Pivoting is deterministic (first nonzero column,
+then the largest row index among nonzero entries), so kernel bases and
+echelon forms are reproducible run to run.
+
+Char polys are computed modulo primes and lifted.  Each prime is a Proth
+prime k * 2^248 + 1, proven prime by Proth's theorem (F. Proth, C. R. Acad.
+Sci. Paris 87 (1878) 926) before it is used.  Modulo each, the matrix is
+brought to upper Hessenberg form by similarity and the char poly read from
+the Hessenberg recurrence, O(N^3) operations on residues (H. Cohen, A
+Course in Computational Algebraic Number Theory, GTM 138, Alg. 2.2.9).  By
+Hadamard's inequality on principal minors, each coefficient is bounded by
+an elementary symmetric function of the rows' 2-norms, rounded up.  The
+residues are joined by the Chinese remainder theorem until the modulus
+exceeds twice that bound for every coefficient, so the symmetric residues
+are the exact integer coefficients: no step is probabilistic, and there is
+no early stop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def _cleared(matrix):
@@ -172,27 +185,142 @@ def solve_in_span(rows, target):
     return x
 
 
+# -- char polys: Hessenberg form modulo proven primes, joined by CRT ----
+
+_PROTH_SHIFT = 248
+_ODD_BELOW_1000 = math.prod(range(3, 1000, 2))
+_PROTH_PRIMES = []  # the ladder found so far; each entry is a proven prime
+
+
+def _is_proth_prime(n):
+    """Whether n = k * 2^248 + 1 (k odd, k < 2^248) is prime, decided by
+    Proth's theorem: n is prime iff a^((n-1)/2) = -1 (mod n) for some a.
+    One gcd rejects n with an odd factor below 1000; then a = 3, 4, ...
+    runs until a witness (n prime) or a power other than +-1 (n composite,
+    by Euler's criterion)."""
+    if math.gcd(n, _ODD_BELOW_1000) != 1:
+        return False
+    for a in itertools.count(3):
+        power = pow(a, n >> 1, n)
+        if power == n - 1:
+            return True
+        if power != 1:
+            return False
+
+
+def _proth_prime(i):
+    """The i-th prime (from 0) of the form k * 2^248 + 1 with k odd, in
+    increasing k; the ladder is found once per process and kept."""
+    while len(_PROTH_PRIMES) <= i:
+        k = (_PROTH_PRIMES[-1] >> _PROTH_SHIFT) + 2 if _PROTH_PRIMES else 1
+        while not _is_proth_prime((k << _PROTH_SHIFT) + 1):
+            k += 2
+        _PROTH_PRIMES.append((k << _PROTH_SHIFT) + 1)
+    return _PROTH_PRIMES[i]
+
+
+def _charpoly_mod(a, p):
+    """det(yI - a) over GF(p), highest degree first, for a square list of
+    integer rows a, which it overwrites.  a is brought to upper Hessenberg
+    form by similarity (H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9): for each column j, the row operations
+    R_i -= u_i R_{j+1} clear the entries below the subdiagonal and the
+    column operation C_{j+1} += sum_i u_i C_i undoes them on the right.
+    Rows below the pivot row are reduced mod p only when they become the
+    pivot row, so between reductions their entries are sums of at most n
+    products of residues.  The char poly then follows from the recurrence
+    p_m = (y - h_mm) p_{m-1} - sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} p_{i-1},
+    which stops early where a subdiagonal entry is 0."""
+    n = len(a)
+    for j in range(n - 2):
+        k = j + 1
+        pivot = next((i for i in range(k, n) if a[i][j] % p), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            a[pivot], a[k] = a[k], a[pivot]
+            for row in a:
+                row[pivot], row[k] = row[k], row[pivot]
+        prow = a[k]
+        prow[j:] = [x % p for x in prow[j:]]
+        inv, tail = pow(prow[j], -1, p), prow[k:]
+        cols, us = [], []
+        for i in range(k + 1, n):
+            row = a[i]
+            u = row[j] * inv % p
+            if u:
+                cols.append(i)
+                us.append(u)
+                row[k:] = [x - u * y for x, y in zip(row[k:], tail)]
+            row[j] = 0
+        if us:
+            for row in a:
+                row[k] = (row[k] + sum(map(mul, us, map(row.__getitem__,
+                                                           cols)))) % p
+    a = [[x % p for x in row] for row in a]
+    polys = [[1]]  # p_0, p_1, ..., lowest degree first
+    for m in range(n):
+        prev = polys[-1]
+        new = [0] + prev
+        for d, c in enumerate(prev):
+            new[d] -= a[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * a[i + 1][i] % p
+            if not t:
+                break
+            c = a[i][m] * t % p
+            if c:
+                for d, x in enumerate(polys[i]):
+                    new[d] -= c * x
+        polys.append([x % p for x in new])
+    return polys[-1][::-1]
+
+
 def charpoly(matrix):
-    """det(yI - M) as monic Fractions, highest degree first.  Berkowitz over
-    Python ints on d*M, d the lcm of the entry denominators: the char poly
-    of a leading block [[A, C], [R, a]] is the Toeplitz matrix of (1, -a,
-    -RC, -RAC, ...) times that of A; coefficient k is then divided by d^k."""
-    d, m = _cleared(matrix)
-    poly, block = [1], []  # block: sparse rows (col, entry) of A
-    for k, row in enumerate(m):
-        r = [(j, x) for j, x in enumerate(row[:k]) if x]
-        v = [m[i][k] for i in range(k)]
-        toeplitz = [1, -row[k]]
-        for _ in range(k):
-            toeplitz.append(-sum(x * v[j] for j, x in r))
-            v = [sum(x * v[j] for j, x in b) for b in block]
-        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
-                for i in range(k + 2)]
-        for i in range(k):
-            if m[i][k]:
-                block[i].append((k, m[i][k]))
-        block.append([(j, x) for j, x in enumerate(row[:k + 1]) if x])
-    return [Fraction(c, d ** k) for k, c in enumerate(poly)]
+    """det(yI - M) as monic Fractions, highest degree first; the entries of
+    M may be Fractions or ints.
+
+    Row i of M is d_i times an integer row M'_i (d_i the lcm of its
+    denominators); d is the lcm and P the product of the d_i.  Coefficient
+    c_k is a signed sum of k x k principal minors, each with a denominator
+    dividing both d^k and P, so g_k c_k is an integer for g_k = gcd(d^k, P).
+    By Hadamard's inequality each minor is at most the product of its rows'
+    2-norms, so |c_k| <= e_k(rho), rho_i = ceil(|M'_i|) / d_i >= |M_i|.
+    For each prime p of the Proth ladder that divides no d_i, M mod p goes
+    to _charpoly_mod, and the residues of g_k c_k are joined by the Chinese
+    remainder theorem until the modulus exceeds 2 max_k g_k e_k(rho); then
+    the symmetric residue of each g_k c_k is that integer, with no
+    probabilistic step."""
+    n = len(matrix)
+    cleared = [_cleared([row]) for row in matrix]
+    dens = [d for d, _ in cleared]
+    rows = [m[0] for _, m in cleared]
+    total = math.prod(dens)
+    bounds = [1]  # P e_k(rho): the coefficients of prod_i (d_i + r_i t)
+    for d, row in zip(dens, rows):
+        s = sum(x * x for x in row)
+        r = math.isqrt(s - 1) + 1 if s else 0
+        bounds = [d * x + r * y for x, y in zip(bounds + [0], [0] + bounds)]
+    d_all = math.lcm(*dens)
+    gs = [math.gcd(d_all ** k, total) for k in range(n + 1)]
+    need = 2 * max(g * b for g, b in zip(gs, bounds))
+    residues, modulus, ladder = [0] * (n + 1), 1, itertools.count()
+    while modulus * total <= need:
+        p = _proth_prime(next(ladder))
+        if total % p == 0:
+            continue
+        reduced = []
+        for d, row in zip(dens, rows):
+            inv = pow(d, -1, p)
+            reduced.append([x * inv % p for x in row])
+        coeffs = _charpoly_mod(reduced, p)
+        inv = pow(modulus, -1, p)
+        residues = [x + modulus * ((c * g - x) * inv % p)
+                    for x, c, g in zip(residues, coeffs, gs)]
+        modulus *= p
+    return [Fraction(x - modulus if 2 * x > modulus else x, g)
+            for x, g in zip(residues, gs)]
 
 
 def poly_from_roots(root_mult_pairs):

@@ -446,13 +446,27 @@ def check_bstar_kernel_lift(n, q0):
 
 
 def check_mallows_stationarity(n, q0):
+    """The walk's transition matrix P is stochastic and the Mallows measure
+    pi is stationary; a failure raises CheckFailed naming q0 and either the
+    first row that is not stochastic, with its sum and least entry, or the
+    first j where (pi P)_j != pi_j, with both values."""
+    q0 = Fraction(q0)
     mat = markov.transition_matrix(n, q0)
-    if not markov.is_stochastic(mat):
-        return False
+    for i, row in enumerate(mat):
+        if not markov.is_stochastic([row]):
+            raise CheckFailed(
+                f"row {i} of the walk's transition matrix at q0 = {q0} is "
+                f"not stochastic: its entries sum to {sum(row)}, least "
+                f"entry {min(row)}")
     pi = markov.mallows(n, q0)
     size = len(pi)
-    return [sum(pi[i] * mat[i][j] for i in range(size))
-            for j in range(size)] == pi
+    moved = [sum(pi[i] * mat[i][j] for i in range(size)) for j in range(size)]
+    j = _first_index(moved, pi)
+    if j is not None:
+        raise CheckFailed(
+            f"the Mallows measure is not stationary at q0 = {q0}: "
+            f"(pi P)_{j} = {moved[j]}, pi_{j} = {pi[j]}")
+    return True
 
 
 def check_walk_spectrum(n, q0):
@@ -467,7 +481,9 @@ def check_walk_spectrum(n, q0):
 
 
 def check_second_eigenvalue(n, q0):
-    """Second-largest formula eigenvalue is [n-2]_q [n+1]_q, multiplicity n-1."""
+    """Second-largest formula eigenvalue is [n-2]_q [n+1]_q, multiplicity
+    n-1; a failure raises CheckFailed naming q0 and the second-largest
+    eigenvalue and its multiplicity against [n-2]_q [n+1]_q and n - 1."""
     q0 = Fraction(q0)
     mults = {}
     for e, m in spectra.r2r_charpoly_factored(n):
@@ -476,7 +492,12 @@ def check_second_eigenvalue(n, q0):
     ordered = sorted(mults, reverse=True)
     second = ordered[1]
     expect = (qint(n - 2) * qint(n + 1)).eval(q0)
-    return second == expect and mults[second] == n - 1
+    if second != expect or mults[second] != n - 1:
+        raise CheckFailed(
+            f"the second-largest eigenvalue of r2r at n = {n}, q0 = {q0} is "
+            f"{second} with multiplicity {mults[second]}, against "
+            f"[n-2]_q [n+1]_q = {expect} and n - 1 = {n - 1}")
+    return True
 
 
 def check_positivity_degree(n):

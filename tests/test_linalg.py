@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qshuffle import linalg, spectra
+from qshuffle import linalg, markov, spectra
+from qshuffle.flags import FlagSpace
 from qshuffle.hecke import b2r, r2b, r2r, regular_rep_matrix
 from qshuffle.seminormal import word_module
 from qshuffle.tableaux import enumerate_syt, partitions_of
@@ -55,6 +56,38 @@ def assert_charpoly_is_det(m):
         for c in coeffs:
             value = value * y + c
         assert value == det(shifted)
+
+
+def berkowitz(matrix):
+    """det(yI - M) as monic Fractions, highest degree first, by the
+    division-free Berkowitz algorithm over Python ints on d*M, d the lcm of
+    the entry denominators (S. J. Berkowitz, Inf. Process. Lett. 18 (1984)
+    147-150): the char poly of a leading block [[A, C], [R, a]] is the
+    Toeplitz matrix of (1, -a, -RC, -RAC, ...) times that of A; coefficient
+    k is then divided by d^k.  The reference oracle for linalg.charpoly."""
+    d = math.lcm(*(x.denominator for row in matrix for x in row))
+    m = [[int(x * d) for x in row] for row in matrix]
+    poly, block = [1], []  # block: sparse rows (col, entry) of A
+    for k, row in enumerate(m):
+        r = [(j, x) for j, x in enumerate(row[:k]) if x]
+        v = [m[i][k] for i in range(k)]
+        toeplitz = [1, -row[k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * v[j] for j, x in r))
+            v = [sum(x * v[j] for j, x in b) for b in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+        for i in range(k):
+            if m[i][k]:
+                block[i].append((k, m[i][k]))
+        block.append([(j, x) for j, x in enumerate(row[:k + 1]) if x])
+    return [Fraction(c, d ** k) for k, c in enumerate(poly)]
+
+
+def assert_charpoly_is_berkowitz(m):
+    got = linalg.charpoly(m)
+    assert got == berkowitz(m)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_rref_known():
@@ -117,6 +150,142 @@ def test_charpoly_matches_determinant_oracle(m):
 @pytest.mark.parametrize("op", [r2r, b2r, r2b])
 def test_charpoly_matches_determinant_oracle_on_regular_rep(op, q0):
     assert_charpoly_is_det(regular_rep_matrix(op(3), q0))
+
+
+def square_of(entries):
+    """Square matrices of size 0 to 12 with entries drawn from entries."""
+    return st.integers(0, 12).flatmap(
+        lambda size: st.lists(st.lists(entries, min_size=size,
+                                       max_size=size),
+                              min_size=size, max_size=size))
+
+
+@given(square_of(st.integers(-10 ** 6, 10 ** 6)))
+def test_charpoly_matches_berkowitz_on_integer_matrices(m):
+    assert_charpoly_is_berkowitz(m)
+
+
+@given(square_of(st.sampled_from([0, 0, 0, 1])))
+def test_charpoly_matches_berkowitz_on_sparse_01_matrices(m):
+    assert_charpoly_is_berkowitz(m)
+
+
+@given(square_of(st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30),
+              st.sampled_from([1, 2, 3, 5, 7, 12, 5 ** 6])))))
+def test_charpoly_matches_berkowitz_on_rational_matrices(m):
+    assert_charpoly_is_berkowitz(m)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_charpoly_matches_berkowitz_on_flag_x(n, p):
+    assert_charpoly_is_berkowitz(FlagSpace(n, p).x_matrix())
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(1, 2),
+                                Fraction(7, 5)])
+def test_charpoly_matches_berkowitz_on_operators_at_n4(q0):
+    for op in (r2r, b2r, r2b):
+        assert_charpoly_is_berkowitz(regular_rep_matrix(op(4), q0))
+    if q0 >= 1:  # the walk is defined for q0 >= 1 only
+        assert_charpoly_is_berkowitz(markov.transition_matrix(4, q0))
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def root_floor(n, k):
+    """The largest x with x^k <= n."""
+    x = round(n ** (1 / k))
+    while x ** k > n:
+        x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
+    return x
+
+
+@pytest.mark.parametrize("primes", [1, 2, 3])
+def test_charpoly_of_scaled_hadamard_needs_every_prime(primes):
+    # s * H_16 has orthogonal rows of integer norm 4s, so |det| = (4s)^16
+    # meets Hadamard's bound, which for s >= 4 is the largest of the
+    # coefficient bounds.  s puts |det| between half the product m of the
+    # first `primes` primes of the ladder and m itself, so the CRT must go
+    # on to one prime more: modulo m, which exceeds |det| but not 2 |det|,
+    # the symmetric residue of det is det - m.
+    m = math.prod(linalg._proth_prime(i) for i in range(primes))
+    scale = root_floor(m // 2, 16) // 4 + 1
+    assert m // 2 < (4 * scale) ** 16 < m
+    hadamard = [[scale * x for x in row] for row in sylvester_hadamard(16)]
+    coeffs = linalg.charpoly(hadamard)
+    assert coeffs[-1] == (4 * scale) ** 16
+    assert coeffs == berkowitz(hadamard)
+
+
+def test_charpoly_bound_rounds_row_norms_up():
+    # Blocks [[a, b], [-b, a]] have orthogonal rows of norm sqrt(a^2 + b^2),
+    # strictly between a and a + 1, so |det| = (a^2 + b^2)^8 meets
+    # Hadamard's bound up to the rounding of the norms.  a and b put |det|
+    # above half the first prime and a^16 below it: with norms rounded
+    # down, the CRT would stop after that one prime.
+    half = linalg._proth_prime(0) // 2
+    a = root_floor(half, 16)
+    b = next(b for b in range(1, a) if (a * a + b * b) ** 8 > half)
+    assert a * a + b * b < (a + 1) ** 2
+    m = [[0] * 16 for _ in range(16)]
+    for i in range(0, 16, 2):
+        m[i][i], m[i][i + 1], m[i + 1][i], m[i + 1][i + 1] = a, b, -b, a
+    coeffs = linalg.charpoly(m)
+    assert coeffs[-1] == (a * a + b * b) ** 8
+    assert coeffs == berkowitz(m)
+
+
+def assert_pocklington_prime(n, shift):
+    """Prove n = k * 2^shift + 1 (k odd, 2^shift > sqrt(n)) prime by
+    Pocklington's criterion: some a has a^(n-1) = 1 (mod n) and
+    gcd(a^((n-1)/2) - 1, n) = 1.  No such a exists for a composite n."""
+    k = (n - 1) >> shift
+    assert n == (k << shift) + 1 and k % 2 == 1 and (1 << shift) ** 2 > n
+    assert any(pow(a, n - 1, n) == 1
+               and math.gcd(pow(a, (n - 1) // 2, n) - 1, n) == 1
+               for a in range(2, 200)), f"no Pocklington witness for {n}"
+
+
+def test_every_modulus_is_a_proven_prime(monkeypatch):
+    used = []
+    original = linalg._charpoly_mod
+
+    def recorded(a, p):
+        used.append(p)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod", recorded)
+    linalg.charpoly([[10 ** 40 * x for x in row]
+                     for row in sylvester_hadamard(16)])
+    linalg.charpoly(regular_rep_matrix(r2r(4), Fraction(7, 5)))
+    assert len(set(used)) >= 4
+    for p in set(used):
+        assert p.bit_length() in range(249, 260)
+        assert_pocklington_prime(p, 248)
+
+
+def test_charpoly_skips_a_prime_dividing_a_denominator(monkeypatch):
+    used = []
+    original = linalg._charpoly_mod
+
+    def recorded(a, p):
+        used.append(p)
+        return original(a, p)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod", recorded)
+    first = linalg._proth_prime(0)
+    m = [[Fraction(1, first), F(1)], [F(2), Fraction(3, 7)]]
+    assert_charpoly_is_berkowitz(m)
+    assert used and first not in used
 
 
 def test_charpoly_of_empty_matrix():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import markov
+from qshuffle import markov, spectra
 from qshuffle.qpoly import qfactorial, qint
-from qshuffle.verify import (check_mallows_stationarity,
+from qshuffle.verify import (CheckFailed, check_mallows_stationarity,
                              check_second_eigenvalue, check_walk_spectrum)
 
 
@@ -49,6 +49,60 @@ def test_walk_spectrum_matches_formula(q0):
 def test_second_eigenvalue(q0):
     for n in range(3, 5):
         assert check_second_eigenvalue(n, q0)
+
+
+def test_mallows_stationarity_failure_names_the_row(monkeypatch):
+    original = markov.transition_matrix
+
+    def wrong(n, q0):  # row 4 loses a third of its mass
+        mat = original(n, q0)
+        mat[4] = [x * Fraction(2, 3) for x in mat[4]]
+        return mat
+
+    monkeypatch.setattr(markov, "transition_matrix", wrong)
+    least = min(wrong(3, 2)[4])
+    with pytest.raises(CheckFailed) as err:
+        check_mallows_stationarity(3, Fraction(2))
+    assert str(err.value) == (
+        f"row 4 of the walk's transition matrix at q0 = 2 is not stochastic: "
+        f"its entries sum to 2/3, least entry {least}")
+
+
+def test_mallows_stationarity_failure_names_the_index(monkeypatch):
+    original = markov.transition_matrix
+
+    def wrong(n, q0):  # still stochastic: rows 0 and 1 trade places
+        mat = original(n, q0)
+        mat[0], mat[1] = mat[1], mat[0]
+        return mat
+
+    monkeypatch.setattr(markov, "transition_matrix", wrong)
+    mat, pi = wrong(3, 2), markov.mallows(3, 2)
+    moved = [sum(pi[i] * mat[i][j] for i in range(6)) for j in range(6)]
+    j = next(j for j in range(6) if moved[j] != pi[j])
+    with pytest.raises(CheckFailed) as err:
+        check_mallows_stationarity(3, Fraction(2))
+    assert str(err.value) == (
+        f"the Mallows measure is not stationary at q0 = 2: "
+        f"(pi P)_{j} = {moved[j]}, pi_{j} = {pi[j]}")
+
+
+def test_second_eigenvalue_failure_names_value_and_multiplicity(monkeypatch):
+    original = spectra.r2r_charpoly_factored
+
+    def wrong(n):  # one more copy of the second-largest eigenvalue
+        factors = original(n)
+        second = sorted({e.eval(2) for e, _ in factors})[-2]
+        return factors + [(e, 1) for e, _ in factors if e.eval(2) == second][:1]
+
+    monkeypatch.setattr(spectra, "r2r_charpoly_factored", wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_second_eigenvalue(4, Fraction(2))
+    expect = (qint(2) * qint(5)).eval(2)
+    assert str(err.value) == (
+        f"the second-largest eigenvalue of r2r at n = 4, q0 = 2 is {expect} "
+        f"with multiplicity 4, against [n-2]_q [n+1]_q = {expect} and "
+        f"n - 1 = 3")
 
 
 def test_tv_curve_decreasing():
