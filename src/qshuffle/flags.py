@@ -215,8 +215,11 @@ def x_spectrum(space):
     coeffs = linalg.charpoly(space.x_matrix())
     mults = {}
     for root in _allowed_eigenvalues(space.n, space.p):
-        while len(coeffs) > 1 and _poly_eval(coeffs, root) == 0:
-            coeffs = _deflate(coeffs, root)
+        while len(coeffs) > 1:
+            quotient, remainder = linalg.poly_divmod(coeffs, [1, -root])
+            if remainder[0]:
+                break
+            coeffs = quotient
             mults[root] = mults.get(root, 0) + 1
     if len(coeffs) != 1 or coeffs[0] != 1:
         return None
@@ -244,17 +247,3 @@ def x_spectrum_check(space):
                           f"multiplicity {geometric} (size - rank) but "
                           f"algebraic multiplicity {algebraic}")
     return True
-
-
-def _poly_eval(coeffs, x):
-    out = Fraction(0)
-    for c in coeffs:
-        out = out * x + c
-    return out
-
-
-def _deflate(coeffs, root):
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out

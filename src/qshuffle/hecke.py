@@ -11,10 +11,15 @@ At a rational point q0 every module of H_n(q0) used here (word modules,
 the regular representation, flags) is a HeckeModule: sparse integer rows
 of the generators, each with one denominator, from which every action and
 matrix is built over the integers; Fractions appear only at its boundary.
+
+Every build shared across one verify run (the shuffle elements, the
+regular modules, and in other modules the word and Specht modules and the
+kernel bases) is a memo function; clear_module_cache forgets them all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -157,20 +162,6 @@ class HeckeElement:
                 sorted(self.terms.items(), key=lambda kv: kv[0].lehmer_rank())]
         return " + ".join(bits)
 
-    def star(self):
-        """Anti-involution T_w -> T_{w^-1}."""
-        res = HeckeElement(self.n)
-        res.terms = {w.inverse(): c for w, c in self.terms.items()}
-        return res
-
-    def tau(self):
-        """Algebra automorphism induced by s_i -> s_{n-i}."""
-        n = self.n
-        flip = Permutation([n + 1 - k for k in range(1, n + 1)])  # w_0
-        res = HeckeElement(n)
-        res.terms = {flip * w * flip: c for w, c in self.terms.items()}
-        return res
-
     def to_json(self):
         ws = sorted(self.terms, key=Permutation.lehmer_rank)
         return {"n": self.n,
@@ -178,12 +169,34 @@ class HeckeElement:
                            "coeff": self.terms[w].to_json()} for w in ws]}
 
 
-# -- shuffle operators ------------------------------------------------
+# -- shared builds ----------------------------------------------------
 
-# The shuffle elements b2r_embedded, r2b_embedded and r2r, keyed by (name,
-# k, n), until seminormal.clear_module_cache.  Callers share these
-# elements and must not change their terms.
-_OPERATORS = {}
+_TABLES = {}  # "module.function" -> the table of a memo function
+
+
+def memo(fn):
+    """fn built once per argument tuple, until clear_module_cache.  Callers
+    share each result and must not change it.  The wrapper is a plain
+    function (not functools.lru_cache), so perfbench's tracer, which wraps
+    plain functions only, still counts every call."""
+    table = _TABLES[f"{fn.__module__}.{fn.__qualname__}"] = {}
+
+    @functools.wraps(fn)
+    def shared(*args):
+        if args not in table:
+            table[args] = fn(*args)
+        return table[args]
+
+    return shared
+
+
+def clear_module_cache():
+    """Forget every shared build: each memo table is emptied."""
+    for table in _TABLES.values():
+        table.clear()
+
+
+# -- shuffle operators ------------------------------------------------
 
 
 def b2r(n):
@@ -196,13 +209,10 @@ def r2b(n):
     return r2b_embedded(n, n)
 
 
+@memo
 def r2r(n):
-    """R_n(q) = B*_n(q) B_n(q), the q-random-to-random element; built once
-    per n."""
-    key = ("r2r", n, n)
-    if key not in _OPERATORS:
-        _OPERATORS[key] = r2b(n) * b2r(n)
-    return _OPERATORS[key]
+    """R_n(q) = B*_n(q) B_n(q), the q-random-to-random element."""
+    return r2b(n) * b2r(n)
 
 
 def top_ops(n):
@@ -247,27 +257,22 @@ def x_alpha(alpha):
     return total
 
 
+@memo
 def b2r_embedded(k, n):
-    """B_k(q) inside H_n(q) (generators with index < k); built once per
-    (k, n)."""
-    key = ("b2r", k, n)
-    if key not in _OPERATORS:
-        total = HeckeElement.zero(n)
-        for i in range(1, k + 1):
-            total = total + HeckeElement.t_word(range(k - 1, i - 1, -1), n)
-        _OPERATORS[key] = total
-    return _OPERATORS[key]
+    """B_k(q) inside H_n(q) (generators with index < k)."""
+    total = HeckeElement.zero(n)
+    for i in range(1, k + 1):
+        total = total + HeckeElement.t_word(range(k - 1, i - 1, -1), n)
+    return total
 
 
+@memo
 def r2b_embedded(k, n):
-    """B*_k(q) inside H_n(q); built once per (k, n)."""
-    key = ("r2b", k, n)
-    if key not in _OPERATORS:
-        total = HeckeElement.zero(n)
-        for j in range(1, k + 1):
-            total = total + HeckeElement.t_word(range(j, k), n)
-        _OPERATORS[key] = total
-    return _OPERATORS[key]
+    """B*_k(q) inside H_n(q)."""
+    total = HeckeElement.zero(n)
+    for j in range(1, k + 1):
+        total = total + HeckeElement.t_word(range(j, k), n)
+    return total
 
 
 def c_op(j, n):
@@ -327,11 +332,6 @@ def _cleared_rows(rows):
                for row in rows]
 
 
-def _fraction_rows(d, rows):
-    """The sparse Fraction rows of (integer rows) / d."""
-    return [[(j, Fraction(c, d)) for j, c in row] for row in rows]
-
-
 class HeckeModule:
     """A right H_n(q0)-module at a rational q0, given by generator rows.
 
@@ -355,13 +355,6 @@ class HeckeModule:
         self._gens = {i: _cleared_rows(rows) for i, rows in gen_rows.items()}
         self._elements = {}  # HeckeElement -> its _int_terms at q0
 
-    @property
-    def gen_rows(self):
-        """The generator rows as sparse Fraction rows, derived from the
-        stored integer ones."""
-        return {i: _fraction_rows(d, rows)
-                for i, (d, rows) in self._gens.items()}
-
     def _times(self, num, rows):
         """The integer vector num times the sparse integer rows."""
         out = [0] * self.dim
@@ -379,9 +372,6 @@ class HeckeModule:
 
     def apply_gen(self, v, i):
         return _fractions(*self._word(*_ints(v), (i,)))
-
-    def apply_word(self, v, word):
-        return _fractions(*self._word(*_ints(v), word))
 
     def _terms_at(self, elem):
         """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
@@ -423,15 +413,6 @@ class HeckeModule:
         return _fractions(*self._apply_terms(*_ints(v),
                                              self._element_terms(elem)))
 
-    def matrix_of(self, apply_fn):
-        """Dense matrix whose row idx is apply_fn(e_idx)."""
-        out = []
-        for idx in range(self.dim):
-            v = [Fraction(0)] * self.dim
-            v[idx] = Fraction(1)
-            out.append(apply_fn(v))
-        return out
-
     def _int_rows(self, apply_int):
         """apply_int(e_r, 1) for each basis vector e_r in turn, for an
         apply_int taking and returning (integer list, den)."""
@@ -462,23 +443,20 @@ class HeckeModule:
 
 # -- matrices and identity checks -------------------------------------
 
-_REGULAR_MODULES = {}  # (n, q0) -> the regular HeckeModule
+@memo
+def _regular_module(n, q0):
+    """The regular representation at q0: the word module W^(1^n) on the
+    one-line words, which all_permutations lists in Lehmer-rank order."""
+    words = [w.one_line for w in all_permutations(n)]
+    return HeckeModule(n, q0, len(words), word_gen_rows(words, q0))
 
 
 def regular_rep_matrix(a, q0):
     """Matrix of right multiplication by a on the T_w basis at q = q0.
 
-    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.  The
-    regular representation is the word module W^(1^n) on the one-line
-    words, which all_permutations lists in Lehmer-rank order; it is built
-    once per (n, q0), until seminormal.clear_module_cache.
+    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.
     """
-    key = (a.n, Fraction(q0))
-    if key not in _REGULAR_MODULES:
-        words = [w.one_line for w in all_permutations(a.n)]
-        _REGULAR_MODULES[key] = HeckeModule(a.n, q0, len(words),
-                                            word_gen_rows(words, q0))
-    return _REGULAR_MODULES[key].hecke_matrix(a)
+    return _regular_module(a.n, q0).hecke_matrix(a)
 
 
 def recursion_check(n):

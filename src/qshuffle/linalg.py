@@ -1,5 +1,5 @@
 """Exact rational dense linear algebra: elimination, kernels, products,
-char polys.
+char polys, and the dense polynomial arithmetic on char polys.
 
 Matrices are lists of rows of Fractions, and every kernel takes and returns
 them (rank and charpoly also take ints, and int_mat_mul multiplies integer
@@ -48,8 +48,7 @@ def _cleared(matrix):
 
 def int_mat_mul(a, b):
     """Product of integer matrices: the nonzero entries of each row of a
-    are multiplied into an integer accumulator along the sparse rows of b.
-    The kernel under mat_mul, for callers that hold integer matrices."""
+    are multiplied into an integer accumulator along the sparse rows of b."""
     cols = len(b[0])
     b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
@@ -61,17 +60,6 @@ def int_mat_mul(a, b):
                     acc[j] += x * y
         out.append(acc)
     return out
-
-
-def mat_mul(a, b):
-    """Product of Fraction matrices, computed over Z: each operand is scaled
-    by the lcm of its denominators, and each entry x of the integer product
-    leaves as Fraction(x, d_a * d_b)."""
-    d_a, a = _cleared(a)
-    d_b, b = _cleared(b)
-    d, zero = d_a * d_b, Fraction(0)
-    return [[Fraction(x, d) if x else zero for x in row]
-            for row in int_mat_mul(a, b)]
 
 
 def vec_mat(v, m):
@@ -323,15 +311,34 @@ def charpoly(matrix):
             for x, g in zip(residues, gs)]
 
 
+# -- dense polynomials, coefficients highest degree first ----------------
+
+def poly_mul(a, b):
+    """The product a b."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of a by the monic b, by synthetic division:
+    a = quotient b + remainder, the remainder of min(len(a), len(b) - 1)
+    coefficients."""
+    a, cut = list(a), max(len(a) - len(b) + 1, 0)
+    for i in range(cut):
+        for j in range(1, len(b)):
+            a[i + j] -= a[i] * b[j]
+    return a[:cut], a[cut:]
+
+
 def poly_from_roots(root_mult_pairs):
-    """Monic polynomial prod (y - r)^m, coefficients highest degree first."""
+    """Monic polynomial prod (y - r)^m, each (y - r)^m expanded by the
+    binomial theorem."""
     coeffs = [Fraction(1)]
     for root, mult in root_mult_pairs:
-        root = Fraction(root)
-        for _ in range(mult):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i] += c
-                nxt[i + 1] -= c * root
-            coeffs = nxt
+        r = -Fraction(root)
+        coeffs = poly_mul(coeffs, [math.comb(mult, k) * r ** k
+                                   for k in range(mult + 1)])
     return coeffs

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hecke import r2r, regular_rep_matrix
+from .linalg import vec_mat
 from .qpoly import qint
 from .symmetric import all_permutations
 
@@ -61,8 +62,7 @@ def tv_mixing_curve(n, q0, steps):
     dist[0] = Fraction(1)  # identity has Lehmer rank 0
     curve = [tv_distance(dist, pi)]
     for _ in range(steps):
-        dist = [sum(dist[i] * mat[i][j] for i in range(len(dist)))
-                for j in range(len(dist))]
+        dist = vec_mat(dist, mat)
         curve.append(tv_distance(dist, pi))
     return curve
 

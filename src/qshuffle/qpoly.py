@@ -124,9 +124,6 @@ class LaurentPoly:
         """Max exponent; None for the zero polynomial."""
         return max(self.terms) if self.terms else None
 
-    def min_exponent(self):
-        return min(self.terms) if self.terms else None
-
     def coefficient(self, exp):
         return self.terms.get(exp, Fraction(0))
 
@@ -134,9 +131,6 @@ class LaurentPoly:
         """All coefficients nonnegative integers and no negative exponents."""
         return all(e >= 0 and c >= 0 and c.denominator == 1
                    for e, c in self.terms.items())
-
-    def __call__(self, q0):
-        return self.eval(q0)
 
     def eval(self, q0):
         """Exact value at a rational point q0."""
@@ -185,10 +179,6 @@ class LaurentPoly:
     def to_json(self):
         return {"terms": [[e, str(self.terms[e])] for e in sorted(self.terms)]}
 
-    @staticmethod
-    def from_json(data):
-        return LaurentPoly({int(e): Fraction(c) for e, c in data["terms"]})
-
 
 def _coerce(x):
     if isinstance(x, LaurentPoly):
@@ -222,11 +212,3 @@ def qint(m):
     if m == 0:
         return ZERO
     return _raw({e: Fraction(-1) for e in range(m, 0)})
-
-
-def qfactorial(m):
-    """[m]!_q = [1]_q [2]_q ... [m]_q."""
-    out = ONE
-    for k in range(2, m + 1):
-        out = out * qint(k)
-    return out

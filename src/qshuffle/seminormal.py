@@ -18,10 +18,9 @@ integer rows with one denominator, and each idempotent factor is one
 integer row update of a (numerators, den) vector followed by a gcd
 reduction, so Fractions appear only where vectors enter and leave.
 
-word_module and specht_module share one built module per (lambda, q0), and
-spectra.kernel_basis one kernel basis; clear_module_cache empties these and
-the caches of hecke (the symbolic shuffle elements, the regular modules).
-All arithmetic is exact at an admissible evaluation point q0.
+word_module and specht_module share one built module per (lambda, q0)
+through hecke.memo.  All arithmetic is exact at an admissible evaluation
+point q0.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import (_OPERATORS, _REGULAR_MODULES, HeckeModule,
-                    _fraction_rows, _fractions, _ints, jucys_murphy_scaled,
-                    word_gen_rows)
+from .hecke import (HeckeModule, _fractions, _ints, jucys_murphy_scaled,
+                    memo, word_gen_rows)
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -85,12 +83,10 @@ class WordModuleRep(HeckeModule):
             terms = self._int_terms(
                 [(word, scale * c) for word, c in
                  self._terms_at(jucys_murphy_scaled(self.n, m))])
-            rows = []
-            for r in range(self.dim):
-                e = [0] * self.dim
-                e[r] = 1
-                img, d_j = self._apply_terms(e, 1, terms)
-                rows.append([(j, x) for j, x in enumerate(img) if x])
+            d_j = terms[0]  # the den of every image of a unit vector
+            rows = [[(j, x) for j, x in enumerate(img) if x]
+                    for img, _ in self._int_rows(
+                        lambda num, den: self._apply_terms(num, den, terms))]
             g = math.gcd(d_j, *(x for row in rows for _, x in row))
             self._jm_int[m] = (d_j // g, [[(j, x // g) for j, x in row]
                                           for row in rows])
@@ -100,10 +96,6 @@ class WordModuleRep(HeckeModule):
         """The integer vector num times the integer rows of d_J J_m: the one
         step through which every J_m factor goes."""
         return self._times(num, self._jm(m)[1])
-
-    def jm_rows(self, m):
-        """Sparse rows of J_m(q0) = sum_{i<m} q0^{i-m} T_{(i,m)}."""
-        return _fraction_rows(*self._jm(m))
 
     def apply_jm(self, v, m):
         num, den = _ints(v)
@@ -181,11 +173,8 @@ class WordModuleRep(HeckeModule):
     def idempotent_int_matrix(self, t):
         """(D, P) with P an integer matrix and p_t = P / D: row r of P is
         e_r . p_t, brought to D > 0, the lcm of the row denominators."""
-        rows = []
-        for r in range(self.dim):
-            e = [0] * self.dim
-            e[r] = 1
-            rows.append(self._idempotent(e, 1, t))
+        rows = list(self._int_rows(
+            lambda num, den: self._idempotent(num, den, t)))
         d = math.lcm(*(den for _, den in rows))
         return d, [[x * (d // den) for x in num] for num, den in rows]
 
@@ -220,35 +209,16 @@ class SpechtRep:
         return rows
 
 
-_WORD_MODULES = {}
-_SPECHT_MODULES = {}
-_KERNEL_BASES = {}  # filled by spectra.kernel_basis, keyed like the modules
-
-
+@memo
 def word_module(lam, q0):
-    """The shared WordModuleRep of lam at q0, built on first use."""
-    key = (lam, Fraction(q0))
-    if key not in _WORD_MODULES:
-        _WORD_MODULES[key] = WordModuleRep(lam, q0)
-    return _WORD_MODULES[key]
+    """The shared WordModuleRep of lam at q0."""
+    return WordModuleRep(lam, q0)
 
 
+@memo
 def specht_module(lam, q0):
-    """The shared SpechtRep of lam at q0, built on first use."""
-    key = (lam, Fraction(q0))
-    if key not in _SPECHT_MODULES:
-        _SPECHT_MODULES[key] = SpechtRep(lam, q0)
-    return _SPECHT_MODULES[key]
-
-
-def clear_module_cache():
-    """Forget every shared word, Specht and regular module, kernel basis
-    and symbolic shuffle element."""
-    _WORD_MODULES.clear()
-    _SPECHT_MODULES.clear()
-    _KERNEL_BASES.clear()
-    _REGULAR_MODULES.clear()
-    _OPERATORS.clear()
+    """The shared SpechtRep of lam at q0."""
+    return SpechtRep(lam, q0)
 
 
 def dipper_james_action(t, i, q0):

@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import b2r_embedded, r2r, regular_rep_matrix
+from .hecke import b2r_embedded, memo, r2r, regular_rep_matrix
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
-from .seminormal import _KERNEL_BASES, phi_apply, specht_module, word_module
+from .seminormal import phi_apply, specht_module, word_module
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, f_lambda,
                        horizontal_strips, partitions_of, q_content,
                        superstandard)
@@ -111,6 +111,17 @@ def b_charpoly_factored(n):
     return out
 
 
+def spectrum_at(factored, q0):
+    """{value at q0: summed exponent} of (eigenvalue, exponent) pairs, in
+    order of first appearance: the roots of prod (y - e(q0))^m.  Distinct
+    eigenvalues can meet at q0 (at q0 = 1, [k]_q is k)."""
+    mults = {}
+    for e, m in factored:
+        value = e.eval(q0)
+        mults[value] = mults.get(value, 0) + m
+    return mults
+
+
 def bruteforce_charpoly(op, q0):
     """Char poly of the regular-representation matrix of op at q0.
 
@@ -120,16 +131,13 @@ def bruteforce_charpoly(op, q0):
     return linalg.charpoly(regular_rep_matrix(op, q0))
 
 
+@memo
 def kernel_basis(lam, q0):
-    """kappa_lambda: deterministic basis of ker(R_|lam| on S^lambda).
+    """(S^lambda, kappa_lambda): the shared Specht module and a
+    deterministic basis of ker(R_|lam| on S^lambda).
 
     Vectors are returned in W^lambda coordinates; the count is d^lambda.
-    Each (lambda, q0) is computed once, next to the shared modules, until
-    seminormal.clear_module_cache.
     """
-    key = (lam, Fraction(q0))
-    if key in _KERNEL_BASES:
-        return _KERNEL_BASES[key]
     rep = specht_module(lam, q0)
     if lam.size == 0:
         vectors = [rep.units[0][:]]
@@ -143,7 +151,6 @@ def kernel_basis(lam, q0):
                     for jdx in range(len(v)):
                         v[jdx] += c * unit[jdx]
             vectors.append(v)
-    _KERNEL_BASES[key] = rep, vectors
     return rep, vectors
 
 
@@ -282,12 +289,7 @@ def diagonalizability_defect(n, q0):
     size = len(mat)
     d = math.lcm(*(x.denominator for row in mat for x in row))
     dm = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
-    mults = {}
-    for value, mult in ((row.eigenvalue.eval(q0), row.multiplicity)
-                        for row in spectrum_table(n)):
-        if mult:
-            mults[value] = mults.get(value, 0) + mult
-    for value, mult in mults.items():
+    for value, mult in spectrum_at(r2r_charpoly_factored(n), q0).items():
         a, b = value.numerator, value.denominator
         shifted = [[b * x - (a * d if i == j else 0)
                     for j, x in enumerate(row)] for i, row in enumerate(dm)]

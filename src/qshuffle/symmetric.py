@@ -109,16 +109,6 @@ class Permutation:
             rank += smaller * math.factorial(n - 1 - i)
         return rank
 
-    @staticmethod
-    def from_lehmer_rank(rank, n):
-        avail = list(range(1, n + 1))
-        ol = []
-        for i in range(n):
-            f = math.factorial(n - 1 - i)
-            idx, rank = divmod(rank, f)
-            ol.append(avail.pop(idx))
-        return Permutation(ol)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.one_line == other.one_line
 
@@ -127,14 +117,6 @@ class Permutation:
 
     def __repr__(self):
         return "[" + ",".join(map(str, self.one_line)) + "]"
-
-
-def from_word(word, n):
-    """Product s_{i1} s_{i2} ... applied by right multiplication."""
-    w = Permutation.identity(n)
-    for i in word:
-        w = w.apply_gen_right(i)
-    return w
 
 
 def all_permutations(n):

@@ -228,14 +228,9 @@ class StandardTableau:
         m = next(i for i in range(1, self.n + 1) if i not in des)
         return m % 2 == 0
 
-    def restrict(self, k):
-        """Entries 1..k of a straight tableau."""
-        sub = {cell: v for cell, v in self.entries.items() if v <= k}
-        shape = _shape_of_cells(sub)
-        return StandardTableau(SkewShape(shape), sub)
-
     def shape_up_to(self, k):
-        """shape(t|_k) for a straight tableau."""
+        """The shape of the cells holding entries 1..k: shape(t|_k) for a
+        straight tableau."""
         return _shape_of_cells({c: v for c, v in self.entries.items() if v <= k})
 
     def apply_gen_by_value(self, i):
@@ -254,11 +249,7 @@ class StandardTableau:
             raise ShapeMismatch("different shapes")
         lo = self.shape.inner.size
         for k in range(lo + 1, self.n + 1):
-            mine = _shape_of_cells(
-                {c: v for c, v in self.entries.items() if v <= k})
-            theirs = _shape_of_cells(
-                {c: v for c, v in other.entries.items() if v <= k})
-            if not theirs.dominates(mine):
+            if not other.shape_up_to(k).dominates(self.shape_up_to(k)):
                 return False
         return True
 

@@ -13,14 +13,14 @@ import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (CheckFailed, HeckeElement, HeckeModule, _ints,
-                    annihilator_check, b2r, b2r_embedded, c_op,
+from .hecke import (CheckFailed, HeckeElement, _ints, annihilator_check, b2r,
+                    b2r_embedded, c_op, clear_module_cache,
                     intermediate_recursion_check, jucys_murphy_scaled,
                     m_alpha, r2b, r2b_embedded, r2r, recursion_check,
-                    regular_rep_matrix, top_ops, x_alpha)
+                    regular_rep_matrix, x_alpha)
 from .qpoly import Q, qint
-from .seminormal import (clear_module_cache, dipper_james_action, phi_apply,
-                         specht_module, word_module)
+from .seminormal import (dipper_james_action, phi_apply, specht_module,
+                         word_module)
 from .symmetric import Composition, derangement_count
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of, superstandard)
@@ -121,32 +121,28 @@ def check_jm_commute(n):
 
 
 def check_word_module_relations(n, q0):
-    """Generator matrices on every W^lambda satisfy the Hecke relations.  The
-    matrices are loaded back into the integer engine as sparse generator
-    rows, and each side of a relation is the engine's matrix of a word (row
-    r of T_i T_j is e_r . T_i . T_j) or, for (q - 1) T_i + q, of an
-    element.  A failure raises CheckFailed naming lambda, the relation, the
-    generator indices, q0 and the first differing (row, col)."""
+    """The generator rows of every W^lambda satisfy the Hecke relations.
+    Each side of a relation is the module's matrix of a word (row r of
+    T_i T_j is e_r . T_i . T_j) or, for (q - 1) T_i + q, of an element.  A
+    failure raises CheckFailed naming lambda, the relation, the generator
+    indices, q0 and the first differing (row, col)."""
     one = HeckeElement.one(n)
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
         where = f"on W^{lam} at q0 = {wm.q0}"
-        gens = HeckeModule(n, wm.q0, wm.dim, {
-            i: [[(j, x) for j, x in enumerate(row) if x]
-                for row in wm.gen_matrix(i)] for i in range(1, n)})
         for i in range(1, n):
             quad = HeckeElement.t_word([i], n).scale(Q - 1) + one.scale(Q)
-            _require_equal(gens.word_matrix((i, i)), gens.hecke_matrix(quad),
+            _require_equal(wm.word_matrix((i, i)), wm.hecke_matrix(quad),
                            f"quadratic relation for T_{i} fails {where}")
             for j in range(i + 1, n):
                 if j > i + 1:
-                    _require_equal(gens.word_matrix((i, j)),
-                                   gens.word_matrix((j, i)),
+                    _require_equal(wm.word_matrix((i, j)),
+                                   wm.word_matrix((j, i)),
                                    f"commutation relation for T_{i}, T_{j} "
                                    f"fails {where}")
                 else:
-                    _require_equal(gens.word_matrix((i, j, i)),
-                                   gens.word_matrix((j, i, j)),
+                    _require_equal(wm.word_matrix((i, j, i)),
+                                   wm.word_matrix((j, i, j)),
                                    f"braid relation for T_{i}, T_{j} fails "
                                    f"{where}")
     return True
@@ -407,14 +403,14 @@ def check_strip_vanishing(n, q0):
 
 def check_r2r_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
-        [(e.eval(q0), m) for e, m in spectra.r2r_charpoly_factored(n)])
+        spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0).items())
     return _charpoly_agrees("r2r", q0, route,
                             _route_factors(r2r(n), n, q0, route), expected)
 
 
 def check_b_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
-        [(e.eval(q0), m) for e, m in spectra.b_charpoly_factored(n)])
+        spectra.spectrum_at(spectra.b_charpoly_factored(n), q0).items())
     return all(_charpoly_agrees(name, q0, route,
                                 _route_factors(op, n, q0, route), expected)
                for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))))
@@ -459,8 +455,7 @@ def check_mallows_stationarity(n, q0):
                 f"not stochastic: its entries sum to {sum(row)}, least "
                 f"entry {min(row)}")
     pi = markov.mallows(n, q0)
-    size = len(pi)
-    moved = [sum(pi[i] * mat[i][j] for i in range(size)) for j in range(size)]
+    moved = linalg.vec_mat(pi, mat)
     j = _first_index(moved, pi)
     if j is not None:
         raise CheckFailed(
@@ -475,7 +470,8 @@ def check_walk_spectrum(n, q0):
     mat = markov.transition_matrix(n, q0)
     norm = qint(n).eval(q0) ** 2
     expected = linalg.poly_from_roots(
-        [(e.eval(q0) / norm, m) for e, m in spectra.r2r_charpoly_factored(n)])
+        (value / norm, m) for value, m in spectra.spectrum_at(
+            spectra.r2r_charpoly_factored(n), q0).items())
     return _charpoly_agrees("the Mallows walk", q0, "transition matrix",
                             [(None, linalg.charpoly(mat))], expected)
 
@@ -485,10 +481,7 @@ def check_second_eigenvalue(n, q0):
     n-1; a failure raises CheckFailed naming q0 and the second-largest
     eigenvalue and its multiplicity against [n-2]_q [n+1]_q and n - 1."""
     q0 = Fraction(q0)
-    mults = {}
-    for e, m in spectra.r2r_charpoly_factored(n):
-        value = e.eval(q0)
-        mults[value] = mults.get(value, 0) + m
+    mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
     ordered = sorted(mults, reverse=True)
     second = ordered[1]
     expect = (qint(n - 2) * qint(n + 1)).eval(q0)
@@ -541,33 +534,17 @@ def _charpoly_agrees(op, q0, route, factors, expected):
     product, prefixes = [Fraction(1)], []
     for lam, factor in factors:
         for _ in range(1 if lam is None else f_lambda(lam)):
-            product = _poly_mul(product, factor)
+            product = linalg.poly_mul(product, factor)
         prefixes.append((lam, product))
     if product == expected:
         return True
     culprit = next((f" on S^{lam}" for lam, prefix in prefixes
-                    if lam is not None and any(_poly_rem(expected, prefix))),
+                    if lam is not None
+                    and any(linalg.poly_divmod(expected, prefix)[1])),
                    "")
     raise CheckFailed(f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, "
                       f"route {route}, differs from the formula at "
                       f"coefficient index {_first_index(product, expected)}")
-
-
-def _poly_rem(a, b):
-    """Remainder of a by the monic b, coefficients highest degree first."""
-    a, cut = list(a), max(len(a) - len(b) + 1, 0)
-    for i in range(cut):
-        for j in range(1, len(b)):
-            a[i + j] -= a[i] * b[j]
-    return a[cut:]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 # -- suite runner ------------------------------------------------------

@@ -1,10 +1,9 @@
 """The integer module engine against the Fraction engine it replaced.
 
 FractionEngine keeps the Fraction-only bodies of HeckeModule._apply_rows,
-HeckeModule._apply_terms, WordModuleRep.jm_rows and
-WordModuleRep.apply_idempotent as they were before the engine moved onto
-Python ints; every public result must equal theirs, entry for entry, and
-every entry must be a Fraction.
+HeckeModule._apply_terms, the J_m rows and WordModuleRep.apply_idempotent
+as they were before the engine moved onto Python ints; every public result
+must equal theirs, entry for entry, and every entry must be a Fraction.
 """
 
 import math
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshuffle import linalg
 from qshuffle.flags import FlagSpace
 from qshuffle.hecke import (HeckeElement, b2r, jucys_murphy_scaled, r2b, r2r,
                             top_ops, word_gen_rows)
@@ -128,12 +128,14 @@ def test_word_module_actions_match_fraction_engine(case, word):
     word = [i for i in word if i < n]
     for i in range(1, n):
         assert same(wm.apply_gen(v, i), oracle.apply_gen(v, i))
-    assert same(wm.apply_word(v, word), oracle.apply_word(v, word))
+    assert same(linalg.vec_mat(v, wm.word_matrix(word)),
+                oracle.apply_word(v, word))
     for elem in (r2r(n), b2r(n), r2b(n), jucys_murphy_scaled(n, n),
                  HeckeElement.zero(n)):
         assert same(wm.apply_hecke(v, elem), oracle.apply_hecke(v, elem))
     for m in range(1, n + 1):
-        assert wm.jm_rows(m) == oracle.jm_rows(m)
+        assert oracle.matrix_of(lambda e: wm.apply_jm(e, m)) \
+            == oracle.matrix_of(lambda e: oracle.apply_jm(e, m))
         assert same(wm.apply_jm(v, m), oracle.apply_jm(v, m))
     total = [Fraction(0)] * wm.dim
     for nu in partitions_of(n):
@@ -172,7 +174,8 @@ def test_flag_actions_match_fraction_engine(data):
     word = data.draw(st.lists(st.integers(1, 2), max_size=5))
     for i in (1, 2):
         assert same(space.apply_gen(v, i), oracle.apply_gen(v, i))
-    assert same(space.apply_word(v, word), oracle.apply_word(v, word))
+    assert same(linalg.vec_mat(v, space.word_matrix(word)),
+                oracle.apply_word(v, word))
     for elem in (*top_ops(3), r2r(3)):
         assert same(space.apply_hecke(v, elem), oracle.apply_hecke(v, elem))
 

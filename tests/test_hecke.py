@@ -9,12 +9,30 @@ from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
                             jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
                             r2r, recursion_check, regular_rep_matrix, top_ops,
                             transposition_word, x_alpha)
-from qshuffle.qpoly import ONE, Q, QM1, qfactorial, qint
-from qshuffle.symmetric import Composition, Permutation, all_permutations, \
-    from_word
+from qshuffle.qpoly import ONE, Q, QM1, qint
+from qshuffle.symmetric import Composition, Permutation, all_permutations
 from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
                              check_hecke_relations_symbolic, check_jm_commute,
                              check_push_through_lemma, run_suite)
+
+
+def from_word(word, n):
+    """The permutation s_{i1} s_{i2} ... of a word."""
+    w = Permutation.identity(n)
+    for i in word:
+        w = w.apply_gen_right(i)
+    return w
+
+
+def star(a):
+    """The anti-involution T_w -> T_{w^-1}."""
+    return HeckeElement(a.n, {w.inverse(): c for w, c in a.terms.items()})
+
+
+def tau(a):
+    """The automorphism induced by s_i -> s_{n-i}: conjugation by w_0."""
+    flip = Permutation(range(a.n, 0, -1))
+    return HeckeElement(a.n, {flip * w * flip: c for w, c in a.terms.items()})
 
 
 def test_hecke_relations_symbolic():
@@ -45,32 +63,26 @@ def test_shuffle_elements_have_unit_coefficients():
         assert len(b.terms) == n and len(bs.terms) == n
         assert all(c == ONE for c in b.terms.values())
         assert all(c == ONE for c in bs.terms.values())
-        assert bs == b.star()
+        assert bs == star(b)
 
 
 def test_top_ops_relate_to_b_ops_by_tau():
     for n in range(2, 5):
         t_op, t_star = top_ops(n)
-        assert t_op.tau() == b2r(n)
-        assert t_star.tau() == r2b(n)
-        assert t_star == t_op.star()
-
-
-def test_star_and_tau_are_involutions():
-    a = r2r(3) + HeckeElement.t_word([1, 2], 3).scale(qint(2))
-    assert a.star().star() == a
-    assert a.tau().tau() == a
+        assert tau(t_op) == b2r(n)
+        assert tau(t_star) == r2b(n)
+        assert t_star == star(t_op)
 
 
 def test_star_is_antiautomorphism():
     x = b2r(3)
     y = HeckeElement.t_word([2, 1], 3)
-    assert (x * y).star() == y.star() * x.star()
+    assert star(x * y) == star(y) * star(x)
 
 
 def test_r2r_is_self_star():
     for n in range(1, 5):
-        assert r2r(n).star() == r2r(n)
+        assert star(r2r(n)) == r2r(n)
 
 
 def test_transposition_word():
@@ -135,9 +147,9 @@ def test_regular_rep_is_multiplicative():
     n, q0 = 3, Fraction(2)
     a = b2r(n)
     b = r2b(n)
-    from qshuffle import linalg
     ma, mb = regular_rep_matrix(a, q0), regular_rep_matrix(b, q0)
-    assert regular_rep_matrix(b * a, q0) == linalg.mat_mul(mb, ma)
+    assert regular_rep_matrix(b * a, q0) == [linalg.vec_mat(row, ma)
+                                             for row in mb]
 
 
 def test_regular_rep_row_sums():
@@ -182,7 +194,10 @@ def test_full_sum_of_lengths():
     n = 4
     total = sum((HeckeElement.t_perm(w).scale(Q ** w.length())
                  for w in all_permutations(n)), HeckeElement.zero(n))
-    assert sum(total.terms.values(), -qfactorial(n)).is_zero()
+    qfactorial = ONE
+    for k in range(2, n + 1):
+        qfactorial = qfactorial * qint(k)
+    assert sum(total.terms.values(), -qfactorial).is_zero()
 
 
 def test_bstar_kernel_lift_failure_names_j_and_kernel_vector(monkeypatch):

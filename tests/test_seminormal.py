@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import hecke, linalg, verify
-from qshuffle.hecke import HeckeElement, HeckeModule, r2r, word_gen_rows
+from qshuffle.hecke import HeckeElement, clear_module_cache, r2r
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
@@ -13,7 +13,6 @@ from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
                                  specht_module, word_module)
 from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
                                horizontal_strips, partitions_of, superstandard)
-from qshuffle.symmetric import all_permutations
 from qshuffle.verify import (CheckFailed, check_dominance_vanishing,
                              check_idempotents, check_phi_morphism,
                              check_projection_compat, check_seminormal_action,
@@ -103,6 +102,24 @@ def identity(size):
     return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
 
 
+def mat_mul(a, b):
+    return [linalg.vec_mat(row, b) for row in a]
+
+
+def matrix_of(wm, apply_fn):
+    """The dense matrix whose row r is apply_fn(e_r) on the word module."""
+    return [apply_fn(wm.basis_vector(word)) for word in wm.basis]
+
+
+def jm_matrix(wm, m):
+    return matrix_of(wm, lambda v: wm.apply_jm(v, m))
+
+
+def memo_table(fn):
+    """The table of builds of a hecke.memo function."""
+    return hecke._TABLES[f"{fn.__module__}.{fn.__qualname__}"]
+
+
 def idempotent_matrix(wm, t):
     """The Fraction matrix of p_t on wm, from its integer form."""
     d, mat = wm.idempotent_int_matrix(t)
@@ -118,8 +135,8 @@ def check_tower_rule(n, q0):
             total = identity(wm.dim)
             for k in range(1, n + 1):
                 shape = t.shape_up_to(k)
-                level = wm.matrix_of(lambda v: wm.apply_p_lambda(v, shape))
-                total = linalg.mat_mul(total, level)
+                level = matrix_of(wm, lambda v: wm.apply_p_lambda(v, shape))
+                total = mat_mul(total, level)
             if total != direct:
                 return False
     return True
@@ -143,7 +160,7 @@ def test_gen_matrices_satisfy_quadratic_relation():
     eye = identity(rep.dim)
     for i in range(1, 4):
         g = rep.hecke_action_matrix(HeckeElement.t_word([i], 4))
-        assert linalg.mat_mul(g, g) == [
+        assert mat_mul(g, g) == [
             [(q0 - 1) * x + q0 * e for x, e in zip(row, eye_row)]
             for row, eye_row in zip(g, eye)]
 
@@ -233,7 +250,7 @@ def test_restricted_product_matches_full(n, q0):
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
         for t in tableaux:
-            full = wm.matrix_of(lambda v: full_product_idempotent(wm, v, t))
+            full = matrix_of(wm, lambda v: full_product_idempotent(wm, v, t))
             assert idempotent_matrix(wm, t) == full, (lam, t)
 
 
@@ -293,71 +310,65 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     q_values = [Fraction(2), Fraction(7, 5)]
     assert all(r.passed for r in run_suite(3, q_values))
     first = dict(builds)
-    assert first == {"word": len(seminormal._WORD_MODULES),
-                     "specht": len(seminormal._SPECHT_MODULES)}
+    assert first == {"word": len(memo_table(word_module)),
+                     "specht": len(memo_table(specht_module))}
     builds.update(word=0, specht=0)
     assert all(r.passed for r in run_suite(3, q_values))
     assert builds == first
     # no check changed a shared module: each equals a fresh build
-    for (lam, q0), wm in seminormal._WORD_MODULES.items():
+    for (lam, q0), wm in memo_table(word_module).items():
         fresh = WordModuleRep(lam, q0)
-        assert wm.basis == fresh.basis and wm.gen_rows == fresh.gen_rows
+        assert wm.basis == fresh.basis
+        for i in range(1, lam.size):
+            assert wm.gen_matrix(i) == fresh.gen_matrix(i)
         for m in range(1, lam.size + 1):
-            assert wm.jm_rows(m) == fresh.jm_rows(m)
-    for (lam, q0), rep in seminormal._SPECHT_MODULES.items():
+            assert jm_matrix(wm, m) == jm_matrix(fresh, m)
+    for (lam, q0), rep in memo_table(specht_module).items():
         fresh = SpechtRep(lam, q0)
         assert rep.word_module is word_module(lam, q0)
         assert rep.tableaux == fresh.tableaux and rep.units == fresh.units
-    # every cached kernel basis equals a fresh computation, and
-    # clear_module_cache forgets them with the modules
-    cached = dict(seminormal._KERNEL_BASES)
+    # every cached kernel basis equals a fresh computation
+    cached = dict(memo_table(kernel_basis))
     assert cached
-    seminormal.clear_module_cache()
-    assert not seminormal._KERNEL_BASES
+    clear_module_cache()
     for (lam, q0), (rep, vectors) in cached.items():
         fresh_rep, fresh = kernel_basis(lam, q0)
         assert fresh_rep.units == rep.units and fresh == vectors, (lam, q0)
-    # after a run at n = 4 and four q, every cached symbolic operator and
-    # every cached evaluation of an element on a module equals a fresh
-    # build, and clear_module_cache empties every cache
+    # after a run at n = 4 and four q every registered table holds builds,
+    # and clear_module_cache empties every one
     assert all(r.passed for r in run_suite(4, Q_VALUES))
-    operators = dict(hecke._OPERATORS)
-    assert {name for name, _, _ in operators} == {"b2r", "r2b", "r2r"}
-    modules = list(seminormal._WORD_MODULES.values())
-    modules += list(hecke._REGULAR_MODULES.values())
-    evaluations = [(module, elem, terms) for module in modules
-                   for elem, terms in module._elements.items()]
-    assert hecke._REGULAR_MODULES and any(
-        module._elements for module in seminormal._WORD_MODULES.values())
-    seminormal.clear_module_cache()
-    for cache in (seminormal._WORD_MODULES, seminormal._SPECHT_MODULES,
-                  seminormal._KERNEL_BASES, hecke._OPERATORS,
-                  hecke._REGULAR_MODULES):
-        assert not cache
+    saved = {name: dict(table) for name, table in hecke._TABLES.items()}
+    assert set(saved) == {
+        "qshuffle.hecke.r2r", "qshuffle.hecke.b2r_embedded",
+        "qshuffle.hecke.r2b_embedded", "qshuffle.hecke._regular_module",
+        "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
+        "qshuffle.spectra.kernel_basis"}
+    assert [name for name, table in saved.items() if not table] == []
+    clear_module_cache()
+    assert [name for name, table in hecke._TABLES.items() if table] == []
     # each cached symbolic operator has the terms of a fresh build, so no
     # caller changed a shared element
-    build = {"b2r": hecke.b2r_embedded, "r2b": hecke.r2b_embedded,
-             "r2r": lambda k, n: hecke.r2r(n)}
-    for (name, k, n), elem in operators.items():
-        seminormal.clear_module_cache()
-        fresh = build[name](k, n)
-        assert fresh is not elem and fresh.terms == elem.terms, (name, k, n)
-    # each cached evaluation equals one on a freshly built module
+    for fn in (hecke.b2r_embedded, hecke.r2b_embedded, hecke.r2r):
+        for args, elem in saved[f"qshuffle.hecke.{fn.__name__}"].items():
+            fresh = fn.__wrapped__(*args)
+            assert fresh is not elem and fresh.terms == elem.terms, args
+    # each cached evaluation of an element on a word or regular module
+    # equals one on a freshly built module
+    evaluations = [(build, args, module, elem, terms)
+                   for build in (word_module, hecke._regular_module)
+                   for args, module in saved[
+                       f"{build.__module__}.{build.__name__}"].items()
+                   for elem, terms in module._elements.items()]
+    assert {build for build, *_ in evaluations} == {word_module,
+                                                    hecke._regular_module}
     fresh_modules = {}
-    for module, elem, terms in evaluations:
+    for build, args, module, elem, terms in evaluations:
         assert module._elements[elem] is terms  # the key still hashes alike
-        key = (getattr(module, "lam", None), module.n, module.q0)
-        if key not in fresh_modules:
-            if key[0] is None:
-                words = [w.one_line for w in all_permutations(module.n)]
-                fresh_modules[key] = HeckeModule(
-                    module.n, module.q0, len(words),
-                    word_gen_rows(words, module.q0))
-            else:
-                fresh_modules[key] = WordModuleRep(key[0], module.q0)
-        fresh = fresh_modules[key]
-        assert terms == fresh._int_terms(fresh._terms_at(elem)), key
-    seminormal.clear_module_cache()
+        if (build, args) not in fresh_modules:
+            fresh_modules[build, args] = build.__wrapped__(*args)
+        fresh = fresh_modules[build, args]
+        assert terms == fresh._int_terms(fresh._terms_at(elem)), args
+    clear_module_cache()
 
 
 def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
@@ -405,12 +416,12 @@ def fraction_check_idempotents(n, q0):
         for a, ma in zip(rep.tableaux, mats):
             for b, mb in zip(rep.tableaux, mats):
                 prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
-                require_equal(linalg.mat_mul(ma, mb), ma if a == b else zero,
+                require_equal(mat_mul(ma, mb), ma if a == b else zero,
                               f"{prop} fails for s = {a}, t = {b} {where}")
         total = mats[0]
         for m in mats[1:]:
             total = mat_add(total, m)
-        require_equal(linalg.mat_mul(total, total), total,
+        require_equal(mat_mul(total, total), total,
                       f"p_lambda p_lambda = p_lambda fails {where}")
         trace = sum(total[i][i] for i in range(wm.dim))
         if trace != f_lambda(lam):
@@ -547,15 +558,15 @@ def test_projection_compat_failure_names_strip_and_q(monkeypatch):
 def test_word_module_relations_failure_names_relation(monkeypatch, gen,
                                                       relation):
     lam = Partition((2, 1))
-    original = WordModuleRep.gen_matrix
+    original = seminormal.word_gen_rows
 
-    def wrong(self, i):
-        mat = original(self, i)
-        if self.lam == lam and i == gen:
-            mat[0][0] += 1
-        return mat
+    def wrong(words, q0):  # T_gen + E_00 on W^lam
+        rows = original(words, q0)
+        if list(words) == content_words(lam):
+            rows[gen][0].append((0, Fraction(1)))
+        return rows
 
-    monkeypatch.setattr(WordModuleRep, "gen_matrix", wrong)
+    monkeypatch.setattr(seminormal, "word_gen_rows", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
     detail = report["word-module-relations[q=7/5]"].detail
     assert detail.startswith(f"CheckFailed: {relation} fails on W^{lam} at "

@@ -4,7 +4,7 @@ import pytest
 
 from qshuffle import linalg, spectra
 from qshuffle.hecke import b2r, r2b, r2r
-from qshuffle.qpoly import LaurentPoly, qint
+from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
 from qshuffle.symmetric import derangement_count
@@ -137,17 +137,27 @@ def test_b_and_bstar_share_charpoly():
             == spectra.bruteforce_charpoly(r2b(n), q0)
 
 
+def test_spectrum_at_sums_values_that_meet_in_first_appearance_order():
+    factored = [(Q, 2), (qint(2), 1), (ONE, 3)]
+    assert list(spectra.spectrum_at(factored, 1).items()) == [(1, 5), (2, 1)]
+    assert list(spectra.spectrum_at(factored, 2).items()) == [
+        (2, 2), (3, 1), (1, 3)]
+    # at q0 = 1 distinct eigenvalues of R_4(q) meet (Dieker-Saliola)
+    factored = spectra.r2r_charpoly_factored(4)
+    at_one = spectra.spectrum_at(factored, 1)
+    assert len(at_one) < len(factored) and sum(at_one.values()) == 24
+    assert list(at_one) == list(dict.fromkeys(e.eval(1) for e, _ in factored))
+
+
 def specht_spectrum(lam, q0):
     """{eigenvalue: multiplicity} of R_n(q0) on S^lambda from the strip
     formula, once the char poly of its matrix in the unit basis equals
     prod (y - E_{lambda/mu}(q0))^(d^mu)."""
-    expected = [(eigenvalue_formula(lam, mu).eval(q0), d_mu(mu))
-                for mu in horizontal_strips(lam) if d_mu(mu)]
+    out = spectra.spectrum_at([(eigenvalue_formula(lam, mu), d_mu(mu))
+                               for mu in horizontal_strips(lam) if d_mu(mu)],
+                              q0)
     mat = specht_module(lam, q0).hecke_action_matrix(r2r(lam.size))
-    assert linalg.charpoly(mat) == linalg.poly_from_roots(expected)
-    out = {}
-    for value, mult in expected:
-        out[value] = out.get(value, 0) + mult
+    assert linalg.charpoly(mat) == linalg.poly_from_roots(out.items())
     return out
 
 

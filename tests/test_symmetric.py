@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qshuffle.symmetric import (Composition, Permutation, all_permutations,
-                                derangement_count, from_word, min_coset_reps,
+                                derangement_count, min_coset_reps,
                                 young_subgroup)
 
 
@@ -44,7 +44,10 @@ def test_length_is_inversion_count():
 def test_reduced_word_rebuilds_permutation(w):
     word = w.reduced_word()
     assert len(word) == w.length()
-    assert from_word(word, w.n) == w
+    rebuilt = Permutation.identity(w.n)
+    for i in word:
+        rebuilt = rebuilt.apply_gen_right(i)
+    assert rebuilt == w
 
 
 def test_reduced_word_example():
@@ -53,7 +56,7 @@ def test_reduced_word_example():
 
 @given(perms)
 def test_lehmer_rank_roundtrip(w):
-    assert Permutation.from_lehmer_rank(w.lehmer_rank(), w.n) == w
+    assert all_permutations(w.n)[w.lehmer_rank()] == w
 
 
 def test_lehmer_order_is_enumeration_order():
