@@ -72,9 +72,9 @@ class FlagSpace(HeckeModule):
     H_n(p)-module.
 
     The subspace arithmetic is interned on the instance: each subspace's
-    vector set, each span of a subspace and one vector, and each list of
-    the distinct such spans inside a larger subspace is computed once per
-    space, on first use, and freed with it.
+    vector set, each span of a subspace and one vector, each list of the
+    distinct such spans inside a larger subspace, and the sparse rows of x
+    are computed once per space, on first use, and freed with it.
     """
 
     def __init__(self, n, p):
@@ -82,8 +82,10 @@ class FlagSpace(HeckeModule):
         self.n = n
         self.p = p
         self._vector_sets = {}  # basis -> set of the subspace's vectors
-        self._spans = {}        # (basis, v) -> span(basis + [v])
+        self._joins = {}        # (basis, v) -> span(basis + [v])
+        self._spans = {}        # (basis, residue of v) -> the same span
         self._outside = {}      # (base, lower, upper) -> _joins_outside
+        self._x_rows = None     # sparse rows {column: count} of x
         whole = tuple(tuple(1 if k == j else 0 for k in range(n))
                       for j in range(n))
         flags = [()]
@@ -111,11 +113,30 @@ class FlagSpace(HeckeModule):
         return vectors
 
     def _join(self, basis, v):
-        """span(basis + [v]): the canonical basis of the subspace + v."""
+        """span(basis + [v]): the canonical basis of the subspace + v.  On
+        the first call for (basis, v), v is reduced against the canonical
+        rows (each row's leading entry is 1, and its column is 0 in the
+        other rows) and the residue scaled to leading entry 1; each
+        distinct (basis, residue) is spanned once."""
         key = (basis, v)
-        out = self._spans.get(key)
+        out = self._joins.get(key)
         if out is None:
-            out = self._spans[key] = span(list(basis) + [v], self.p)
+            p = self.p
+            for row in basis:
+                c = v[row.index(1)]
+                if c:
+                    v = tuple((x - c * y) % p for x, y in zip(v, row))
+            lead = next((x for x in v if x), 0)
+            if not lead:
+                out = basis
+            else:
+                if lead != 1:
+                    inv = pow(lead, -1, p)
+                    v = tuple(x * inv % p for x in v)
+                out = self._spans.get((basis, v))
+                if out is None:
+                    out = self._spans[basis, v] = span(list(basis) + [v], p)
+            self._joins[key] = out
         return out
 
     def _joins_outside(self, base, lower, upper):
@@ -142,15 +163,26 @@ class FlagSpace(HeckeModule):
         return rows
 
     def x_matrix(self):
-        """Integer matrix of the line-insertion operator."""
-        mat = [[0] * self.size for _ in range(self.size)]
-        for idx, flag in enumerate(self.flags):
-            mat[idx][idx] += 1  # i = 1: the one line is F_1 itself
-            for i in range(2, self.n + 1):
-                for line in self._joins_outside((), flag[i - 2], flag[i - 1]):
-                    chain = (line,) + tuple(self._join(flag[j], line[0])
-                                            for j in range(i - 2))
-                    mat[idx][self.index[chain + flag[i - 1:]]] += 1
+        """Integer matrix of the line-insertion operator: a fresh dense copy
+        of its sparse rows, which are built once per space."""
+        if self._x_rows is None:
+            self._x_rows = []
+            for idx, flag in enumerate(self.flags):
+                row = {idx: 1}  # i = 1: the one line is F_1 itself
+                for i in range(2, self.n + 1):
+                    for line in self._joins_outside((), flag[i - 2],
+                                                    flag[i - 1]):
+                        chain = (line,) + tuple(self._join(flag[j], line[0])
+                                                for j in range(i - 2))
+                        j = self.index[chain + flag[i - 1:]]
+                        row[j] = row.get(j, 0) + 1
+                self._x_rows.append(row)
+        mat = []
+        for row in self._x_rows:
+            dense = [0] * self.size
+            for j, c in row.items():
+                dense[j] = c
+            mat.append(dense)
         return mat
 
     def _terms_at(self, elem):
@@ -212,16 +244,28 @@ def _allowed_eigenvalues(n, p):
 def x_spectrum(space):
     """Eigenvalue multiplicities of x, or None if the char poly does not
     split over the allowed values {[n-j]_p : j in [0,n], j != 1}."""
-    coeffs = linalg.charpoly(space.x_matrix())
+    return _root_multiplicities(linalg.charpoly(space.x_matrix()),
+                               _allowed_eigenvalues(space.n, space.p))
+
+
+def _root_multiplicities(coeffs, roots):
+    """{root: multiplicity} of the monic coeffs (highest degree first) over
+    the distinct integer roots, in their order, or None if coeffs is not
+    the product of (y - root) factors.  A product of such factors has
+    integer coefficients, so each root is stripped by synthetic division
+    over the integers."""
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    coeffs = [c.numerator for c in coeffs]
     mults = {}
-    for root in _allowed_eigenvalues(space.n, space.p):
+    for root in roots:
         while len(coeffs) > 1:
             quotient, remainder = linalg.poly_divmod(coeffs, [1, -root])
             if remainder[0]:
                 break
             coeffs = quotient
             mults[root] = mults.get(root, 0) + 1
-    if len(coeffs) != 1 or coeffs[0] != 1:
+    if coeffs != [1]:
         return None
     return mults
 

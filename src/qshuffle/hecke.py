@@ -13,8 +13,10 @@ of the generators, each with one denominator, from which every action and
 matrix is built over the integers; Fractions appear only at its boundary.
 
 Every build shared across one verify run (the shuffle elements, the
-regular modules, and in other modules the word and Specht modules and the
-kernel bases) is a memo function; clear_module_cache forgets them all.
+regular modules, and in other modules the word and Specht modules, the
+kernel bases, the eigenbases, the regular-route char polys and the walk's
+transition matrices) is a memo function; clear_module_cache forgets them
+all.
 """
 
 from __future__ import annotations
@@ -341,9 +343,11 @@ class HeckeModule:
     with one positive denominator d (the lcm of its row denominators: the
     denominator of q0 for word modules, 1 for flags), and a vector inside
     the engine is (integer list, den > 0), whose den a generator step
-    multiplies by d.  Fractions appear only at the public boundary: every
-    public method takes and returns dense lists of Fractions, converting
-    once on the way in and once on the way out.  The integer terms of each
+    multiplies by d.  Matrices are built row by row from the images of unit
+    vectors, which stay sparse maps through every generator step.  Fractions
+    appear only at the public boundary: every public method takes and
+    returns dense lists of Fractions, converting once on the way in and
+    once on the way out.  The integer terms of each
     HeckeElement it acts by are computed once, keyed by the element's
     equality, not its identity.
     """
@@ -413,18 +417,33 @@ class HeckeModule:
         return _fractions(*self._apply_terms(*_ints(v),
                                              self._element_terms(elem)))
 
-    def _int_rows(self, apply_int):
-        """apply_int(e_r, 1) for each basis vector e_r in turn, for an
-        apply_int taking and returning (integer list, den)."""
+    def _unit_rows(self, int_terms):
+        """(integer row, den) of e_r . a for each basis vector e_r in turn,
+        a the element of the integer terms (L, [(word, f)]).  Each unit
+        image is followed through the words as a sparse {column: integer}
+        map, so a row costs its nonzeros, not scans of dense vectors."""
+        lcm, terms = int_terms
         for r in range(self.dim):
-            e = [0] * self.dim
-            e[r] = 1
-            yield apply_int(e, 1)
+            total = {}
+            for word, f in terms:
+                img = {r: f}
+                for i in word:
+                    rows, out = self._gens[i][1], {}
+                    for k, x in img.items():
+                        for j, c in rows[k]:
+                            out[j] = out.get(j, 0) + x * c
+                    img = out
+                for j, x in img.items():
+                    total[j] = total.get(j, 0) + x
+            row = [0] * self.dim
+            for j, x in total.items():
+                row[j] = x
+            yield row, lcm
 
     def word_matrix(self, word):
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
-        return [_fractions(*row) for row in self._int_rows(
-            lambda num, den: self._word(num, den, word))]
+        return [_fractions(*row) for row in self._unit_rows(
+            self._int_terms([(tuple(word), Fraction(1))]))]
 
     def gen_matrix(self, i):
         return self.word_matrix((i,))
@@ -432,9 +451,7 @@ class HeckeModule:
     def _hecke_rows(self, elem):
         """(integer row, den) of e_r . elem for each basis vector e_r in
         turn: the rows of hecke_matrix(elem) before they become Fractions."""
-        terms = self._element_terms(elem)
-        return self._int_rows(
-            lambda num, den: self._apply_terms(num, den, terms))
+        return self._unit_rows(self._element_terms(elem))
 
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import r2r, regular_rep_matrix
+from .hecke import memo, r2r, regular_rep_matrix
 from .linalg import vec_mat
 from .qpoly import qint
 from .symmetric import all_permutations
@@ -21,8 +21,10 @@ class SubunitQ(ValueError):
     pass
 
 
+@memo
 def transition_matrix(n, q0):
-    """Stochastic matrix P[rank(w)][rank(u)] of one walk step (q0 >= 1)."""
+    """Stochastic matrix P[rank(w)][rank(u)] of one walk step (q0 >= 1),
+    shared: callers must not change it."""
     q0 = Fraction(q0)
     if q0 < 1:
         raise SubunitQ("the walk needs q0 >= 1")

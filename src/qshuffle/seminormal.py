@@ -85,8 +85,7 @@ class WordModuleRep(HeckeModule):
                  self._terms_at(jucys_murphy_scaled(self.n, m))])
             d_j = terms[0]  # the den of every image of a unit vector
             rows = [[(j, x) for j, x in enumerate(img) if x]
-                    for img, _ in self._int_rows(
-                        lambda num, den: self._apply_terms(num, den, terms))]
+                    for img, _ in self._unit_rows(terms)]
             g = math.gcd(d_j, *(x for row in rows for _, x in row))
             self._jm_int[m] = (d_j // g, [[(j, x // g) for j, x in row]
                                           for row in rows])
@@ -173,8 +172,11 @@ class WordModuleRep(HeckeModule):
     def idempotent_int_matrix(self, t):
         """(D, P) with P an integer matrix and p_t = P / D: row r of P is
         e_r . p_t, brought to D > 0, the lcm of the row denominators."""
-        rows = list(self._int_rows(
-            lambda num, den: self._idempotent(num, den, t)))
+        rows = []
+        for r in range(self.dim):
+            e = [0] * self.dim
+            e[r] = 1
+            rows.append(self._idempotent(e, 1, t))
         d = math.lcm(*(den for _, den in rows))
         return d, [[x * (d // den) for x in num] for num, den in rows]
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import b2r_embedded, memo, r2r, regular_rep_matrix
+from .hecke import CheckFailed, b2r_embedded, memo, r2r, regular_rep_matrix
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
 from .seminormal import phi_apply, specht_module, word_module
@@ -122,11 +122,13 @@ def spectrum_at(factored, q0):
     return mults
 
 
+@memo
 def bruteforce_charpoly(op, q0):
     """Char poly of the regular-representation matrix of op at q0.
 
     Independent oracle: no spectral theory, just exact elimination on the
-    n! x n! matrix.  Returns monic coefficients, highest degree first.
+    n! x n! matrix.  Returns monic coefficients, highest degree first,
+    shared: callers must not change them.
     """
     return linalg.charpoly(regular_rep_matrix(op, q0))
 
@@ -182,13 +184,17 @@ def apply_c_op(rep, v, j):
     return v
 
 
+@memo
 def build_eigenbasis(lam, q0):
-    """The eigenvector family {y^lambda_{mu(u)}} spanning S^lambda (q0 > 0).
+    """The eigenvector family {y^lambda_{mu(u)}} spanning S^lambda (q0 > 0),
+    shared: callers must not change the records.
 
     For each horizontal strip lambda/mu and each u in kappa_mu, forms
     u . Phi_{t^{lambda/mu}} . C_{|mu|}^(n) . p_lambda, verifies the
     eigenvector identity, and checks that exactly f^lambda independent
-    vectors result.
+    vectors result; a failure raises DegenerateBasis naming lambda, q0 and
+    either mu, the index of u and the first differing index, or the count
+    and rank of the vectors.
     """
     q0 = Fraction(q0)
     if q0 <= 0:
@@ -211,13 +217,22 @@ def build_eigenbasis(lam, q0):
                 # for n = 0 the shuffle element is an empty sum
                 image = (rep_lam.apply_hecke(v, r_op) if r_op
                          else [Fraction(0)] * len(v))
-                if image != [value * x for x in v]:
+                want = [value * x for x in v]
+                if image != want:
+                    first = next(j for j, (x, y) in enumerate(zip(image, want))
+                                 if x != y)
                     raise DegenerateBasis(
-                        f"not an eigenvector: {lam}/{mu} index {idx}")
+                        f"not an R_{n}-eigenvector with eigenvalue {value}: "
+                        f"lambda = {lam}, mu = {mu}, kernel vector {idx} of "
+                        f"S^mu at q0 = {q0}, first difference at index "
+                        f"{first}")
             records.append(EigenvectorRecord(lam, mu, idx, v, value))
-    vectors = [rec.vector for rec in records]
-    if len(records) != f_lambda(lam) or linalg.rank(vectors) != len(records):
-        raise DegenerateBasis(f"eigenbasis of {lam} is not a basis")
+    rank = linalg.rank([rec.vector for rec in records])
+    if rank != len(records) or rank != f_lambda(lam):
+        raise DegenerateBasis(
+            f"the eigenvectors of {lam} at q0 = {q0} are not a basis: "
+            f"{len(records)} vectors of rank {rank}, against f^lambda = "
+            f"{f_lambda(lam)}")
     return records
 
 
@@ -246,7 +261,8 @@ def straightening_scalars(lam, mu, q0):
     """For each t in SYT(lambda/mu): w_{t(s)} C_j = alpha_t w_{t^max(s)} C_j.
 
     Verifies the scalar alpha_t is independent of s in SYT(mu) and returns
-    {t: alpha_t}.  Raises AssertionError if proportionality fails.
+    {t: alpha_t}.  A failure raises CheckFailed naming lambda, mu, t, s, q0
+    and the first index where proportionality fails.
     """
     from .tableaux import extend
     shape = SkewShape(lam, mu)
@@ -254,6 +270,11 @@ def straightening_scalars(lam, mu, q0):
     t_max = superstandard(shape)
     sources = enumerate_syt(mu)
     out = {}
+
+    def fail(what, where):
+        raise CheckFailed(f"{what} for lambda = {lam}, mu = {mu}, t = {t}, "
+                          f"s = {s} at q0 = {rep_lam.q0}, {where}")
+
     for t in enumerate_syt(shape):
         alpha = None
         for s in sources:
@@ -266,15 +287,22 @@ def straightening_scalars(lam, mu, q0):
             pivot = next((j for j, x in enumerate(b) if x), None)
             if pivot is None:
                 if any(a):
-                    raise AssertionError("image nonzero over zero reference")
+                    fail(f"w_t(s) C_{mu.size} is nonzero over a zero "
+                         f"reference", f"first nonzero index "
+                         f"{next(j for j, x in enumerate(a) if x)}")
                 continue
             ratio = a[pivot] / b[pivot]
-            if a != [ratio * x for x in b]:
-                raise AssertionError(f"not proportional: {t} with source {s}")
+            first = next((j for j, (x, y) in enumerate(zip(a, b))
+                          if x != ratio * y), None)
+            if first is not None:
+                fail(f"w_t(s) C_{mu.size} is not proportional to its "
+                     f"reference", f"first difference at index {first}")
             if alpha is None:
                 alpha = ratio
             elif alpha != ratio:
-                raise AssertionError(f"scalar depends on source: {t}")
+                fail("the straightening scalar depends on the source",
+                     f"{ratio} at index {pivot} against {alpha} for the "
+                     f"first source")
         out[t] = alpha
     return out
 

@@ -21,7 +21,7 @@ from .hecke import (CheckFailed, HeckeElement, _ints, annihilator_check, b2r,
 from .qpoly import Q, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
-from .symmetric import Composition, derangement_count
+from .symmetric import Composition, all_permutations, derangement_count
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of, superstandard)
 
@@ -256,7 +256,9 @@ def _int_sum(mats):
 
 def check_phi_morphism(n, q0):
     """Phi_t commutes with the embedded H_|mu| action, and gluing satisfies
-    w_{t(s)} = w_s Phi_t p_t."""
+    w_{t(s)} = w_s Phi_t p_{t(s)}; a failure raises CheckFailed naming
+    lambda, mu, the skew tableau t, the basis word of W^mu and generator
+    T_i or the tableau s, q0 and the first differing index."""
     for lam in partitions_of(n):
         rep_lam = word_module(lam, q0)
         for mu in sub_partitions(lam):
@@ -272,7 +274,12 @@ def check_phi_morphism(n, q0):
                         b = rep_lam.apply_gen(
                             phi_apply(v, rep_mu, rep_lam, t_skew), i)
                         if a != b:
-                            return False
+                            raise CheckFailed(
+                                f"Phi_t T_{i} = T_{i} Phi_t fails on the word "
+                                f"{rep_mu.basis[idx]} of W^{mu} for lambda = "
+                                f"{lam}, mu = {mu}, t = {t_skew} at q0 = "
+                                f"{rep_lam.q0}, first difference at index "
+                                f"{_first_index(a, b)}")
             if mu.size == 0:
                 continue
             rep_s = specht_module(mu, q0)
@@ -285,7 +292,11 @@ def check_phi_morphism(n, q0):
                                     t_skew)
                     got = rep_lam.apply_idempotent(got, glued)
                     if got != expect:
-                        return False
+                        raise CheckFailed(
+                            f"w_t(s) = w_s Phi_t p_t(s) fails for lambda = "
+                            f"{lam}, mu = {mu}, s = {s}, t = {t_skew} at q0 = "
+                            f"{rep_lam.q0}, first difference at index "
+                            f"{_first_index(got, expect)}")
     return True
 
 
@@ -364,17 +375,34 @@ def check_one_step_recursion(n, q0):
 
 
 def check_eigenbasis(n, q0):
+    """Each S^lambda has the eigenbasis of build_eigenbasis, ker R_n on it
+    has dimension d^lambda, and sum f^lambda d^lambda is the derangement
+    count; a failure raises CheckFailed naming lambda, q0 and the strip,
+    kernel vector and first differing index, or the two counts."""
     total = 0
     for lam in partitions_of(n):
-        spectra.build_eigenbasis(lam, q0)  # raises on failure
+        try:
+            spectra.build_eigenbasis(lam, q0)
+        except spectra.DegenerateBasis as exc:
+            raise CheckFailed(str(exc)) from exc
         _, kappa = spectra.kernel_basis(lam, q0)
         if len(kappa) != d_mu(lam):
-            return False
+            raise CheckFailed(
+                f"ker R_{n} on S^{lam} at q0 = {Fraction(q0)} has dimension "
+                f"{len(kappa)}, not d^lambda = {d_mu(lam)}")
         total += f_lambda(lam) * len(kappa)
-    return total == derangement_count(n)
+    if total != derangement_count(n):
+        raise CheckFailed(
+            f"sum of f^lambda d^lambda over lambda |- {n} at q0 = "
+            f"{Fraction(q0)} is {total}, not the derangement count "
+            f"{derangement_count(n)}")
+    return True
 
 
 def check_straightening(n, q0):
+    """spectra.straightening_scalars holds for every mu inside every lambda
+    |- n; a failure raises CheckFailed naming lambda, mu, t, s, q0 and the
+    first index where proportionality fails."""
     for lam in partitions_of(n):
         for mu in sub_partitions(lam):
             spectra.straightening_scalars(lam, mu, q0)  # raises on failure
@@ -465,15 +493,43 @@ def check_mallows_stationarity(n, q0):
 
 
 def check_walk_spectrum(n, q0):
-    """Char poly of the walk equals the formula spectrum over ([n]_q)^2."""
+    """Char poly of the walk equals the formula spectrum over ([n]_q)^2.
+
+    The transition matrix P is checked to be D^-1 M D / c entry by entry
+    over the integers, with M the regular matrix of R_n, D = diag(q0^l(w))
+    and c = [n]_q^2: P_ij c q0^l(i) = M_ij q0^l(j), times b^L for q0 = a/b
+    and L the longest length, with each row's denominators cleared.  Then
+    det(y - P) = sum_k m_k c^-k y^(N-k) for M's char poly sum_k m_k y^(N-k),
+    the one r2r-charpoly computes.  A failure raises CheckFailed naming q0
+    and either the first (row, col) where P differs, with both entries, or
+    the first differing coefficient index."""
     q0 = Fraction(q0)
     mat = markov.transition_matrix(n, q0)
+    reg = regular_rep_matrix(r2r(n), q0)
     norm = qint(n).eval(q0) ** 2
+    lengths = [w.length() for w in all_permutations(n)]
+    top = max(lengths)
+    weights = [q0.numerator ** k * q0.denominator ** (top - k)
+               for k in lengths]
+    for i, (row, reg_row) in enumerate(zip(mat, reg)):
+        num, den = _ints(row)
+        reg_num, reg_den = _ints(reg_row)
+        left = norm.numerator * weights[i] * reg_den
+        right = norm.denominator * den
+        for j, (x, y) in enumerate(zip(num, reg_num)):
+            if x * left != y * weights[j] * right:
+                raise CheckFailed(
+                    f"the walk's transition matrix at q0 = {q0} differs from "
+                    f"D^-1 M D / [{n}]_q^2 at (row, col) ({i}, {j}): P has "
+                    f"{row[j]}, D^-1 M D / [{n}]_q^2 has "
+                    f"{reg_row[j] * q0 ** (lengths[j] - lengths[i]) / norm}")
+    walk = [c / norm ** k for k, c in enumerate(
+        spectra.bruteforce_charpoly(r2r(n), q0))]
     expected = linalg.poly_from_roots(
         (value / norm, m) for value, m in spectra.spectrum_at(
             spectra.r2r_charpoly_factored(n), q0).items())
     return _charpoly_agrees("the Mallows walk", q0, "transition matrix",
-                            [(None, linalg.charpoly(mat))], expected)
+                            [(None, walk)], expected)
 
 
 def check_second_eigenvalue(n, q0):

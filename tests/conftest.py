@@ -1,0 +1,12 @@
+import pytest
+
+from qshuffle.hecke import clear_module_cache
+
+
+@pytest.fixture(autouse=True)
+def forget_builds_made_under_monkeypatch(request):
+    """A test that monkeypatches a layer may leave builds made by the patched
+    code in the shared memo tables; forget them before the next test."""
+    yield
+    if "monkeypatch" in request.fixturenames:
+        clear_module_cache()

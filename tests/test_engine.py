@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshuffle import linalg
+from qshuffle import hecke, linalg
 from qshuffle.flags import FlagSpace
 from qshuffle.hecke import (HeckeElement, b2r, jucys_murphy_scaled, r2b, r2r,
                             top_ops, word_gen_rows)
@@ -205,3 +205,72 @@ def test_engine_vectors_keep_one_positive_reduced_denominator(q0):
                     e[r] = 1
                     num, den = wm._idempotent(e, 1, t)
                     assert den > 0 and math.gcd(den, *num) == 1, (lam, t, r)
+
+
+# -- sparse unit images against dense integer vectors -------------------------
+
+def dense_unit_rows(module, int_terms):
+    """(row, den) of e_r . a for each e_r, a given by its integer terms
+    (L, [(word, f)]): every word is applied to the whole dense integer
+    vector, generator by generator, scanning every entry."""
+    lcm, terms = int_terms
+    for r in range(module.dim):
+        total = [0] * module.dim
+        for word, f in terms:
+            v = [0] * module.dim
+            v[r] = 1
+            for i in word:
+                out = [0] * module.dim
+                for k, x in enumerate(v):
+                    if x:
+                        for j, c in module._gens[i][1][k]:
+                            out[j] += x * c
+                v = out
+            total = [t + f * x for t, x in zip(total, v)]
+        yield total, lcm
+
+
+def dense_word_matrix(module, word):
+    den = math.prod(module._gens[i][0] for i in word)
+    rows = dense_unit_rows(module, (den, [(word, 1)]))
+    return [[Fraction(x, den) for x in row] for row, _ in rows]
+
+
+def assert_unit_images_match_dense(module, elems):
+    n = module.n
+    words = ([()] + [(i,) for i in range(1, n)] + [(i, i) for i in range(1, n)]
+             + [(i, i + 1, i) for i in range(1, n - 1)])
+    for word in words:
+        assert module.word_matrix(word) == dense_word_matrix(module, word)
+    for elem in elems:
+        terms = module._element_terms(elem)
+        assert list(module._hecke_rows(elem)) == list(
+            dense_unit_rows(module, terms)), elem
+        assert module.hecke_matrix(elem) == [
+            [Fraction(x, den) for x in row]
+            for row, den in dense_unit_rows(module, terms)]
+
+
+DEFAULT_Q = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
+
+
+def operators(n):
+    return [r2r(n), b2r(n), r2b(n), *top_ops(n), jucys_murphy_scaled(n, n),
+            HeckeElement.zero(n)]
+
+
+@pytest.mark.parametrize("q0", DEFAULT_Q)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_unit_images_match_dense_on_word_and_regular_modules(n, q0):
+    for lam in partitions_of(n):
+        assert_unit_images_match_dense(word_module(lam, q0), operators(n))
+    assert_unit_images_match_dense(hecke._regular_module(n, q0),
+                                   operators(n))
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+def test_sparse_tstar_rows_match_dense_on_flags(n, p):
+    space = FlagSpace(n, p)
+    tstar = top_ops(n)[1]
+    assert list(space._hecke_rows(tstar)) == list(
+        dense_unit_rows(space, space._element_terms(tstar)))

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qshuffle import flags, linalg
 from qshuffle.flags import (FlagSpace, UnsupportedSize, flag_count, q_int_at,
@@ -212,6 +214,92 @@ def test_module_level_span_and_vectors_are_unchanged():
             if basis:
                 assert subspace_vectors(basis, p) == _oracle_vectors(basis,
                                                                      p)
+
+
+def test_residue_keyed_join_matches_span():
+    for n, p in [(3, 2), (3, 3), (4, 2)]:
+        space = FlagSpace(n, p)
+        bases = {()} | {sub for flag in space.flags for sub in flag}
+        for basis in sorted(bases):
+            for v in itertools.product(range(p), repeat=n):
+                assert space._join(basis, v) == span(list(basis) + [v], p), (
+                    n, p, basis, v)
+
+
+def test_x_matrix_is_a_fresh_copy_each_call():
+    space = FlagSpace(3, 2)
+    first = space.x_matrix()
+    first[0][0] += 7
+    first[1] = None
+    second = space.x_matrix()
+    assert second == ReferenceFlags(3, 2).x_matrix()
+    assert second[0][0] == first[0][0] - 7 and second[1] is not None
+
+
+# -- root stripping on integers against the Fraction loop ---------------------
+
+def fraction_root_multiplicities(coeffs, roots):
+    """x_spectrum's root stripping as it was: linalg.poly_divmod on the
+    Fraction coefficients, one root at a time."""
+    coeffs = [Fraction(c) for c in coeffs]
+    mults = {}
+    for root in roots:
+        while len(coeffs) > 1:
+            quotient, remainder = linalg.poly_divmod(coeffs, [1, -root])
+            if remainder[0]:
+                break
+            coeffs = quotient
+            mults[root] = mults.get(root, 0) + 1
+    if len(coeffs) != 1 or coeffs[0] != 1:
+        return None
+    return mults
+
+
+def assert_stripping_agrees(coeffs, roots):
+    got = flags._root_multiplicities(coeffs, roots)
+    want = fraction_root_multiplicities(coeffs, roots)
+    assert got == want
+    if got is not None:  # the key order reaches the flags JSON
+        assert list(got) == list(want)
+    return got
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3),
+                                 (2, 3), (3, 3)])
+def test_integer_root_stripping_matches_fraction_loop(n, p):
+    space = FlagSpace(n, p)
+    assert space.size <= flags.SPECTRUM_MAX_FLAGS
+    coeffs = linalg.charpoly(space.x_matrix())
+    roots = flags._allowed_eigenvalues(n, p)
+    mults = assert_stripping_agrees(coeffs, roots)
+    assert mults is not None and sum(mults.values()) == space.size
+    # the same char poly short of one root, or over a set missing one
+    assert_stripping_agrees(coeffs, roots[1:])
+    assert_stripping_agrees(linalg.poly_divmod(coeffs, [1, -roots[0]])[0],
+                            roots)
+
+
+def test_char_poly_of_twice_the_identity_does_not_split():
+    space = FlagSpace(2, 2)
+    space.x_matrix = lambda: [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert x_spectrum(space) is None
+    assert assert_stripping_agrees(linalg.charpoly(space.x_matrix()),
+                                   [3, 0]) is None
+    # y - 1/2 has the numerators of y - 1, but no integer root
+    assert assert_stripping_agrees([Fraction(1), Fraction(-1, 2)],
+                                   [1, 0]) is None
+
+
+@given(st.lists(st.integers(-4, 14), max_size=8),
+       st.sampled_from([[], [1, 0, 1], [1, 1, 1], [1, 0, -2],
+                        [1, Fraction(-1, 2)], [1, Fraction(-7, 3), 4]]))
+def test_root_stripping_matches_fraction_loop_on_products(roots, extra):
+    coeffs = [Fraction(c) for c in linalg.poly_from_roots(
+        (r, 1) for r in roots)]
+    if extra:
+        coeffs = linalg.poly_mul(coeffs, [Fraction(c) for c in extra])
+    for allowed in ([13, 4, 1, 0], [7, 3, 1, 0], [3, 0], []):
+        assert_stripping_agrees(coeffs, allowed)
 
 
 # -- failure witnesses --------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import markov, spectra
+from qshuffle import linalg, markov, spectra
 from qshuffle.qpoly import qint
 from qshuffle.verify import (CheckFailed, check_mallows_stationarity,
                              check_second_eigenvalue, check_walk_spectrum)
@@ -56,7 +56,7 @@ def test_mallows_stationarity_failure_names_the_row(monkeypatch):
     original = markov.transition_matrix
 
     def wrong(n, q0):  # row 4 loses a third of its mass
-        mat = original(n, q0)
+        mat = list(original(n, q0))  # the shared matrix stays intact
         mat[4] = [x * Fraction(2, 3) for x in mat[4]]
         return mat
 
@@ -73,7 +73,7 @@ def test_mallows_stationarity_failure_names_the_index(monkeypatch):
     original = markov.transition_matrix
 
     def wrong(n, q0):  # still stochastic: rows 0 and 1 trade places
-        mat = original(n, q0)
+        mat = list(original(n, q0))  # the shared matrix stays intact
         mat[0], mat[1] = mat[1], mat[0]
         return mat
 
@@ -169,3 +169,34 @@ def test_transition_matrix_scaling():
         for j in range(6):
             assert mat[i][j] == raw[i][j] * q0 ** (lengths[j] - lengths[i]) \
                 / norm
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(7, 5)])
+def test_walk_spectrum_agrees_with_the_char_poly_of_the_walk(q0):
+    # the old verdict: the char poly of P itself against the formula
+    for n in range(2, 5):
+        norm = qint(n).eval(q0) ** 2
+        expected = linalg.poly_from_roots(
+            (value / norm, m) for value, m in spectra.spectrum_at(
+                spectra.r2r_charpoly_factored(n), q0).items())
+        assert linalg.charpoly(markov.transition_matrix(n, q0)) == expected
+        assert check_walk_spectrum(n, q0)
+
+
+def test_walk_spectrum_failure_names_the_entry(monkeypatch):
+    original = markov.transition_matrix
+
+    def wrong(n, q0):  # one entry moves, the row sums stay
+        mat = [row[:] for row in original(n, q0)]
+        mat[2][3] += Fraction(1, 7)
+        mat[2][4] -= Fraction(1, 7)
+        return mat
+
+    monkeypatch.setattr(markov, "transition_matrix", wrong)
+    entry = original(3, 2)[2][3]
+    with pytest.raises(CheckFailed) as err:
+        check_walk_spectrum(3, Fraction(2))
+    assert str(err.value) == (
+        f"the walk's transition matrix at q0 = 2 differs from D^-1 M D / "
+        f"[3]_q^2 at (row, col) (2, 3): P has {entry + Fraction(1, 7)}, "
+        f"D^-1 M D / [3]_q^2 has {entry}")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import hecke, linalg, verify
+from qshuffle import hecke, linalg, markov, spectra, verify
 from qshuffle.hecke import HeckeElement, clear_module_cache, r2r
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
@@ -342,10 +342,21 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.hecke.r2r", "qshuffle.hecke.b2r_embedded",
         "qshuffle.hecke.r2b_embedded", "qshuffle.hecke._regular_module",
         "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
-        "qshuffle.spectra.kernel_basis"}
+        "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
+        "qshuffle.spectra.bruteforce_charpoly",
+        "qshuffle.markov.transition_matrix"}
     assert [name for name, table in saved.items() if not table] == []
     clear_module_cache()
     assert [name for name, table in hecke._TABLES.items() if table] == []
+    # each cached eigenbasis, regular-route char poly and transition matrix
+    # equals a fresh build, so no caller changed a shared one
+    for fn, form in ((spectra.build_eigenbasis,
+                      lambda records: [r.to_json() for r in records]),
+                     (spectra.bruteforce_charpoly, list),
+                     (markov.transition_matrix, list)):
+        for args, built in saved[f"{fn.__module__}.{fn.__name__}"].items():
+            fresh = fn.__wrapped__(*args)
+            assert fresh is not built and form(fresh) == form(built), args
     # each cached symbolic operator has the terms of a fresh build, so no
     # caller changed a shared element
     for fn in (hecke.b2r_embedded, hecke.r2b_embedded, hecke.r2r):
@@ -612,3 +623,22 @@ def test_dominance_vanishing_failure_names_both_tableaux(monkeypatch):
     assert report["dominance-vanishing[q=7/5]"].detail == (
         f"CheckFailed: word(s) p_t = 0 fails for s = {s} not dominated by "
         f"t = {t} on W^{lam} at q0 = 7/5, first nonzero index 2")
+
+
+def test_phi_morphism_failure_names_shapes_tableau_and_q(monkeypatch):
+    lam, mu, original = Partition((2, 1)), Partition((1, 1)), verify.phi_apply
+
+    def wrong(v, rep_mu, rep_lam, t):  # Phi_t from W^(1,1) to W^(2,1) only
+        out = original(v, rep_mu, rep_lam, t)
+        if rep_mu.lam == mu and rep_lam.lam == lam:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(verify, "phi_apply", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["phi-morphism[q=7/5]"].detail
+    t = enumerate_syt(SkewShape(lam, mu))[0]
+    assert detail == (
+        f"CheckFailed: Phi_t T_1 = T_1 Phi_t fails on the word (1, 2) of "
+        f"W^(1,1) for lambda = (2,1), mu = (1,1), t = {t} at q0 = 7/5, first "
+        f"difference at index 0")

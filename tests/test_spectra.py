@@ -284,3 +284,58 @@ def test_strip_vanishing_failure_names_strip_tableaux_and_q(monkeypatch):
     assert str(err.value) == (
         f"w_s Phi_t C_1 p_lambda = 0 fails for lambda = (1,1,1), mu = (1), "
         f"t = {t}, s = {s} at q0 = 7/5, first nonzero index 0")
+
+
+def test_eigenbasis_failure_names_strip_vector_and_q(monkeypatch):
+    lam, original = P(2, 1), WordModuleRep.apply_p_lambda
+
+    def wrong(self, v, shape=None):  # only W^(2,1) leaves its eigenspaces
+        out = original(self, v, shape)
+        if self.lam == lam:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, "apply_p_lambda", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["eigenbasis[q=7/5]"].detail
+    assert detail.startswith("CheckFailed: not an R_3-eigenvector")
+    for field in ("lambda = (2,1), mu = (2,1), kernel vector 0 of S^mu",
+                  "q0 = 7/5", "first difference at index "):
+        assert field in detail
+
+
+def test_eigenbasis_failure_names_the_kernel_dimension(monkeypatch):
+    original = spectra.kernel_basis.__wrapped__
+
+    def short(lam, q0):  # S^(2,1) loses its kernel vector
+        rep, vectors = original(lam, q0)
+        return rep, (vectors[1:] if lam == P(2, 1) else vectors)
+
+    for lam in partitions_of(3):  # the eigenbases are built and shared
+        build_eigenbasis(lam, Fraction(2))
+    monkeypatch.setattr(spectra, "kernel_basis", short)
+    with pytest.raises(CheckFailed) as err:
+        check_eigenbasis(3, Fraction(2))
+    assert str(err.value) == (
+        "ker R_3 on S^(2,1) at q0 = 2 has dimension 0, not d^lambda = 1")
+
+
+def test_straightening_failure_names_shapes_tableaux_and_q(monkeypatch):
+    lam = P(2, 1)
+    bad = next(t for t in enumerate_syt(lam) if t != superstandard(lam))
+    original = WordModuleRep.apply_idempotent
+
+    def wrong(self, v, t):  # p_t moved for one tableau of W^(2,1) only
+        out = original(self, v, t)
+        if self.lam == lam and t == bad:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["straightening[q=7/5]"].detail
+    assert detail.startswith(
+        "CheckFailed: w_t(s) C_0 is nonzero over a zero reference")
+    for field in (f"lambda = (2,1), mu = (), t = {bad}, s = ",
+                  "q0 = 7/5", "first nonzero index 0"):
+        assert field in detail
