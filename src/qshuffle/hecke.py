@@ -171,6 +171,22 @@ class HeckeElement:
                            "coeff": self.terms[w].to_json()} for w in ws]}
 
 
+def _require_same(got, want, relation):
+    """True if the HeckeElements got and want are equal; else CheckFailed
+    naming the relation, n, the first w (in Lehmer order) whose T_w
+    coefficients differ, and both coefficients."""
+    if got == want:
+        return True
+    zero = LaurentPoly.zero()
+    w = min((w for w in got.terms.keys() | want.terms.keys()
+             if got.terms.get(w, zero) != want.terms.get(w, zero)),
+            key=Permutation.lehmer_rank)
+    raise CheckFailed(
+        f"{relation} fails in H_{got.n}: the coefficient of T_w for w = {w} "
+        f"is {got.terms.get(w, zero)} on the left, {want.terms.get(w, zero)} "
+        f"on the right")
+
+
 # -- shared builds ----------------------------------------------------
 
 _TABLES = {}  # "module.function" -> the table of a memo function
@@ -477,30 +493,37 @@ def regular_rep_matrix(a, q0):
 
 
 def recursion_check(n):
-    """B_n R_n = (q R_{n-1} + [n]_q + q^n J_n) B_n, symbolically."""
+    """B_n R_n = (q R_{n-1} + [n]_q + q^n J_n) B_n, symbolically; a failure
+    raises CheckFailed with the first differing coefficient."""
     bn = b2r(n)
     lhs = bn * r2r(n)
     inner = (r2b_embedded(n - 1, n) * b2r_embedded(n - 1, n)).scale(Q)
     inner = inner + HeckeElement.one(n).scale(qint(n))
     inner = inner + jucys_murphy_scaled(n, n)
     rhs = inner * bn
-    return lhs == rhs
+    return _require_same(lhs, rhs,
+                         "B_n R_n = (q R_{n-1} + [n]_q + q^n J_n) B_n")
 
 
 def intermediate_recursion_check(n):
-    """B_n B*_n = B*_{n-1} T_{s_{n-1}} B_{n-1} + [n]_q + q^n J_n."""
+    """B_n B*_n = B*_{n-1} T_{s_{n-1}} B_{n-1} + [n]_q + q^n J_n; a failure
+    raises CheckFailed with the first differing coefficient."""
     lhs = b2r(n) * r2b(n)
     rhs = (r2b_embedded(n - 1, n).mul_gen(n - 1) * b2r_embedded(n - 1, n)
            + HeckeElement.one(n).scale(qint(n))
            + jucys_murphy_scaled(n, n))
-    return lhs == rhs
+    return _require_same(
+        lhs, rhs, "B_n B*_n = B*_{n-1} T_{n-1} B_{n-1} + [n]_q + q^n J_n")
 
 
-def annihilator_check(a, n):
-    """prod over j in [0,n], j != 1, of (a - [n-j]_q) equals 0."""
+def annihilator_check(a, n, name="a"):
+    """prod over j in [0,n], j != 1, of (a - [n-j]_q) equals 0; a failure
+    raises CheckFailed naming a by name, with the first nonzero
+    coefficient."""
     prod = HeckeElement.one(n)
     for j in range(0, n + 1):
         if j == 1:
             continue
         prod = prod * (a - HeckeElement.one(n).scale(qint(n - j)))
-    return prod.is_zero()
+    return _require_same(prod, HeckeElement.zero(n),
+                         f"prod_(j != 1) ({name} - [n-j]_q) = 0")

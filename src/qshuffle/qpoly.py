@@ -1,7 +1,10 @@
 """Exact Laurent polynomials in q with rational coefficients.
 
 Everything downstream (shuffle operators, eigenvalue formulas, contents)
-is built from these; no floating point is used anywhere.
+is built from these; no floating point is used anywhere.  Every structure
+constant of H_n(q) lies in Z[q, q^-1], so a coefficient is stored as an int
+whenever it is integral and as a Fraction only otherwise: the symbolic
+Hecke products and the q-integers stay in int arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ class ZeroEvaluationPoint(ValueError):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: mapping exponent -> nonzero Fraction.
+    """Sparse Laurent polynomial: mapping exponent -> nonzero coefficient,
+    an int when the coefficient is integral and a Fraction otherwise.
 
     Values are immutable; arithmetic always returns canonical form
-    (no zero coefficients stored), so == is structural equality.
+    (no zero coefficients stored, integral coefficients as ints), so == is
+    structural equality.
     """
 
     __slots__ = ("terms", "_hash")
@@ -26,9 +31,9 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff != 0:
-                    c = clean.get(exp, 0) + coeff
+                    c = _exact(clean.get(exp, 0) + coeff)
                     if c:
                         clean[int(exp)] = c
                     else:
@@ -48,7 +53,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def q_power(k):
@@ -65,7 +70,7 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return _raw(out)
+        return _canon(out)
 
     __radd__ = __add__
 
@@ -89,7 +94,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return _raw(out)
+        return _canon(out)
 
     __rmul__ = __mul__
 
@@ -106,10 +111,10 @@ class LaurentPoly:
         return result
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return LaurentPoly.zero()
-        return _raw({e: coeff * c for e, coeff in self.terms.items()})
+        return _canon({e: coeff * c for e, coeff in self.terms.items()})
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -123,9 +128,6 @@ class LaurentPoly:
     def degree(self):
         """Max exponent; None for the zero polynomial."""
         return max(self.terms) if self.terms else None
-
-    def coefficient(self, exp):
-        return self.terms.get(exp, Fraction(0))
 
     def is_nonneg_integral(self):
         """All coefficients nonnegative integers and no negative exponents."""
@@ -188,11 +190,28 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
 
 
+def _exact(c):
+    """The number c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _raw(terms):
     """Build from an already-clean dict without re-normalizing."""
     p = LaurentPoly()
     p.terms = terms
     return p
+
+
+def _canon(terms):
+    """Build from a dict with no zero coefficients, turning each integral
+    Fraction into an int (a sum or product of Fractions can be one)."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return _raw(terms)
 
 
 ZERO = LaurentPoly.zero()
@@ -208,7 +227,7 @@ def qint(m):
     -q^-1 - q^-2 - ... - q^m for m < 0.
     """
     if m > 0:
-        return _raw({e: Fraction(1) for e in range(m)})
+        return _raw(dict.fromkeys(range(m), 1))
     if m == 0:
         return ZERO
-    return _raw({e: Fraction(-1) for e in range(m, 0)})
+    return _raw(dict.fromkeys(range(m, 0), -1))

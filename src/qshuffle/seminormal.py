@@ -16,7 +16,9 @@ module S^lambda.
 Word modules ride the integer HeckeModule engine: J_m is stored once as
 integer rows with one denominator, and each idempotent factor is one
 integer row update of a (numerators, den) vector followed by a gcd
-reduction, so Fractions appear only where vectors enter and leave.
+reduction, so Fractions appear only where vectors enter and leave.  The
+factor schedule of each tableau (its J_m index and integer constants,
+factor by factor) is built once per module and replayed for every vector.
 
 word_module and specht_module share one built module per (lambda, q0)
 through hecke.memo.  All arithmetic is exact at an admissible evaluation
@@ -30,8 +32,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import (HeckeModule, _fractions, _ints, jucys_murphy_scaled,
-                    memo, word_gen_rows)
+from .hecke import (CheckFailed, HeckeModule, _fractions, _ints,
+                    jucys_murphy_scaled, memo, word_gen_rows)
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -69,6 +71,7 @@ class WordModuleRep(HeckeModule):
                          word_gen_rows(self.basis, q0))
         self._jm_int = {}
         self._factors = {}
+        self._schedules = {}
 
     def basis_vector(self, word):
         v = [Fraction(0)] * self.dim
@@ -121,26 +124,37 @@ class WordModuleRep(HeckeModule):
             self._factors[key] = (f * b, f * a * d_j, d_j * b * e)
         return self._factors[key]
 
+    def _schedule(self, t):
+        """[(m, p, r, s)]: the factors of p_t in order, each with the
+        constants _factor gives it.  Entry m of t contributes one factor per
+        content d != c_t(m) of a cell addable to the running shape.  Built
+        on first use of t."""
+        steps = self._schedules.get(t)
+        if steps is None:
+            steps = []
+            shape = list(t.shape.inner.parts)
+            for m in range(t.shape.inner.size + 1, t.n + 1):
+                cm = t.content_of(m)
+                for d in Partition(shape).addable_contents():
+                    if d != cm:
+                        steps.append((m, *self._factor(m, cm, d)))
+                row = t.row_of(m)
+                if row > len(shape):
+                    shape.append(0)
+                shape[row - 1] += 1
+            self._schedules[t] = steps
+        return steps
+
     def _idempotent(self, num, den, t):
-        """(num, den) . p_t over the integers: one row update per factor,
-        then division by gcd(den, *num)."""
-        shape = list(t.shape.inner.parts)
-        for m in range(t.shape.inner.size + 1, t.n + 1):
-            cm = t.content_of(m)
-            for d in Partition(shape).addable_contents():
-                if d == cm:
-                    continue
-                p, r, s = self._factor(m, cm, d)
-                jv = self._jm_times(num, m)
-                num = [p * x - r * y for x, y in zip(jv, num)]
-                den *= s
-                g = math.gcd(den, *num)
-                if g > 1:
-                    num, den = [x // g for x in num], den // g
-            row = t.row_of(m)
-            if row > len(shape):
-                shape.append(0)
-            shape[row - 1] += 1
+        """(num, den) . p_t over the integers: one row update per factor of
+        t's schedule, then division by gcd(den, *num)."""
+        for m, p, r, s in self._schedule(t):
+            jv = self._jm_times(num, m)
+            num = [p * x - r * y for x, y in zip(jv, num)]
+            den *= s
+            g = math.gcd(den, *num)
+            if g > 1:
+                num, den = [x // g for x in num], den // g
         return num, den
 
     def apply_idempotent(self, v, t):
@@ -200,13 +214,17 @@ class SpechtRep:
         return linalg.solve_in_span(self.units, v)
 
     def hecke_action_matrix(self, elem):
-        """Matrix of elem on S^lambda in the seminormal unit basis."""
+        """Matrix of elem on S^lambda in the seminormal unit basis; raises
+        CheckFailed naming lambda, q0, the unit's tableau and elem if the
+        image of a unit leaves the span of the units."""
         rows = []
-        for u in self.units:
-            img = self.word_module.apply_hecke(u, elem)
-            coords = self.coords(img)
+        for t, u in zip(self.tableaux, self.units):
+            coords = self.coords(self.word_module.apply_hecke(u, elem))
             if coords is None:
-                raise ArithmeticError("unit span is not stable under element")
+                raise CheckFailed(
+                    f"the units of S^{self.lam} at q0 = {self.q0} do not span "
+                    f"a submodule: w_t . a leaves their span for t = {t}, "
+                    f"a = {elem!r}")
             rows.append(coords)
         return rows
 

@@ -18,8 +18,8 @@ from .hecke import CheckFailed, b2r_embedded, memo, r2r, regular_rep_matrix
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
 from .seminormal import phi_apply, specht_module, word_module
-from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, f_lambda,
-                       horizontal_strips, partitions_of, q_content,
+from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
+                       f_lambda, horizontal_strips, partitions_of, q_content,
                        superstandard)
 
 
@@ -261,30 +261,29 @@ def straightening_scalars(lam, mu, q0):
     """For each t in SYT(lambda/mu): w_{t(s)} C_j = alpha_t w_{t^max(s)} C_j.
 
     Verifies the scalar alpha_t is independent of s in SYT(mu) and returns
-    {t: alpha_t}.  A failure raises CheckFailed naming lambda, mu, t, s, q0
-    and the first index where proportionality fails.
+    {t: alpha_t}.  Both units are read from the shared S^lambda, and each
+    reference w_{t^max(s)} C_j is computed once per s.  A failure raises
+    CheckFailed naming lambda, mu, t, s, q0 and the first index where
+    proportionality fails.
     """
-    from .tableaux import extend
     shape = SkewShape(lam, mu)
-    rep_lam = word_module(lam, q0)
+    rep = specht_module(lam, q0)
+    unit = dict(zip(rep.tableaux, rep.units))
     t_max = superstandard(shape)
-    sources = enumerate_syt(mu)
+    refs = []  # (s, w_{t^max(s)} C_j, its first nonzero index or None)
+    for s in enumerate_syt(mu):
+        b = apply_c_op(rep.word_module, unit[extend(s, t_max)], mu.size)
+        refs.append((s, b, next((j for j, x in enumerate(b) if x), None)))
     out = {}
 
     def fail(what, where):
         raise CheckFailed(f"{what} for lambda = {lam}, mu = {mu}, t = {t}, "
-                          f"s = {s} at q0 = {rep_lam.q0}, {where}")
+                          f"s = {s} at q0 = {rep.q0}, {where}")
 
     for t in enumerate_syt(shape):
         alpha = None
-        for s in sources:
-            glued = extend(s, t)
-            ref = extend(s, t_max)
-            a = rep_lam.apply_idempotent(rep_lam.basis_vector(glued.word()), glued)
-            a = apply_c_op(rep_lam, a, mu.size)
-            b = rep_lam.apply_idempotent(rep_lam.basis_vector(ref.word()), ref)
-            b = apply_c_op(rep_lam, b, mu.size)
-            pivot = next((j for j, x in enumerate(b) if x), None)
+        for s, b, pivot in refs:
+            a = apply_c_op(rep.word_module, unit[extend(s, t)], mu.size)
             if pivot is None:
                 if any(a):
                     fail(f"w_t(s) C_{mu.size} is nonzero over a zero "

@@ -303,13 +303,20 @@ def superstandard(shape):
 
 
 def enumerate_syt(shape):
-    """All standard tableaux of the shape.
+    """All standard tableaux of the shape, as a new list the caller may
+    change; the tableaux in it are shared and must not be changed.
 
     For straight shapes the order is lexicographic on word(t); skew shapes
     use the analogous row-word order.
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
+    return list(_syt(shape))
+
+
+@lru_cache(maxsize=None)
+def _syt(shape):
+    """The tuple of enumerate_syt(shape), enumerated once per skew shape."""
     cells = shape.cells()
     lo = shape.inner.size
 
@@ -329,7 +336,7 @@ def enumerate_syt(shape):
     out = list(build({}, lo + 1))
     out.sort(key=lambda t: tuple(t.row_of(k)
                                  for k in range(lo + 1, shape.outer.size + 1)))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

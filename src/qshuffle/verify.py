@@ -13,11 +13,11 @@ import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (CheckFailed, HeckeElement, _ints, annihilator_check, b2r,
-                    b2r_embedded, c_op, clear_module_cache,
-                    intermediate_recursion_check, jucys_murphy_scaled,
-                    m_alpha, r2b, r2b_embedded, r2r, recursion_check,
-                    regular_rep_matrix, x_alpha)
+from .hecke import (CheckFailed, HeckeElement, _ints, _require_same,
+                    annihilator_check, b2r, b2r_embedded, c_op,
+                    clear_module_cache, intermediate_recursion_check,
+                    jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
+                    recursion_check, regular_rep_matrix, x_alpha)
 from .qpoly import Q, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
@@ -70,21 +70,26 @@ def sub_partitions(lam):
 
 # -- individual checks -------------------------------------------------
 
+# The symbolic checks below raise CheckFailed through hecke._require_same,
+# naming the relation, n, the first w whose T_w coefficients differ and
+# both coefficients.
+
 def check_hecke_relations_symbolic(n):
     """Quadratic, commutation, and braid relations for T_{s_i} in H_n."""
     one = HeckeElement.one(n)
     for i in range(1, n):
         ti = HeckeElement.t_word([i], n)
-        if ti * ti != ti.scale(Q - 1) + one.scale(Q):
-            return False
+        _require_same(ti * ti, ti.scale(Q - 1) + one.scale(Q),
+                      f"quadratic relation T_{i} T_{i} = (q-1) T_{i} + q")
         for j in range(i + 2, n):
             tj = HeckeElement.t_word([j], n)
-            if ti * tj != tj * ti:
-                return False
+            _require_same(ti * tj, tj * ti,
+                          f"commutation relation T_{i} T_{j} = T_{j} T_{i}")
         if i + 1 < n:
             tj = HeckeElement.t_word([i + 1], n)
-            if ti * tj * ti != tj * ti * tj:
-                return False
+            _require_same(ti * tj * ti, tj * ti * tj,
+                          f"braid relation T_{i} T_{i + 1} T_{i} = "
+                          f"T_{i + 1} T_{i} T_{i + 1}")
     return True
 
 
@@ -97,27 +102,39 @@ def check_push_through_lemma(n):
     bn = b2r(n)
     lhs = r2b_embedded(n - 1, n).mul_gen(n - 1) * b2r_embedded(n - 1, n) * bn
     rhs = ((r2b_embedded(n - 1, n) * b2r_embedded(n - 1, n)) * bn).scale(Q)
-    return lhs == rhs
+    return _require_same(lhs, rhs, "push-through lemma B*_{n-1} T_{n-1} "
+                                   "B_{n-1} B_n = q R_{n-1} B_n")
 
 
 def check_c_factorization(n):
+    """C_j = m_(1^j, n-j) x_(j, n-j) = x_(j, 1^(n-j)) for 0 <= j <= n."""
+    def name(alpha):
+        return "(" + ",".join(map(str, alpha.parts)) + ")"
+
     for j in range(n + 1):
         c = c_op(j, n)
         col = Composition([1] * j + ([n - j] if n - j else []))
         row = Composition(([j] if j else []) + ([n - j] if n - j else []))
         hook = Composition(([j] if j else []) + [1] * (n - j))
-        if c != m_alpha(col) * x_alpha(row) or c != x_alpha(hook):
-            return False
+        _require_same(c, m_alpha(col) * x_alpha(row),
+                      f"C_{j} = m_{name(col)} x_{name(row)}")
+        _require_same(c, x_alpha(hook), f"C_{j} = x_{name(hook)}")
     return True
 
 
 def check_annihilating_polynomial(n):
-    return annihilator_check(b2r(n), n) and annihilator_check(r2b(n), n)
+    return (annihilator_check(b2r(n), n, "B_n")
+            and annihilator_check(r2b(n), n, "B*_n"))
 
 
 def check_jm_commute(n):
-    jms = [jucys_murphy_scaled(n, k) for k in range(2, n + 1)]
-    return all(a * b == b * a for a in jms for b in jms)
+    """The scaled Jucys-Murphy elements q^k J_k commute pairwise."""
+    jms = [(k, jucys_murphy_scaled(n, k)) for k in range(2, n + 1)]
+    for j, a in jms:
+        for k, b in jms:
+            _require_same(a * b, b * a, f"(q^{j} J_{j})(q^{k} J_{k}) = "
+                                        f"(q^{k} J_{k})(q^{j} J_{j})")
+    return True
 
 
 def check_word_module_relations(n, q0):
@@ -550,11 +567,20 @@ def check_second_eigenvalue(n, q0):
 
 
 def check_positivity_degree(n):
+    """Each E_{lambda/mu} has nonnegative integer coefficients and no
+    negative exponent, and degree n + C - 1, C the largest strip content;
+    a failure raises CheckFailed naming lambda, mu, E and the property."""
     for row in spectra.spectrum_table(n):
+        where = (f"for lambda = {row.lam}, mu = {row.mu}: E_lambda/mu = "
+                 f"{row.eigenvalue}")
         if not row.eigenvalue.is_nonneg_integral():
-            return False
+            raise CheckFailed(f"positivity fails {where} has a negative "
+                              f"exponent or a coefficient that is not a "
+                              f"nonnegative integer")
         if not spectra.degree_check(row.lam, row.mu):
-            return False
+            raise CheckFailed(f"the degree check fails {where} is not of "
+                              f"degree n + C - 1 (C the largest strip "
+                              f"content; E = 0 when mu = lambda)")
     return True
 
 

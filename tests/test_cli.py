@@ -18,7 +18,7 @@ def runner():
     return CliRunner()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_spectrum_md_matches_golden(runner, n):
     result = runner.invoke(main, ["spectrum", "--n", str(n), "--format", "md"])
     assert result.exit_code == 0

@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import linalg
+import pathlib
+
+from qshuffle import hecke, linalg, verify
 from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
                             b2r_embedded, c_op, intermediate_recursion_check,
                             jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
                             r2r, recursion_check, regular_rep_matrix, top_ops,
                             transposition_word, x_alpha)
-from qshuffle.qpoly import ONE, Q, QM1, qint
+from qshuffle.qpoly import ONE, Q, QM1, ZERO, qint
 from qshuffle.symmetric import Composition, Permutation, all_permutations
 from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
                              check_hecke_relations_symbolic, check_jm_commute,
                              check_push_through_lemma, run_suite)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def from_word(word, n):
@@ -217,3 +221,92 @@ def test_bstar_kernel_lift_failure_names_j_and_kernel_vector(monkeypatch):
                              f"{last[0]} of B*_2 is not a B*_3-eigenvector "
                              f"with eigenvalue [1]_q for j = 2 at q0 = 7/5, "
                              f"first difference at index ")
+
+
+def test_r2r_json_matches_golden():
+    text = json.dumps(r2r(4).to_json(), indent=2) + "\n"
+    assert text == (GOLDEN / "r2r_n4.json").read_text()
+
+
+# -- witnesses of the symbolic checks -----------------------------------------
+
+def witness(relation, got, want):
+    """The detail a symbolic check reports when got != want: the relation,
+    n, the first w in Lehmer order whose coefficients differ, and both."""
+    w = next(w for w in all_permutations(got.n)
+             if got.terms.get(w, ZERO) != want.terms.get(w, ZERO))
+    return (f"CheckFailed: {relation} fails in H_{got.n}: the coefficient of "
+            f"T_w for w = {w} is {got.terms.get(w, ZERO)} on the left, "
+            f"{want.terms.get(w, ZERO)} on the right")
+
+
+def symbolic_detail(check_id):
+    return {r.check_id: r for r in run_suite(3, [Fraction(2)])}[
+        check_id].detail
+
+
+def test_hecke_relations_failure_names_relation_and_coefficient(monkeypatch):
+    monkeypatch.setattr(verify, "Q", Q + ONE)  # q + 1 where q belongs
+    t1, one = HeckeElement.t_word([1], 3), HeckeElement.one(3)
+    assert symbolic_detail("hecke-relations-symbolic") == witness(
+        "quadratic relation T_1 T_1 = (q-1) T_1 + q", t1 * t1,
+        t1.scale(Q) + one.scale(Q + ONE))
+
+
+def test_recursion_failure_names_relation_and_coefficient(monkeypatch):
+    original = hecke.jucys_murphy_scaled
+
+    def wrong(n, k):  # q^n J_n + 1 inside the recursion only
+        return original(n, k) + HeckeElement.one(n)
+
+    monkeypatch.setattr(hecke, "jucys_murphy_scaled", wrong)
+    bn = b2r(3)
+    inner = ((r2b_embedded(2, 3) * b2r_embedded(2, 3)).scale(Q)
+             + HeckeElement.one(3).scale(qint(3)) + wrong(3, 3))
+    assert symbolic_detail("recursion") == witness(
+        "B_n R_n = (q R_{n-1} + [n]_q + q^n J_n) B_n", bn * r2r(3),
+        inner * bn)
+
+
+def test_push_through_failure_names_relation_and_coefficient(monkeypatch):
+    monkeypatch.setattr(verify, "Q", Q + ONE)
+    bstar, b = r2b_embedded(2, 3), b2r_embedded(2, 3)
+    assert symbolic_detail("push-through-lemma") == witness(
+        "push-through lemma B*_{n-1} T_{n-1} B_{n-1} B_n = q R_{n-1} B_n",
+        bstar.mul_gen(2) * b * b2r(3), (bstar * b * b2r(3)).scale(Q + ONE))
+
+
+def test_c_factorization_failure_names_relation_and_coefficient(monkeypatch):
+    original = verify.x_alpha
+
+    def wrong(alpha):  # x_alpha + T_1
+        return original(alpha) + HeckeElement.t_word([1], alpha.n)
+
+    monkeypatch.setattr(verify, "x_alpha", wrong)
+    full = Composition([3])
+    assert symbolic_detail("c-factorization") == witness(
+        "C_0 = m_(3) x_(3)", c_op(0, 3), m_alpha(full) * wrong(full))
+
+
+def test_annihilating_polynomial_failure_names_element(monkeypatch):
+    monkeypatch.setattr(verify, "b2r", lambda n: b2r(n) + HeckeElement.one(n))
+    prod = HeckeElement.one(3)
+    for j in (0, 2, 3):
+        prod = prod * (b2r(3) + HeckeElement.one(3)
+                       - HeckeElement.one(3).scale(qint(3 - j)))
+    assert symbolic_detail("annihilating-polynomial") == witness(
+        "prod_(j != 1) (B_n - [n-j]_q) = 0", prod, HeckeElement.zero(3))
+
+
+def test_jm_commute_failure_names_pair_and_coefficient(monkeypatch):
+    original = verify.jucys_murphy_scaled
+
+    def wrong(n, k):  # q^2 J_2 + T_2 no longer commutes with q^3 J_3
+        extra = HeckeElement.t_word([2], n) if k == 2 else HeckeElement.zero(n)
+        return original(n, k) + extra
+
+    monkeypatch.setattr(verify, "jucys_murphy_scaled", wrong)
+    a, b = wrong(3, 2), wrong(3, 3)
+    assert a * b != b * a
+    assert symbolic_detail("jucys-murphy-commute") == witness(
+        "(q^2 J_2)(q^3 J_3) = (q^3 J_3)(q^2 J_2)", a * b, b * a)

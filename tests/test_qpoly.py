@@ -99,3 +99,16 @@ def test_degree_and_positivity():
     assert not p.is_nonneg_integral()
     assert qint(5).is_nonneg_integral()
     assert not (qint(2) - qint(3)).is_nonneg_integral()
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    a, b = LaurentPoly({0: Fraction(3)}), LaurentPoly({0: 3})
+    assert a == b and hash(a) == hash(b)
+    assert str(a) == str(b) and a.to_json() == b.to_json()
+    assert type(a.terms[0]) is int
+    assert type(LaurentPoly({1: Fraction(1, 2)}).terms[1]) is Fraction
+    half = LaurentPoly({1: Fraction(1, 2), 2: Fraction(3, 2)})
+    assert all(type(c) is int for c in (half + half).terms.values())
+    assert all(type(c) is int for c in half.scale(2).terms.values())
+    assert all(type(c) is int for c in qint(4).terms.values())
+    assert all(type(c) is int for c in (qint(3) * qint(-2)).terms.values())

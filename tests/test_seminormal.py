@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from qshuffle import hecke, linalg, markov, spectra, verify
-from qshuffle.hecke import HeckeElement, clear_module_cache, r2r
+from qshuffle.hecke import (HeckeElement, _fractions, _ints,
+                            clear_module_cache, r2r)
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
@@ -16,7 +18,8 @@ from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
 from qshuffle.verify import (CheckFailed, check_dominance_vanishing,
                              check_idempotents, check_phi_morphism,
                              check_projection_compat, check_seminormal_action,
-                             check_word_module_relations, run_suite)
+                             check_word_module_relations, run_suite,
+                             sub_partitions)
 
 Q_VALUES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
@@ -274,6 +277,51 @@ def test_restricted_product_factor_count(monkeypatch, n):
             wm.apply_idempotent(wm.basis_vector(wm.basis[0]), t)
             assert calls == [m for m in range(2, n + 1) for _ in range(
                 len(t.shape_up_to(m - 1).addable_contents()) - 1)], t
+
+
+def per_vector_idempotent(wm, num, den, t):
+    """(num, den) . p_t by the per-vector factor loop the factor schedules
+    replaced: the addable contents of the running shape are recomputed,
+    factor by factor, for every vector."""
+    shape = list(t.shape.inner.parts)
+    for m in range(t.shape.inner.size + 1, t.n + 1):
+        cm = t.content_of(m)
+        for d in Partition(shape).addable_contents():
+            if d == cm:
+                continue
+            p, r, s = wm._factor(m, cm, d)
+            jv = wm._jm_times(num, m)
+            num = [p * x - r * y for x, y in zip(jv, num)]
+            den *= s
+            g = math.gcd(den, *num)
+            if g > 1:
+                num, den = [x // g for x in num], den // g
+        row = t.row_of(m)
+        if row > len(shape):
+            shape.append(0)
+        shape[row - 1] += 1
+    return num, den
+
+
+@pytest.mark.parametrize("q0", Q_VALUES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_schedules_match_the_per_vector_loop(n, q0):
+    # every tableau of shape nu/mu, nu |- n (mu empty: the straight ones),
+    # on every W^lambda
+    tableaux = [t for nu in partitions_of(n) for mu in sub_partitions(nu)
+                for t in enumerate_syt(SkewShape(nu, mu))]
+    for lam in partitions_of(n):
+        wm = word_module(lam, q0)
+        units = [[int(i == r) for i in range(wm.dim)] for r in range(wm.dim)]
+        mixed = [Fraction(k + 1, 3 - k % 2) for k in range(wm.dim)]
+        for t in tableaux:
+            rows = [per_vector_idempotent(wm, e, 1, t) for e in units]
+            assert [wm._idempotent(e, 1, t) for e in units] == rows, (lam, t)
+            d = math.lcm(*(den for _, den in rows))
+            assert wm.idempotent_int_matrix(t) == (
+                d, [[x * (d // den) for x in num] for num, den in rows])
+            want = _fractions(*per_vector_idempotent(wm, *_ints(mixed), t))
+            assert wm.apply_idempotent(mixed, t) == want, (lam, t)
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])

@@ -339,3 +339,53 @@ def test_straightening_failure_names_shapes_tableaux_and_q(monkeypatch):
     for field in (f"lambda = (2,1), mu = (), t = {bad}, s = ",
                   "q0 = 7/5", "first nonzero index 0"):
         assert field in detail
+
+
+def test_unstable_unit_span_names_shape_q_and_tableau(monkeypatch):
+    # one moved p_t leaves the units of S^(2,1) outside a submodule: the
+    # kernel of R_3 on S^(2,1), and so the eigenbasis, cannot be formed
+    lam = P(2, 1)
+    bad = next(t for t in enumerate_syt(lam) if t != superstandard(lam))
+    original = WordModuleRep.apply_idempotent
+
+    def wrong(self, v, t):
+        out = original(self, v, t)
+        if self.lam == lam and t == bad:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
+    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
+    detail = report["eigenbasis[q=7/5]"].detail
+    assert detail.startswith("CheckFailed: the units of S^(2,1) at q0 = 7/5 "
+                             "do not span a submodule")
+    assert f"for t = {enumerate_syt(lam)[0]}, a = " in detail
+
+
+@pytest.mark.parametrize("broken", ["positivity", "degree"])
+def test_positivity_degree_failure_names_strip_and_property(monkeypatch,
+                                                            broken):
+    lam, mu = P(2, 1), P(1)
+    if broken == "positivity":
+        original = spectra.eigenvalue_formula
+
+        def wrong(a, b):  # -E for the strip (2,1)/(1) only
+            value = original(a, b)
+            return -value if (a, b) == (lam, mu) else value
+
+        monkeypatch.setattr(spectra, "eigenvalue_formula", wrong)
+        what = "positivity fails"
+        value = -eigenvalue_formula(lam, mu)
+        tail = ("has a negative exponent or a coefficient that is not a "
+                "nonnegative integer")
+    else:
+        original = spectra.degree_check
+        monkeypatch.setattr(spectra, "degree_check", lambda a, b: (
+            (a, b) != (lam, mu) and original(a, b)))
+        what = "the degree check fails"
+        value = eigenvalue_formula(lam, mu)
+        tail = "is not of degree n + C - 1"
+    report = {r.check_id: r for r in run_suite(3, [Fraction(2)])}
+    assert report["positivity-degree"].detail.startswith(
+        f"CheckFailed: {what} for lambda = (2,1), mu = (1): E_lambda/mu = "
+        f"{value} {tail}")

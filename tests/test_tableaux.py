@@ -162,3 +162,17 @@ def test_hook_length_large():
     assert hook_length_count((4, 3, 1)) == 70
     assert sum(hook_length_count(lam.parts) ** 2
                for lam in partitions_of(6)) == math.factorial(6)
+
+
+def test_enumerate_syt_returns_a_fresh_list():
+    lam = Partition((3, 2))
+    first = enumerate_syt(lam)
+    count = len(first)
+    first.pop()
+    first.reverse()
+    again = enumerate_syt(lam)
+    assert len(again) == count == hook_length_count(lam.parts)
+    assert again[0] == superstandard(lam)
+    skew = SkewShape(lam, Partition((1,)))
+    enumerate_syt(skew).clear()
+    assert len(enumerate_syt(skew)) == 5
