@@ -187,6 +187,38 @@ def _require_same(got, want, relation):
         f"on the right")
 
 
+# Every vector or matrix identity that verify certifies fails through
+# _require_equal or _require_zero, which word the witness in one place.
+
+def _first_index(a, b):
+    """First index at which the vectors a and b differ."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def _first_cell(a, b):
+    """First (row, col) at which the matrices a and b differ."""
+    return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+
+
+def _require_equal(got, want, what):
+    """Raise CheckFailed saying what failed and the first index (vectors) or
+    (row, col) (matrices) at which got and want differ, unless equal."""
+    if got != want:
+        where = (f"(row, col) {_first_cell(got, want)}"
+                 if got and isinstance(got[0], list)
+                 else f"index {_first_index(got, want)}")
+        raise CheckFailed(f"{what}, first difference at {where}")
+
+
+def _require_zero(v, what):
+    """Raise CheckFailed saying what failed and the first nonzero index of
+    the vector v, unless v is zero."""
+    j = next((j for j, x in enumerate(v) if x), None)
+    if j is not None:
+        raise CheckFailed(f"{what}, first nonzero index {j}")
+
+
 # -- shared builds ----------------------------------------------------
 
 _TABLES = {}  # "module.function" -> the table of a memo function
@@ -460,9 +492,6 @@ class HeckeModule:
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
         return [_fractions(*row) for row in self._unit_rows(
             self._int_terms([(tuple(word), Fraction(1))]))]
-
-    def gen_matrix(self, i):
-        return self.word_matrix((i,))
 
     def _hecke_rows(self, elem):
         """(integer row, den) of e_r . elem for each basis vector e_r in

@@ -14,12 +14,13 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import CheckFailed, b2r_embedded, memo, r2r, regular_rep_matrix
+from .hecke import (CheckFailed, _require_equal, _require_zero, b2r_embedded,
+                    memo, r2r, regular_rep_matrix)
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
 from .seminormal import phi_apply, specht_module, word_module
-from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
-                       f_lambda, horizontal_strips, partitions_of, q_content,
+from .tableaux import (SkewShape, d_mu, enumerate_syt, extend, f_lambda,
+                       horizontal_strips, partitions_of, q_content,
                        superstandard)
 
 
@@ -142,18 +143,10 @@ def kernel_basis(lam, q0):
     """
     rep = specht_module(lam, q0)
     if lam.size == 0:
-        vectors = [rep.units[0][:]]
-    else:
-        mat = rep.hecke_action_matrix(r2r(lam.size))
-        vectors = []
-        for x in linalg.left_kernel(mat):
-            v = [Fraction(0)] * rep.word_module.dim
-            for c, unit in zip(x, rep.units):
-                if c:
-                    for jdx in range(len(v)):
-                        v[jdx] += c * unit[jdx]
-            vectors.append(v)
-    return rep, vectors
+        return rep, [rep.units[0][:]]
+    mat = rep.hecke_action_matrix(r2r(lam.size))
+    return rep, [linalg.vec_mat(x, rep.units)
+                 for x in linalg.left_kernel(mat)]
 
 
 class EigenvectorRecord:
@@ -173,10 +166,6 @@ class EigenvectorRecord:
                 "vector": [str(x) for x in self.vector]}
 
 
-class DegenerateBasis(ArithmeticError):
-    pass
-
-
 def apply_c_op(rep, v, j):
     """v . C_j^(n) = v . B_{j+1}(q0) ... B_n(q0) inside W^lambda."""
     for k in range(j + 1, rep.n + 1):
@@ -192,7 +181,7 @@ def build_eigenbasis(lam, q0):
     For each horizontal strip lambda/mu and each u in kappa_mu, forms
     u . Phi_{t^{lambda/mu}} . C_{|mu|}^(n) . p_lambda, verifies the
     eigenvector identity, and checks that exactly f^lambda independent
-    vectors result; a failure raises DegenerateBasis naming lambda, q0 and
+    vectors result; a failure raises CheckFailed naming lambda, q0 and
     either mu, the index of u and the first differing index, or the count
     and rank of the vectors.
     """
@@ -215,46 +204,20 @@ def build_eigenbasis(lam, q0):
             value = eigenvalue_formula(lam, mu).eval(q0)
             if any(v):
                 # for n = 0 the shuffle element is an empty sum
-                image = (rep_lam.apply_hecke(v, r_op) if r_op
-                         else [Fraction(0)] * len(v))
-                want = [value * x for x in v]
-                if image != want:
-                    first = next(j for j, (x, y) in enumerate(zip(image, want))
-                                 if x != y)
-                    raise DegenerateBasis(
-                        f"not an R_{n}-eigenvector with eigenvalue {value}: "
-                        f"lambda = {lam}, mu = {mu}, kernel vector {idx} of "
-                        f"S^mu at q0 = {q0}, first difference at index "
-                        f"{first}")
+                _require_equal(
+                    (rep_lam.apply_hecke(v, r_op) if r_op
+                     else [Fraction(0)] * len(v)), [value * x for x in v],
+                    f"not an R_{n}-eigenvector with eigenvalue {value}: "
+                    f"lambda = {lam}, mu = {mu}, kernel vector {idx} of S^mu "
+                    f"at q0 = {q0}")
             records.append(EigenvectorRecord(lam, mu, idx, v, value))
     rank = linalg.rank([rec.vector for rec in records])
     if rank != len(records) or rank != f_lambda(lam):
-        raise DegenerateBasis(
+        raise CheckFailed(
             f"the eigenvectors of {lam} at q0 = {q0} are not a basis: "
             f"{len(records)} vectors of rank {rank}, against f^lambda = "
             f"{f_lambda(lam)}")
     return records
-
-
-def strip_vanishing_defect(lam, mu, q0):
-    """u . Phi_t . C_|mu| . p_lambda = 0 when lambda/mu is not a strip, for
-    every skew tableau t of shape lambda/mu and every unit u = w_s of S^mu.
-    Returns the first (t, s, first nonzero index) where the image is not
-    zero, or None if there is none."""
-    shape = SkewShape(lam, mu)
-    if shape.is_horizontal_strip():
-        raise ValueError("expected a non-strip")
-    rep_mu = specht_module(mu, q0)
-    rep_lam = word_module(lam, q0)
-    for t_skew in enumerate_syt(shape):
-        for s, u in zip(rep_mu.tableaux, rep_mu.units):
-            v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
-            v = apply_c_op(rep_lam, v, mu.size)
-            v = rep_lam.apply_p_lambda(v)
-            nonzero = next((j for j, x in enumerate(v) if x), None)
-            if nonzero is not None:
-                return t_skew, s, nonzero
-    return None
 
 
 def straightening_scalars(lam, mu, q0):
@@ -275,52 +238,26 @@ def straightening_scalars(lam, mu, q0):
         b = apply_c_op(rep.word_module, unit[extend(s, t_max)], mu.size)
         refs.append((s, b, next((j for j, x in enumerate(b) if x), None)))
     out = {}
-
-    def fail(what, where):
-        raise CheckFailed(f"{what} for lambda = {lam}, mu = {mu}, t = {t}, "
-                          f"s = {s} at q0 = {rep.q0}, {where}")
-
     for t in enumerate_syt(shape):
         alpha = None
         for s, b, pivot in refs:
             a = apply_c_op(rep.word_module, unit[extend(s, t)], mu.size)
+            where = (f"for lambda = {lam}, mu = {mu}, t = {t}, s = {s} at "
+                     f"q0 = {rep.q0}")
             if pivot is None:
-                if any(a):
-                    fail(f"w_t(s) C_{mu.size} is nonzero over a zero "
-                         f"reference", f"first nonzero index "
-                         f"{next(j for j, x in enumerate(a) if x)}")
+                _require_zero(a, f"w_t(s) C_{mu.size} is nonzero over a zero "
+                                 f"reference {where}")
                 continue
             ratio = a[pivot] / b[pivot]
-            first = next((j for j, (x, y) in enumerate(zip(a, b))
-                          if x != ratio * y), None)
-            if first is not None:
-                fail(f"w_t(s) C_{mu.size} is not proportional to its "
-                     f"reference", f"first difference at index {first}")
+            _require_equal(a, [ratio * y for y in b],
+                           f"w_t(s) C_{mu.size} is not proportional to its "
+                           f"reference {where}")
             if alpha is None:
                 alpha = ratio
             elif alpha != ratio:
-                fail("the straightening scalar depends on the source",
-                     f"{ratio} at index {pivot} against {alpha} for the "
-                     f"first source")
+                raise CheckFailed(
+                    f"the straightening scalar depends on the source {where}, "
+                    f"{ratio} at index {pivot} against {alpha} for the first "
+                    f"source")
         out[t] = alpha
     return out
-
-
-def diagonalizability_defect(n, q0):
-    """First formula eigenvalue of R_n(q0) whose geometric multiplicity
-    (size - rank on the regular representation) differs from its algebraic
-    one, as (eigenvalue, geometric, algebraic); None if there is none.
-    With M = dm / d, d the lcm of the entry denominators, the rank of
-    M - (a/b) I is that of the integer matrix b dm - a d I."""
-    mat = regular_rep_matrix(r2r(n), q0)
-    size = len(mat)
-    d = math.lcm(*(x.denominator for row in mat for x in row))
-    dm = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
-    for value, mult in spectrum_at(r2r_charpoly_factored(n), q0).items():
-        a, b = value.numerator, value.denominator
-        shifted = [[b * x - (a * d if i == j else 0)
-                    for j, x in enumerate(row)] for i, row in enumerate(dm)]
-        geometric = size - linalg.rank(shifted)
-        if geometric != mult:
-            return value, geometric, mult
-    return None

@@ -37,15 +37,6 @@ class Permutation:
     def identity(n):
         return Permutation(range(1, n + 1))
 
-    @staticmethod
-    def transposition(i, j, n):
-        ol = list(range(1, n + 1))
-        ol[i - 1], ol[j - 1] = ol[j - 1], ol[i - 1]
-        return Permutation(ol)
-
-    def __call__(self, i):
-        return self.one_line[i - 1]
-
     def apply_gen_right(self, i):
         """w * s_i: swap positions i and i+1."""
         if not 1 <= i <= self.n - 1:
@@ -53,19 +44,6 @@ class Permutation:
         ol = list(self.one_line)
         ol[i - 1], ol[i] = ol[i], ol[i - 1]
         return Permutation(ol)
-
-    def __mul__(self, other):
-        """(self * other)(i) = self(other(i)): apply other first by position."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(self.one_line[other.one_line[i] - 1]
-                           for i in range(self.n))
-
-    def inverse(self):
-        inv = [0] * self.n
-        for pos, val in enumerate(self.one_line):
-            inv[val - 1] = pos + 1
-        return Permutation(inv)
 
     def length(self):
         """Coxeter length = inversion count."""

@@ -1,9 +1,11 @@
 """Verification suites tying the closed-form results to explicit oracles.
 
-Each check is a named callable returning True/False, or raising
-CheckFailed with a witness of where it failed; the CLI runs them and
-assembles a report.  Symbolic checks certify identities for every q at
-once; matrix checks certify at the exact rational points supplied.
+Each check is a named callable that returns True or raises CheckFailed
+with a witness of where it failed; the CLI runs them and assembles a
+report.  Every vector and matrix witness is worded by hecke._require_equal
+or _require_zero; spectra builds, and the loops that check live here.
+Symbolic checks certify identities for every q at once; matrix checks
+certify at the exact rational points supplied.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import time
 from fractions import Fraction
 
 from . import linalg, markov, spectra
-from .hecke import (CheckFailed, HeckeElement, _ints, _require_same,
+from .hecke import (CheckFailed, HeckeElement, _first_index, _ints,
+                    _require_equal, _require_same, _require_zero,
                     annihilator_check, b2r, b2r_embedded, c_op,
                     clear_module_cache, intermediate_recursion_check,
                     jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
@@ -22,8 +25,8 @@ from .qpoly import Q, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
 from .symmetric import Composition, all_permutations, derangement_count
-from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
-                       f_lambda, horizontal_strips, partitions_of, superstandard)
+from .tableaux import (SkewShape, d_mu, enumerate_syt, extend, f_lambda,
+                       horizontal_strips, partitions_of, superstandard)
 
 
 class CheckResult:
@@ -38,25 +41,6 @@ class CheckResult:
     def to_json(self):
         return {"check": self.check_id, "passed": self.passed,
                 "elapsed_ms": round(self.elapsed_ms, 1), "detail": self.detail}
-
-
-def _first_cell(a, b):
-    """First (row, col) at which the matrices a and b differ."""
-    return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
-                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
-
-
-def _require_equal(got, want, what):
-    """Raise CheckFailed saying what failed and the first (row, col) at which
-    the matrices got and want differ, unless they are equal."""
-    if got != want:
-        raise CheckFailed(
-            f"{what}, first difference at (row, col) {_first_cell(got, want)}")
-
-
-def _first_index(a, b):
-    """First index at which the vectors a and b differ."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 
 def sub_partitions(lam):
@@ -94,7 +78,9 @@ def check_hecke_relations_symbolic(n):
 
 
 def check_recursion(n):
-    return recursion_check(n) and intermediate_recursion_check(n)
+    recursion_check(n)
+    intermediate_recursion_check(n)
+    return True
 
 
 def check_push_through_lemma(n):
@@ -102,8 +88,9 @@ def check_push_through_lemma(n):
     bn = b2r(n)
     lhs = r2b_embedded(n - 1, n).mul_gen(n - 1) * b2r_embedded(n - 1, n) * bn
     rhs = ((r2b_embedded(n - 1, n) * b2r_embedded(n - 1, n)) * bn).scale(Q)
-    return _require_same(lhs, rhs, "push-through lemma B*_{n-1} T_{n-1} "
-                                   "B_{n-1} B_n = q R_{n-1} B_n")
+    _require_same(lhs, rhs, "push-through lemma B*_{n-1} T_{n-1} B_{n-1} B_n "
+                            "= q R_{n-1} B_n")
+    return True
 
 
 def check_c_factorization(n):
@@ -123,8 +110,9 @@ def check_c_factorization(n):
 
 
 def check_annihilating_polynomial(n):
-    return (annihilator_check(b2r(n), n, "B_n")
-            and annihilator_check(r2b(n), n, "B*_n"))
+    annihilator_check(b2r(n), n, "B_n")
+    annihilator_check(r2b(n), n, "B*_n")
+    return True
 
 
 def check_jm_commute(n):
@@ -176,28 +164,21 @@ def check_seminormal_action(n, q0):
         where = f"on W^{lam} at q0 = {wm.q0}"
         index = {t: k for k, t in enumerate(rep.tableaux)}
         for k, t in enumerate(rep.tableaux):
-            unit = rep.units[k]
+            unit, at = rep.units[k], f"for t = {t} {where}"
             if not any(unit):
-                raise CheckFailed(f"unit w_t is zero for t = {t} {where}")
+                raise CheckFailed(f"unit w_t is zero {at}")
             for m in range(1, n + 1):
                 value = qint(t.content_of(m)).eval(q0)
-                got, want = wm.apply_jm(unit, m), [value * x for x in unit]
-                if got != want:
-                    raise CheckFailed(
-                        f"w_t J_{m} = [{t.content_of(m)}]_q w_t fails for "
-                        f"t = {t} {where}, first difference at index "
-                        f"{_first_index(got, want)}")
+                _require_equal(wm.apply_jm(unit, m), [value * x for x in unit],
+                               f"w_t J_{m} = [{t.content_of(m)}]_q w_t fails "
+                               f"{at}")
             for i in range(1, n):
-                want = [Fraction(0)] * wm.dim
+                coeffs = [0] * len(rep.units)
                 for tt, c in dipper_james_action(t, i, q0).items():
-                    other = rep.units[index[tt]]
-                    want = [e + c * x for e, x in zip(want, other)]
-                got = wm.apply_gen(unit, i)
-                if got != want:
-                    raise CheckFailed(
-                        f"w_t T_{i} = the four-case formula fails for t = "
-                        f"{t} {where}, first difference at index "
-                        f"{_first_index(got, want)}")
+                    coeffs[index[tt]] = c
+                _require_equal(wm.apply_gen(unit, i),
+                               linalg.vec_mat(coeffs, rep.units),
+                               f"w_t T_{i} = the four-case formula fails {at}")
     return True
 
 
@@ -234,12 +215,9 @@ def check_idempotents(n, q0):
                               f"= {f_lambda(lam)}, {where}")
         for t, unit in zip(rep.tableaux, rep.units):
             num, _ = _ints(unit)
-            image = linalg.int_mat_mul([num], total)[0]
-            want = [den * x for x in num]
-            if image != want:
-                raise CheckFailed(
-                    f"w_t p_lambda = w_t fails for t = {t} {where}, first "
-                    f"difference at index {_first_index(image, want)}")
+            _require_equal(linalg.int_mat_mul([num], total)[0],
+                           [den * x for x in num],
+                           f"w_t p_lambda = w_t fails for t = {t} {where}")
         if n <= 4:
             every = [m for mu in partitions_of(n) for m in (
                 mats if mu == lam else
@@ -278,42 +256,36 @@ def check_phi_morphism(n, q0):
     T_i or the tableau s, q0 and the first differing index."""
     for lam in partitions_of(n):
         rep_lam = word_module(lam, q0)
+        rep = specht_module(lam, q0)
+        unit = dict(zip(rep.tableaux, rep.units))  # w_t(s) for each t(s)
         for mu in sub_partitions(lam):
             rep_mu = word_module(mu, q0)
             skews = enumerate_syt(SkewShape(lam, mu))
             for t_skew in skews:
-                for idx in range(rep_mu.dim):
-                    v = [Fraction(0)] * rep_mu.dim
-                    v[idx] = Fraction(1)
+                at = (f"of W^{mu} for lambda = {lam}, mu = {mu}, t = {t_skew} "
+                      f"at q0 = {rep_lam.q0}")
+                for word in rep_mu.basis:
+                    v = rep_mu.basis_vector(word)
                     for i in range(1, max(mu.size, 1)):
-                        a = phi_apply(rep_mu.apply_gen(v, i), rep_mu, rep_lam,
-                                      t_skew)
-                        b = rep_lam.apply_gen(
-                            phi_apply(v, rep_mu, rep_lam, t_skew), i)
-                        if a != b:
-                            raise CheckFailed(
-                                f"Phi_t T_{i} = T_{i} Phi_t fails on the word "
-                                f"{rep_mu.basis[idx]} of W^{mu} for lambda = "
-                                f"{lam}, mu = {mu}, t = {t_skew} at q0 = "
-                                f"{rep_lam.q0}, first difference at index "
-                                f"{_first_index(a, b)}")
+                        _require_equal(
+                            phi_apply(rep_mu.apply_gen(v, i), rep_mu, rep_lam,
+                                      t_skew),
+                            rep_lam.apply_gen(
+                                phi_apply(v, rep_mu, rep_lam, t_skew), i),
+                            f"Phi_t T_{i} = T_{i} Phi_t fails on the word "
+                            f"{word} {at}")
             if mu.size == 0:
                 continue
             rep_s = specht_module(mu, q0)
             for t_skew in skews:
-                for k, s in enumerate(rep_s.tableaux):
+                for s, w_s in zip(rep_s.tableaux, rep_s.units):
                     glued = extend(s, t_skew)
-                    expect = rep_lam.apply_idempotent(
-                        rep_lam.basis_vector(glued.word()), glued)
-                    got = phi_apply(rep_s.units[k], rep_s.word_module, rep_lam,
-                                    t_skew)
-                    got = rep_lam.apply_idempotent(got, glued)
-                    if got != expect:
-                        raise CheckFailed(
-                            f"w_t(s) = w_s Phi_t p_t(s) fails for lambda = "
-                            f"{lam}, mu = {mu}, s = {s}, t = {t_skew} at q0 = "
-                            f"{rep_lam.q0}, first difference at index "
-                            f"{_first_index(got, expect)}")
+                    v = phi_apply(w_s, rep_s.word_module, rep_lam, t_skew)
+                    _require_equal(
+                        rep_lam.apply_idempotent(v, glued), unit[glued],
+                        f"w_t(s) = w_s Phi_t p_t(s) fails for lambda = {lam}, "
+                        f"mu = {mu}, s = {s}, t = {t_skew} at q0 = "
+                        f"{rep_lam.q0}")
     return True
 
 
@@ -326,11 +298,10 @@ def check_dominance_vanishing(n, q0):
         for t in tabs:
             for s in tabs:
                 img = wm.apply_idempotent(wm.basis_vector(s.word()), t)
-                if not s.dominance_leq(t) and any(img):
-                    raise CheckFailed(
-                        f"word(s) p_t = 0 fails for s = {s} not dominated by "
-                        f"t = {t} on W^{lam} at q0 = {wm.q0}, first nonzero "
-                        f"index {next(j for j, x in enumerate(img) if x)}")
+                if not s.dominance_leq(t):
+                    _require_zero(img, f"word(s) p_t = 0 fails for s = {s} "
+                                       f"not dominated by t = {t} on W^{lam} "
+                                       f"at q0 = {wm.q0}")
     return True
 
 
@@ -347,14 +318,11 @@ def check_projection_compat(n, q0):
             rep_s = specht_module(mu, q0)
             for s, unit in zip(rep_s.tableaux, rep_s.units):
                 v = phi_apply(unit, rep_s.word_module, rep_lam, t_skew)
-                a = rep_lam.apply_idempotent(v, t_skew)
-                b = rep_lam.apply_p_lambda(v)
-                if a != b:
-                    raise CheckFailed(
-                        f"w_s Phi p_t = w_s Phi p_lambda fails for lambda = "
-                        f"{lam}, mu = {mu}, s = {s}, t = {t_skew} at q0 = "
-                        f"{rep_lam.q0}, first difference at index "
-                        f"{_first_index(a, b)}")
+                _require_equal(rep_lam.apply_idempotent(v, t_skew),
+                               rep_lam.apply_p_lambda(v),
+                               f"w_s Phi p_t = w_s Phi p_lambda fails for "
+                               f"lambda = {lam}, mu = {mu}, s = {s}, t = "
+                               f"{t_skew} at q0 = {rep_lam.q0}")
     return True
 
 
@@ -378,16 +346,13 @@ def check_one_step_recursion(n, q0):
                     SkewShape(lam, smaller)).eval(q0)
                 value = (q0 * rec.eigenvalue_at_q0 + qint(n).eval(q0)
                          + q0 ** n * cell_content)
-                image = rep_lam.apply_hecke(v, r_op)
-                want = [value * x for x in v]
-                if image != want:
-                    raise CheckFailed(
-                        f"u Phi B_{n} p_lambda is not an R_{n}-eigenvector "
-                        f"with eigenvalue {value} for lambda = {lam}, "
-                        f"lambda' = {smaller}, u = eigenvector "
-                        f"{rec.source_index} of strip {smaller}/{rec.mu}, "
-                        f"t = {t_skew} at q0 = {q0}, first difference at "
-                        f"index {_first_index(image, want)}")
+                _require_equal(rep_lam.apply_hecke(v, r_op),
+                               [value * x for x in v],
+                               f"u Phi B_{n} p_lambda is not an "
+                               f"R_{n}-eigenvector with eigenvalue {value} for "
+                               f"lambda = {lam}, lambda' = {smaller}, u = "
+                               f"eigenvector {rec.source_index} of strip "
+                               f"{smaller}/{rec.mu}, t = {t_skew} at q0 = {q0}")
     return True
 
 
@@ -398,10 +363,7 @@ def check_eigenbasis(n, q0):
     kernel vector and first differing index, or the two counts."""
     total = 0
     for lam in partitions_of(n):
-        try:
-            spectra.build_eigenbasis(lam, q0)
-        except spectra.DegenerateBasis as exc:
-            raise CheckFailed(str(exc)) from exc
+        spectra.build_eigenbasis(lam, q0)  # raises on failure
         _, kappa = spectra.kernel_basis(lam, q0)
         if len(kappa) != d_mu(lam):
             raise CheckFailed(
@@ -432,33 +394,38 @@ def check_strip_vanishing(n, q0):
     lambda, mu, the skew tableau t, the unit w_s, q0 and the first nonzero
     index."""
     for lam in partitions_of(n):
+        rep_lam = word_module(lam, q0)
         strips = set(horizontal_strips(lam))
         for mu in sub_partitions(lam):
             if mu in strips:
                 continue
-            defect = spectra.strip_vanishing_defect(lam, mu, q0)
-            if defect:
-                t_skew, s, index = defect
-                raise CheckFailed(
-                    f"w_s Phi_t C_{mu.size} p_lambda = 0 fails for lambda = "
-                    f"{lam}, mu = {mu}, t = {t_skew}, s = {s} at q0 = "
-                    f"{Fraction(q0)}, first nonzero index {index}")
+            rep_mu = specht_module(mu, q0)
+            for t_skew in enumerate_syt(SkewShape(lam, mu)):
+                for s, u in zip(rep_mu.tableaux, rep_mu.units):
+                    v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
+                    v = spectra.apply_c_op(rep_lam, v, mu.size)
+                    _require_zero(rep_lam.apply_p_lambda(v),
+                                  f"w_s Phi_t C_{mu.size} p_lambda = 0 fails "
+                                  f"for lambda = {lam}, mu = {mu}, t = "
+                                  f"{t_skew}, s = {s} at q0 = {rep_lam.q0}")
     return True
 
 
 def check_r2r_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
         spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0).items())
-    return _charpoly_agrees("r2r", q0, route,
-                            _route_factors(r2r(n), n, q0, route), expected)
+    _charpoly_agrees("r2r", q0, route, _route_factors(r2r(n), n, q0, route),
+                     expected)
+    return True
 
 
 def check_b_charpoly(n, q0, route="regular"):
     expected = linalg.poly_from_roots(
         spectra.spectrum_at(spectra.b_charpoly_factored(n), q0).items())
-    return all(_charpoly_agrees(name, q0, route,
-                                _route_factors(op, n, q0, route), expected)
-               for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))))
+    for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))):
+        _charpoly_agrees(name, q0, route, _route_factors(op, n, q0, route),
+                         expected)
+    return True
 
 
 def check_bstar_kernel_lift(n, q0):
@@ -475,14 +442,11 @@ def check_bstar_kernel_lift(n, q0):
         value = qint(n - j).eval(q0)
         for k, u in enumerate(linalg.left_kernel(bstar_j)):
             lifted = linalg.vec_mat(u, m_mat)
-            image = linalg.vec_mat(lifted, bstar_n)
-            want = [value * x for x in lifted]
-            if image != want:
-                raise CheckFailed(
-                    f"the lift of kernel vector {k} of B*_{j} is not a "
-                    f"B*_{n}-eigenvector with eigenvalue [{n - j}]_q for "
-                    f"j = {j} at q0 = {Fraction(q0)}, first difference at "
-                    f"index {_first_index(image, want)}")
+            _require_equal(linalg.vec_mat(lifted, bstar_n),
+                           [value * x for x in lifted],
+                           f"the lift of kernel vector {k} of B*_{j} is not a "
+                           f"B*_{n}-eigenvector with eigenvalue [{n - j}]_q "
+                           f"for j = {j} at q0 = {Fraction(q0)}")
     return True
 
 
@@ -545,8 +509,9 @@ def check_walk_spectrum(n, q0):
     expected = linalg.poly_from_roots(
         (value / norm, m) for value, m in spectra.spectrum_at(
             spectra.r2r_charpoly_factored(n), q0).items())
-    return _charpoly_agrees("the Mallows walk", q0, "transition matrix",
-                            [(None, walk)], expected)
+    _charpoly_agrees("the Mallows walk", q0, "transition matrix",
+                     [(None, walk)], expected)
+    return True
 
 
 def check_second_eigenvalue(n, q0):
@@ -588,13 +553,20 @@ def check_diagonalizable(n, q0):
     """R_n(q0) on the regular representation is diagonalizable with the
     formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
     and its geometric and algebraic multiplicities."""
-    defect = spectra.diagonalizability_defect(n, q0)
-    if defect:
-        value, geometric, algebraic = defect
-        raise CheckFailed(
-            f"eigenvalue {value} of r2r at q0 = {Fraction(q0)} has geometric "
-            f"multiplicity {geometric} (size - rank), algebraic multiplicity "
-            f"{algebraic}")
+    mat = regular_rep_matrix(r2r(n), q0)
+    d, dm = linalg._cleared(mat)  # mat = dm / d
+    for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),
+                                           q0).items():
+        # the rank of mat - (a/b) I is that of the integer b dm - a d I
+        a, b = value.numerator, value.denominator
+        shifted = [[b * x - (a * d if i == j else 0)
+                    for j, x in enumerate(row)] for i, row in enumerate(dm)]
+        geometric = len(mat) - linalg.rank(shifted)
+        if geometric != mult:
+            raise CheckFailed(
+                f"eigenvalue {value} of r2r at q0 = {Fraction(q0)} has "
+                f"geometric multiplicity {geometric} (size - rank), algebraic "
+                f"multiplicity {mult}")
     return True
 
 
@@ -609,24 +581,23 @@ def _route_factors(op, n, q0, route):
 
 
 def _charpoly_agrees(op, q0, route, factors, expected):
-    """True if the product of factor^(f^lam) over the (lam, factor) pairs
-    (lam None: taken once) equals expected; else CheckFailed naming op, q0,
-    the route, the first lam after whose factors the product stops dividing
-    expected, and the first differing coefficient index."""
+    """Raise CheckFailed unless the product of factor^(f^lam) over the
+    (lam, factor) pairs (lam None: taken once) equals expected, naming op,
+    q0, the route, the first lam after whose factors the product stops
+    dividing expected, and the first differing coefficient index."""
     product, prefixes = [Fraction(1)], []
     for lam, factor in factors:
         for _ in range(1 if lam is None else f_lambda(lam)):
             product = linalg.poly_mul(product, factor)
         prefixes.append((lam, product))
-    if product == expected:
-        return True
-    culprit = next((f" on S^{lam}" for lam, prefix in prefixes
-                    if lam is not None
-                    and any(linalg.poly_divmod(expected, prefix)[1])),
-                   "")
-    raise CheckFailed(f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, "
-                      f"route {route}, differs from the formula at "
-                      f"coefficient index {_first_index(product, expected)}")
+    if product != expected:
+        culprit = next((f" on S^{lam}" for lam, prefix in prefixes
+                        if lam is not None
+                        and any(linalg.poly_divmod(expected, prefix)[1])), "")
+        raise CheckFailed(
+            f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, route "
+            f"{route}, differs from the formula at coefficient index "
+            f"{_first_index(product, expected)}")
 
 
 # -- suite runner ------------------------------------------------------

@@ -184,7 +184,7 @@ def test_flag_matrices_match_fraction_engine():
     space = FlagSpace(3, 2)
     oracle = FractionEngine(space, {i: space._gen_rows(i) for i in (1, 2)})
     for i in (1, 2):
-        assert space.gen_matrix(i) == oracle.matrix_of(
+        assert space.word_matrix((i,)) == oracle.matrix_of(
             lambda v: oracle.apply_gen(v, i))
     tstar = top_ops(3)[1]
     got = space.hecke_matrix(tstar)

@@ -42,8 +42,8 @@ def test_span_canonical():
 def test_gen_matrices_satisfy_hecke_relations_at_p():
     for n, p in [(2, 2), (3, 2), (2, 3)]:
         space = FlagSpace(n, p)
-        gens = {i: [[Fraction(x) for x in row] for row in space.gen_matrix(i)]
-                for i in range(1, n)}
+        gens = {i: [[Fraction(x) for x in row]
+                    for row in space.word_matrix((i,))] for i in range(1, n)}
         for i, g in gens.items():
             quad = [[(p - 1) * x + (p if r == c else 0)
                      for c, x in enumerate(row)] for r, row in enumerate(g)]
@@ -190,7 +190,7 @@ def _assert_agrees(space, ref):
         for row, sparse in zip(dense, want):
             for j, c in sparse:
                 row[j] += c
-        assert space.gen_matrix(i) == dense
+        assert space.word_matrix((i,)) == dense
     assert space.x_matrix() == ref.x_matrix()
 
 

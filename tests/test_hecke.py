@@ -1,3 +1,4 @@
+import ast
 import json
 from fractions import Fraction
 
@@ -28,15 +29,26 @@ def from_word(word, n):
     return w
 
 
+def transposition(i, j, n):
+    """The permutation of S_n swapping i and j."""
+    line = list(range(1, n + 1))
+    line[i - 1], line[j - 1] = j, i
+    return Permutation(line)
+
+
 def star(a):
     """The anti-involution T_w -> T_{w^-1}."""
-    return HeckeElement(a.n, {w.inverse(): c for w, c in a.terms.items()})
+    return HeckeElement(a.n, {
+        Permutation(w.one_line.index(v) + 1 for v in range(1, a.n + 1)): c
+        for w, c in a.terms.items()})
 
 
 def tau(a):
-    """The automorphism induced by s_i -> s_{n-i}: conjugation by w_0."""
-    flip = Permutation(range(a.n, 0, -1))
-    return HeckeElement(a.n, {flip * w * flip: c for w, c in a.terms.items()})
+    """The automorphism induced by s_i -> s_{n-i}: conjugation by w_0,
+    w_0 w w_0 (i) = n + 1 - w(n + 1 - i)."""
+    return HeckeElement(a.n, {
+        Permutation(a.n + 1 - x for x in reversed(w.one_line)): c
+        for w, c in a.terms.items()})
 
 
 def test_hecke_relations_symbolic():
@@ -92,7 +104,7 @@ def test_r2r_is_self_star():
 def test_transposition_word():
     n = 4
     word = transposition_word(2, 4)
-    assert from_word(word, n) == Permutation.transposition(2, 4, n)
+    assert from_word(word, n) == transposition(2, 4, n)
     assert len(word) == 2 * (4 - 2) - 1
 
 
@@ -101,7 +113,7 @@ def test_jucys_murphy_at_q1():
     n, k = 4, 3
     jk = jucys_murphy_scaled(n, k)
     coeffs = {w: c.eval(1) for w, c in jk.terms.items()}
-    expected = {Permutation.transposition(i, k, n): Fraction(1)
+    expected = {transposition(i, k, n): Fraction(1)
                 for i in range(1, k)}
     assert coeffs == expected
 
@@ -310,3 +322,40 @@ def test_jm_commute_failure_names_pair_and_coefficient(monkeypatch):
     assert a * b != b * a
     assert symbolic_detail("jucys-murphy-commute") == witness(
         "(q^2 J_2)(q^3 J_3) = (q^3 J_3)(q^2 J_2)", a * b, b * a)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hecke._require_equal([1, 2, 3], [1, 5, 3], "v"),
+     "v, first difference at index 1"),
+    (lambda: hecke._require_equal([[1, 2], [3, 4]], [[1, 2], [3, 5]], "m"),
+     "m, first difference at (row, col) (1, 1)"),
+    (lambda: hecke._require_zero([0, 0, 7, 1], "z"),
+     "z, first nonzero index 2")])
+def test_vector_and_matrix_witnesses(call, message):
+    with pytest.raises(hecke.CheckFailed) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_equal_vectors_and_zero_pass():
+    assert hecke._require_equal([1, 2], [1, 2], "v") is None
+    assert hecke._require_equal([[1], [2]], [[1], [2]], "m") is None
+    assert hecke._require_zero([0, Fraction(0)], "z") is None
+
+
+def test_every_check_returns_true_or_raises():
+    """verify.py has one failure path: no function in it returns False or
+    None (a bare return included), and every check_* ends in return True,
+    so a failing check can only raise CheckFailed with its witness."""
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return):
+                text = ast.unparse(node)
+                assert text not in ("return", "return None", "return False"), \
+                    f"{fn.name}: {text} at line {node.lineno}"
+    checks = [f for f in functions if f.name.startswith("check_")]
+    assert len(checks) >= 20
+    for fn in checks:
+        assert ast.unparse(fn.body[-1]) == "return True", fn.name

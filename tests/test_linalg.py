@@ -522,7 +522,7 @@ def test_integer_kernels_on_regular_rep(op, factored, q0):
 def test_integer_kernels_on_word_modules(q0):
     for lam in partitions_of(3):
         wm = word_module(lam, q0)
-        mats = [wm.gen_matrix(i) for i in range(1, 3)]
+        mats = [wm.word_matrix((i,)) for i in range(1, 3)]
         mats += [idempotent_matrix(wm, t) for t in enumerate_syt(lam)]
         for a in mats:
             assert_rref_matches_oracle(a)

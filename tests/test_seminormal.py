@@ -368,7 +368,7 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         fresh = WordModuleRep(lam, q0)
         assert wm.basis == fresh.basis
         for i in range(1, lam.size):
-            assert wm.gen_matrix(i) == fresh.gen_matrix(i)
+            assert wm.word_matrix((i,)) == fresh.word_matrix((i,))
         for m in range(1, lam.size + 1):
             assert jm_matrix(wm, m) == jm_matrix(fresh, m)
     for (lam, q0), rep in memo_table(specht_module).items():
@@ -690,3 +690,21 @@ def test_phi_morphism_failure_names_shapes_tableau_and_q(monkeypatch):
         f"CheckFailed: Phi_t T_1 = T_1 Phi_t fails on the word (1, 2) of "
         f"W^(1,1) for lambda = (2,1), mu = (1,1), t = {t} at q0 = 7/5, first "
         f"difference at index 0")
+
+
+def test_phi_morphism_gluing_failure_names_shapes_tableaux_and_q(monkeypatch):
+    lam, mu, original = Partition((2, 1)), Partition((1, 1)), verify.extend
+
+    def wrong(s, t):  # t(s) replaced by the other tableau of (2,1)
+        glued = original(s, t)
+        if t.shape.inner == mu and t.shape.outer == lam:
+            return next(u for u in enumerate_syt(lam) if u != glued)
+        return glued
+
+    monkeypatch.setattr(verify, "extend", wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_phi_morphism(3, Fraction(7, 5))
+    s, t = enumerate_syt(mu)[0], enumerate_syt(SkewShape(lam, mu))[0]
+    assert str(err.value) == (
+        f"w_t(s) = w_s Phi_t p_t(s) fails for lambda = (2,1), mu = (1,1), "
+        f"s = {s}, t = {t} at q0 = 7/5, first difference at index 0")
