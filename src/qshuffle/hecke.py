@@ -13,10 +13,13 @@ of the generators, each with one denominator, from which every action and
 matrix is built over the integers; Fractions appear only at its boundary.
 
 Every build shared across one verify run (the shuffle elements, the
-regular modules, and in other modules the word and Specht modules, the
-kernel bases, the eigenbases, the regular-route char polys and the walk's
-transition matrices) is a memo function; clear_module_cache forgets them
-all.
+scaled Jucys-Murphy elements, the regular modules, and in other modules
+the spectrum tables, the eigenvalue formulas, the word and Specht
+modules, the kernel bases, the eigenbases, the regular-route char polys
+and the walk's transition matrices) is a memo function; clear_module_cache
+forgets them all.  Pure partition and tableau combinatorics outside the
+traced layers (tableaux, verify._sub_partitions) is kept instead with
+functools.lru_cache for the life of the process.
 """
 
 from __future__ import annotations
@@ -280,8 +283,10 @@ def transposition_word(i, k):
     return tuple(range(i, k)) + tuple(range(k - 2, i - 1, -1))
 
 
+@memo
 def jucys_murphy_scaled(n, k):
-    """q^k J_k(q) = sum_{i<k} q^i T_{(i,k)} (polynomial form)."""
+    """q^k J_k(q) = sum_{i<k} q^i T_{(i,k)} (polynomial form), shared:
+    callers must not change it."""
     total = HeckeElement.zero(n)
     for i in range(1, k):
         total = total + HeckeElement.t_word(transposition_word(i, k), n).scale(

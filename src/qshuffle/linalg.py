@@ -63,16 +63,19 @@ def int_mat_mul(a, b):
 
 
 def vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = len(m[0])
-    out = [Fraction(0)] * cols
-    for i, vi in enumerate(v):
-        if vi:
-            row = m[i]
-            for j in range(cols):
-                if row[j]:
-                    out[j] += vi * row[j]
-    return out
+    """Row vector times matrix, as Fractions.  v and the rows of m that it
+    uses are each cleared of denominators once, and the products
+    accumulate as ints."""
+    used = [i for i, x in enumerate(v) if x]
+    dv, (cv,) = _cleared([[v[i] for i in used]])
+    dm, rows = _cleared([m[i] for i in used])
+    acc = [0] * len(m[0])
+    for x, row in zip(cv, rows):
+        for j, y in enumerate(row):
+            if y:
+                acc[j] += x * y
+    d = dv * dm
+    return [Fraction(x, d) for x in acc]
 
 
 def _eliminate(matrix, full):
@@ -314,8 +317,8 @@ def charpoly(matrix):
 # -- dense polynomials, coefficients highest degree first ----------------
 
 def poly_mul(a, b):
-    """The product a b."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """The product a b; int coefficients give int coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -334,11 +337,15 @@ def poly_divmod(a, b):
 
 
 def poly_from_roots(root_mult_pairs):
-    """Monic polynomial prod (y - r)^m, each (y - r)^m expanded by the
-    binomial theorem."""
-    coeffs = [Fraction(1)]
+    """Monic polynomial prod (y - r)^m as Fractions.  With r = a/b, the
+    integer polynomial prod (b y - a)^m, each factor expanded by the
+    binomial theorem, is divided by its leading coefficient prod b^m at the
+    end."""
+    coeffs, lead = [1], 1
     for root, mult in root_mult_pairs:
-        r = -Fraction(root)
-        coeffs = poly_mul(coeffs, [math.comb(mult, k) * r ** k
-                                   for k in range(mult + 1)])
-    return coeffs
+        root = Fraction(root)
+        a, b = root.numerator, root.denominator
+        coeffs = poly_mul(coeffs, [math.comb(mult, k) * (-a) ** k
+                                   * b ** (mult - k) for k in range(mult + 1)])
+        lead *= b ** mult
+    return [Fraction(c, lead) for c in coeffs]

@@ -135,11 +135,24 @@ class LaurentPoly:
                    for e, c in self.terms.items())
 
     def eval(self, q0):
-        """Exact value at a rational point q0."""
+        """Exact value at a rational point q0 = a/b, as a Fraction.
+
+        With lo and hi the least and greatest exponents, the value is
+        a^lo b^-hi N for the integer N = sum_e c_e a^(e-lo) b^(hi-e), so
+        one Fraction is built at the end (N is a Fraction only when a
+        coefficient is)."""
         q0 = Fraction(q0)
-        if q0 == 0 and self.terms and min(self.terms) < 0:
+        if not self.terms:
+            return Fraction(0)
+        a, b = q0.numerator, q0.denominator
+        lo, hi = min(self.terms), max(self.terms)
+        if a == 0 and lo < 0:
             raise ZeroEvaluationPoint("negative exponent at q0 = 0")
-        return sum((c * q0 ** e for e, c in self.terms.items()), Fraction(0))
+        total = sum(c * a ** (e - lo) * b ** (hi - e)
+                    for e, c in self.terms.items())
+        num = a ** max(lo, 0) * b ** max(-hi, 0)
+        den = a ** max(-lo, 0) * b ** max(hi, 0)
+        return Fraction(total * num, den)
 
     # -- equality / hashing -------------------------------------------
 

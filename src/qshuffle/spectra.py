@@ -28,9 +28,11 @@ class NotAHorizontalStrip(ValueError):
     pass
 
 
+@memo
 def eigenvalue_formula(lam, mu):
     """E_{lambda/mu}(q) for a horizontal strip, cross-checked against the
-    manifestly positive form sum_k q^(n-k) [content_k + k]_q."""
+    manifestly positive form sum_k q^(n-k) [content_k + k]_q; built once
+    per strip."""
     shape = SkewShape(lam, mu)
     if not shape.is_horizontal_strip():
         raise NotAHorizontalStrip(f"{shape}")
@@ -87,8 +89,10 @@ def _mu_sort_key(mu):
     return (-mu.size, tuple(-p for p in mu.parts))
 
 
+@memo
 def spectrum_table(n):
-    """All strip rows for lambda |- n; rows with d^mu = 0 kept (multiplicity 0)."""
+    """All strip rows for lambda |- n; rows with d^mu = 0 kept (multiplicity
+    0).  The list and its rows are shared: callers must not change them."""
     rows = []
     for lam in partitions_of(n):
         for mu in sorted(horizontal_strips(lam), key=_mu_sort_key):

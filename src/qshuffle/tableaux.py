@@ -121,8 +121,7 @@ class SkewShape:
         return self.outer.size - self.inner.size
 
     def cells(self):
-        return [(r, c) for (r, c) in self.outer.cells()
-                if c > self.inner[r - 1]]
+        return list(_skew_cells(self))
 
     def is_horizontal_strip(self):
         """At most one cell in each column."""
@@ -140,8 +139,22 @@ class SkewShape:
         return f"{self.outer}/{self.inner}"
 
 
+@lru_cache(maxsize=None)
+def _skew_cells(shape):
+    """The tuple of shape.cells(), listed once per skew shape."""
+    return tuple((r, c) for (r, c) in shape.outer.cells()
+                 if c > shape.inner[r - 1])
+
+
 def horizontal_strips(outer):
-    """All mu <= outer such that outer/mu is a horizontal strip (mu = outer included)."""
+    """All mu <= outer such that outer/mu is a horizontal strip (mu = outer
+    included), as a new list the caller may change."""
+    return list(_horizontal_strips(outer))
+
+
+@lru_cache(maxsize=None)
+def _horizontal_strips(outer):
+    """The tuple of horizontal_strips(outer), found once per partition."""
     rows = len(outer.parts)
     ranges = []
     for i in range(rows):
@@ -156,9 +169,10 @@ def horizontal_strips(outer):
             continue
         if SkewShape(outer, mu).is_horizontal_strip():
             out.append(mu)
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def q_content(shape):
     """c_{lambda/mu}(q) = sum over cells of [col - row]_q."""
     total = LaurentPoly.zero()
@@ -171,10 +185,11 @@ class StandardTableau:
     """Standard filling of a (possibly skew) shape.
 
     entries maps cell -> value; values are |inner|+1 .. |outer|, rows and
-    columns strictly increasing.
+    columns strictly increasing.  A tableau is not changed once built: its
+    hash and repr are computed on first use and kept.
     """
 
-    __slots__ = ("shape", "entries", "_cell_of")
+    __slots__ = ("shape", "entries", "_cell_of", "_hash", "_repr")
 
     def __init__(self, shape, entries):
         self.shape = shape
@@ -193,6 +208,7 @@ class StandardTableau:
             if below is not None and below <= v:
                 raise ValueError("columns must strictly increase")
         self._cell_of = {v: cell for cell, v in self.entries.items()}
+        self._hash = self._repr = None
 
     @property
     def n(self):
@@ -267,10 +283,15 @@ class StandardTableau:
                 and self.shape == other.shape and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.shape, frozenset(self.entries.items())))
+        if self._hash is None:
+            self._hash = hash((self.shape, frozenset(self.entries.items())))
+        return self._hash
 
     def __repr__(self):
-        return "/".join("".join(map(str, row)) for row in self.rows())
+        if self._repr is None:
+            self._repr = "/".join("".join(map(str, row))
+                                  for row in self.rows())
+        return self._repr
 
 
 def _shape_of_cells(entries):
@@ -281,6 +302,7 @@ def _shape_of_cells(entries):
     return Partition(parts)
 
 
+@lru_cache(maxsize=None)
 def extend(s, t_skew):
     """t(s): glue a straight tableau s into the inner shape of t_skew."""
     if _shape_of_cells(s.entries) != t_skew.shape.inner:
@@ -290,6 +312,7 @@ def extend(s, t_skew):
     return StandardTableau(SkewShape(t_skew.shape.outer), ent)
 
 
+@lru_cache(maxsize=None)
 def superstandard(shape):
     """t^{lambda/mu}: fill the skew cells row by row, top to bottom."""
     if isinstance(shape, Partition):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg, markov, spectra
 from .hecke import (CheckFailed, HeckeElement, _first_index, _ints,
@@ -44,12 +45,16 @@ class CheckResult:
 
 
 def sub_partitions(lam):
-    out = []
-    for k in range(lam.size):
-        for mu in partitions_of(k):
-            if lam.contains(mu):
-                out.append(mu)
-    return out
+    """The partitions mu inside lam with |mu| < |lam|, smallest first, as a
+    new list the caller may change."""
+    return list(_sub_partitions(lam))
+
+
+@lru_cache(maxsize=None)
+def _sub_partitions(lam):
+    """The tuple of sub_partitions(lam), listed once per partition."""
+    return tuple(mu for k in range(lam.size) for mu in partitions_of(k)
+                 if lam.contains(mu))
 
 
 # -- individual checks -------------------------------------------------

@@ -25,6 +25,30 @@ def test_spectrum_md_matches_golden(runner, n):
     assert result.output == (GOLDEN / f"spectrum_n{n}.md").read_text()
 
 
+def without_elapsed(text):
+    """A JSON report with every elapsed_ms field removed, dumped as the CLI
+    dumps it: the form its golden file pins."""
+    def drop(x):
+        if isinstance(x, dict):
+            return {k: drop(v) for k, v in x.items() if k != "elapsed_ms"}
+        if isinstance(x, list):
+            return [drop(v) for v in x]
+        return x
+
+    return json.dumps(drop(json.loads(text)), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["verify", "--n", "4"], "verify_n4.json"),
+    (["verify", "--n", "3", "--route", "specht"], "verify_n3_specht.json"),
+    (["eigvectors", "--lam", "3,1", "--q", "7/5"], "eigvectors_3_1_q7_5.json"),
+])
+def test_report_matches_golden(runner, args, golden):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert without_elapsed(result.output) == (GOLDEN / golden).read_text()
+
+
 def test_spectrum_json(runner):
     result = runner.invoke(main, ["spectrum", "--n", "5", "--format", "json"])
     assert result.exit_code == 0

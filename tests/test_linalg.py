@@ -332,6 +332,49 @@ def test_mat_helpers():
     assert linalg.vec_mat([F(1), F(1)], m) == [F(4), F(6)]
 
 
+int_or_fraction = st.one_of(st.integers(-6, 6), entries)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_vec_mat_matches_fraction_oracle(rows, cols, data):
+    # int and Fraction entries, zero entries in v and m, v all zero
+    v = data.draw(st.lists(int_or_fraction, min_size=rows, max_size=rows))
+    m = data.draw(st.lists(st.lists(int_or_fraction, min_size=cols,
+                                    max_size=cols),
+                           min_size=rows, max_size=rows))
+    want = [sum((F(x) * F(row[j]) for x, row in zip(v, m)), F(0))
+            for j in range(len(m[0]))]
+    got = linalg.vec_mat(v, m)
+    assert got == want and all(type(x) is Fraction for x in got)
+    zero = linalg.vec_mat([0] * len(v), m)
+    assert zero == [F(0)] * len(m[0])
+    assert all(type(x) is Fraction for x in zero)
+
+
+roots = st.lists(st.tuples(st.one_of(st.integers(-5, 5), entries),
+                           st.integers(1, 3)), max_size=4)
+
+
+@given(roots)
+def test_poly_from_roots_matches_fraction_oracle(pairs):
+    # repeated, negative and non-integral roots, and the empty product
+    want = [F(1)]
+    for root, mult in pairs:
+        for _ in range(mult):  # times (y - root), highest degree first
+            want = [a - F(root) * b for a, b in zip(want + [F(0)],
+                                                     [F(0)] + want)]
+    got = linalg.poly_from_roots(pairs)
+    assert got == want and all(type(x) is Fraction for x in got)
+
+
+def test_poly_from_roots_edge_cases():
+    assert linalg.poly_from_roots([]) == [F(1)]
+    assert linalg.poly_from_roots([(Fraction(-2, 3), 2)]) \
+        == [F(1), Fraction(4, 3), Fraction(4, 9)]
+    assert linalg.poly_from_roots([(F(0), 2), (3, 1)]) \
+        == [F(1), F(-3), F(0), F(0)]
+
+
 # -- the integer kernels against the Fraction arithmetic they replaced ----
 
 def fraction_rref(matrix):

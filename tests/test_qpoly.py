@@ -59,6 +59,44 @@ def test_eval_at_zero_rejected_for_negative_exponents():
         LaurentPoly({-1: Fraction(1)}).eval(0)
 
 
+def eval_oracle(p, q0):
+    """The value of p at q0 as a Fraction sum, term by term."""
+    return sum((Fraction(c) * Fraction(q0) ** e for e, c in p.terms.items()),
+               Fraction(0))
+
+
+mixed = st.dictionaries(st.integers(-6, 6),
+                        st.one_of(st.integers(-50, 50), coeffs),
+                        max_size=5).map(LaurentPoly)
+any_points = st.one_of(st.integers(-9, 9),
+                       st.builds(Fraction, st.integers(-9, 9),
+                                 st.integers(1, 5)))
+
+
+@given(mixed, any_points)
+def test_integer_eval_matches_fraction_oracle(p, q0):
+    # negative exponents, negative and non-integral q0, int and Fraction
+    # coefficients, the zero polynomial, and q0 = 0
+    if q0 == 0 and p.terms and min(p.terms) < 0:
+        with pytest.raises(ZeroEvaluationPoint):
+            p.eval(q0)
+        return
+    value = p.eval(q0)
+    assert type(value) is Fraction
+    assert value == eval_oracle(p, q0)
+
+
+def test_eval_edge_cases():
+    assert ZERO.eval(0) == ZERO.eval(Fraction(-7, 3)) == 0
+    assert type(ZERO.eval(2)) is Fraction
+    assert LaurentPoly({0: 5, 3: 1}).eval(0) == 5
+    assert LaurentPoly({-2: 4, 1: Fraction(1, 2)}).eval(Fraction(-2, 3)) \
+        == Fraction(4 * 9, 4) + Fraction(1, 2) * Fraction(-2, 3)
+    assert qint(-3).eval(Fraction(1, 2)) == -(2 + 4 + 8)
+    with pytest.raises(ZeroEvaluationPoint):
+        LaurentPoly({-3: Fraction(2, 7), 0: 1}).eval(Fraction(0))
+
+
 @given(st.integers(-8, 8), st.integers(-8, 8))
 def test_qint_addition_rule(m, n):
     # [m + n]_q = [m]_q + q^m [n]_q

@@ -342,6 +342,17 @@ def test_restricted_skew_product_matches_full_on_phi_units(n, q0):
                         wm, v, t), (lam, mu, t)
 
 
+def test_sub_partitions_returns_a_fresh_list():
+    lam = Partition((2, 1))
+    first = sub_partitions(lam)
+    assert first == [Partition(()), Partition((1,)), Partition((2,)),
+                     Partition((1, 1))]
+    first.pop()
+    first.reverse()
+    assert sub_partitions(lam) == [Partition(()), Partition((1,)),
+                                   Partition((2,)), Partition((1, 1))]
+
+
 def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     builds = {"word": 0, "specht": 0}
 
@@ -392,22 +403,30 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
-        "qshuffle.markov.transition_matrix"}
+        "qshuffle.markov.transition_matrix",
+        "qshuffle.hecke.jucys_murphy_scaled",
+        "qshuffle.spectra.spectrum_table",
+        "qshuffle.spectra.eigenvalue_formula"}
     assert [name for name, table in saved.items() if not table] == []
     clear_module_cache()
     assert [name for name, table in hecke._TABLES.items() if table] == []
-    # each cached eigenbasis, regular-route char poly and transition matrix
-    # equals a fresh build, so no caller changed a shared one
+    # each cached eigenbasis, regular-route char poly, transition matrix,
+    # spectrum table and eigenvalue equals a fresh build, so no caller
+    # changed a shared one
     for fn, form in ((spectra.build_eigenbasis,
                       lambda records: [r.to_json() for r in records]),
                      (spectra.bruteforce_charpoly, list),
-                     (markov.transition_matrix, list)):
+                     (markov.transition_matrix, list),
+                     (spectra.spectrum_table,
+                      lambda rows: [r.to_json() for r in rows]),
+                     (spectra.eigenvalue_formula, lambda e: e.terms)):
         for args, built in saved[f"{fn.__module__}.{fn.__name__}"].items():
             fresh = fn.__wrapped__(*args)
             assert fresh is not built and form(fresh) == form(built), args
-    # each cached symbolic operator has the terms of a fresh build, so no
-    # caller changed a shared element
-    for fn in (hecke.b2r_embedded, hecke.r2b_embedded, hecke.r2r):
+    # each cached symbolic operator and J_m element has the terms of a fresh
+    # build, so no caller changed a shared element
+    for fn in (hecke.b2r_embedded, hecke.r2b_embedded, hecke.r2r,
+               hecke.jucys_murphy_scaled):
         for args, elem in saved[f"qshuffle.hecke.{fn.__name__}"].items():
             fresh = fn.__wrapped__(*args)
             assert fresh is not elem and fresh.terms == elem.terms, args

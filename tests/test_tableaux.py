@@ -176,3 +176,28 @@ def test_enumerate_syt_returns_a_fresh_list():
     skew = SkewShape(lam, Partition((1,)))
     enumerate_syt(skew).clear()
     assert len(enumerate_syt(skew)) == 5
+
+
+def test_horizontal_strips_and_cells_return_fresh_lists():
+    lam = Partition((3, 1))
+    first = horizontal_strips(lam)
+    count = len(first)
+    first.clear()
+    assert len(horizontal_strips(lam)) == count == 6
+    skew = SkewShape(lam, Partition((1,)))
+    skew.cells().append((9, 9))
+    assert skew.cells() == [(1, 2), (1, 3), (2, 1)]
+
+
+def test_tableau_hash_and_repr_are_kept_and_equal_fresh_ones():
+    for lam in partitions_of(4):
+        for t in enumerate_syt(lam):
+            for _ in range(2):  # the first call computes, the second reads
+                assert hash(t) == hash((t.shape,
+                                        frozenset(t.entries.items())))
+                assert repr(t) == "/".join("".join(map(str, row))
+                                           for row in t.rows())
+    t = superstandard(Partition((2, 1)))
+    assert repr(t) == "12/3"
+    swapped = t.apply_gen_by_value(2)
+    assert repr(swapped) == "13/2" and swapped != t
