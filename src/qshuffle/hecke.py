@@ -8,12 +8,13 @@ and general products iterate this along reduced words.  Identity checks on
 these symbolic elements certify statements for all q at once.
 
 At a rational point q0 every module of H_n(q0) used here (word modules,
-the regular representation, flags) is a HeckeModule: sparse integer rows
-of the generators, each with one denominator, from which every action and
-matrix is built over the integers; Fractions appear only at its boundary.
+the regular representation, flags) is a HeckeModule with one action path:
+each generator and element is built once per module into sparse integer
+rows with one denominator, and every action is one row product over the
+integers; Fractions appear only at the module's boundary.
 
 Every build shared across one verify run (the shuffle elements, the
-scaled Jucys-Murphy elements, the regular modules, and in other modules
+Jucys-Murphy elements, scaled and not, the regular modules, and in others
 the spectrum tables, the eigenvalue formulas, the word and Specht
 modules, the kernel bases, the eigenbases, the regular-route char polys
 and the walk's transition matrices) is a memo function; clear_module_cache
@@ -28,7 +29,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .qpoly import LaurentPoly, ONE, Q, QM1, qint
+from .qpoly import LaurentPoly, ONE, Q, qint
 from .symmetric import Permutation, all_permutations, min_coset_reps, young_subgroup
 
 
@@ -43,18 +44,15 @@ class CheckFailed(AssertionError):
 class HeckeElement:
     """Formal sum of T_w with LaurentPoly coefficients, all w in S_n."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n, terms=None):
         self.n = n
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    if w.n != n:
-                        raise SizeMismatch("permutation size != n")
-                    clean[w] = c
-        self.terms = clean
+        self._hash = None
+        self.terms = {w: c for w, c in (terms or {}).items()
+                      if not c.is_zero()}
+        if any(w.n != n for w in self.terms):
+            raise SizeMismatch("permutation size != n")
 
     @staticmethod
     def zero(n):
@@ -78,19 +76,12 @@ class HeckeElement:
             raise SizeMismatch("different n")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, LaurentPoly.zero()) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = HeckeElement(self.n)
-        res.terms = out
-        return res
+            s = out.get(w)
+            out[w] = c if s is None else s + c
+        return HeckeElement(self.n, out)
 
     def __neg__(self):
-        res = HeckeElement(self.n)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return HeckeElement(self.n, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,9 +91,8 @@ class HeckeElement:
             poly = LaurentPoly.const(poly)
         if poly.is_zero():
             return HeckeElement.zero(self.n)
-        res = HeckeElement(self.n)
-        res.terms = {w: c * poly for w, c in self.terms.items()}
-        return res
+        return HeckeElement(self.n,
+                            {w: c * poly for w, c in self.terms.items()})
 
     def mul_gen(self, i):
         """Right multiplication by T_{s_i}."""
@@ -112,22 +102,17 @@ class HeckeElement:
 
         def add(w, c):
             s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            out[w] = c if s is None else s + c
 
         for w, c in self.terms.items():
             wsi = w.apply_gen_right(i)
             if w.one_line[i - 1] < w.one_line[i]:  # length goes up
                 add(wsi, c)
-            else:
-                add(wsi, c * Q)
-                add(w, c * QM1)
-        res = HeckeElement(self.n)
-        res.terms = out
-        return res
+            else:  # c q and c (q - 1), by shifting
+                qc = c.shift(1)
+                add(wsi, qc)
+                add(w, qc - c)
+        return HeckeElement(self.n, out)  # which drops the zero sums
 
     def mul_word(self, word):
         out = self
@@ -140,10 +125,12 @@ class HeckeElement:
             return self.scale(other)
         if self.n != other.n:
             raise SizeMismatch("different n")
-        total = HeckeElement.zero(self.n)
+        out = {}
         for w, c in other.terms.items():
-            total = total + self.mul_word(w.reduced_word()).scale(c)
-        return total
+            for v, d in self.mul_word(w.reduced_word()).terms.items():
+                s = out.get(v)
+                out[v] = d * c if s is None else s + d * c
+        return HeckeElement(self.n, out)
 
     def __rmul__(self, other):
         if isinstance(other, (LaurentPoly, int, Fraction)):
@@ -158,7 +145,9 @@ class HeckeElement:
                 and self.n == other.n and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.n, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         if not self.terms:
@@ -174,6 +163,14 @@ class HeckeElement:
                            "coeff": self.terms[w].to_json()} for w in ws]}
 
 
+# Every identity that verify certifies fails through _require_same,
+# _require_equal or _require_zero, which word the witness in one place; the
+# caller's wording may be a zero-argument callable, called only on failure.
+
+def _worded(what):
+    return what() if callable(what) else what
+
+
 def _require_same(got, want, relation):
     """True if the HeckeElements got and want are equal; else CheckFailed
     naming the relation, n, the first w (in Lehmer order) whose T_w
@@ -185,13 +182,10 @@ def _require_same(got, want, relation):
              if got.terms.get(w, zero) != want.terms.get(w, zero)),
             key=Permutation.lehmer_rank)
     raise CheckFailed(
-        f"{relation} fails in H_{got.n}: the coefficient of T_w for w = {w} "
-        f"is {got.terms.get(w, zero)} on the left, {want.terms.get(w, zero)} "
-        f"on the right")
+        f"{_worded(relation)} fails in H_{got.n}: the coefficient of T_w for "
+        f"w = {w} is {got.terms.get(w, zero)} on the left, "
+        f"{want.terms.get(w, zero)} on the right")
 
-
-# Every vector or matrix identity that verify certifies fails through
-# _require_equal or _require_zero, which word the witness in one place.
 
 def _first_index(a, b):
     """First index at which the vectors a and b differ."""
@@ -211,7 +205,7 @@ def _require_equal(got, want, what):
         where = (f"(row, col) {_first_cell(got, want)}"
                  if got and isinstance(got[0], list)
                  else f"index {_first_index(got, want)}")
-        raise CheckFailed(f"{what}, first difference at {where}")
+        raise CheckFailed(f"{_worded(what)}, first difference at {where}")
 
 
 def _require_zero(v, what):
@@ -219,7 +213,7 @@ def _require_zero(v, what):
     the vector v, unless v is zero."""
     j = next((j for j, x in enumerate(v) if x), None)
     if j is not None:
-        raise CheckFailed(f"{what}, first nonzero index {j}")
+        raise CheckFailed(f"{_worded(what)}, first nonzero index {j}")
 
 
 # -- shared builds ----------------------------------------------------
@@ -244,7 +238,7 @@ def memo(fn):
 
 
 def clear_module_cache():
-    """Forget every shared build: each memo table is emptied."""
+    """Forget every shared build: each memo table (and _PAIRS) is emptied."""
     for table in _TABLES.values():
         table.clear()
 
@@ -292,6 +286,12 @@ def jucys_murphy_scaled(n, k):
         total = total + HeckeElement.t_word(transposition_word(i, k), n).scale(
             LaurentPoly.q_power(i))
     return total
+
+
+@memo
+def _jucys_murphy(n, k):
+    """J_k(q) = q^-k (q^k J_k(q)), shared: callers must not change it."""
+    return jucys_murphy_scaled(n, k).scale(LaurentPoly.q_power(-k))
 
 
 # -- coset sums -------------------------------------------------------
@@ -383,26 +383,25 @@ def _cleared_rows(rows):
     """(d, integer rows of d * rows) for sparse rows of rationals, d the lcm
     of the entry denominators."""
     d = math.lcm(*(c.denominator for row in rows for _, c in row))
-    return d, [[(j, c.numerator * (d // c.denominator)) for j, c in row]
+    return d, [tuple((j, c.numerator * (d // c.denominator)) for j, c in row)
                for row in rows]
+
+
+# One shared (column, integer) tuple per pair the built rows hold, which
+# repeat few distinct pairs; emptied with the memo tables.
+_PAIRS = _TABLES["qshuffle.hecke._PAIRS"] = {}
 
 
 class HeckeModule:
     """A right H_n(q0)-module at a rational q0, given by generator rows.
 
     gen_rows[i][r] lists the (column, coefficient) pairs of e_r . T_{s_i};
-    row r of a matrix is the image of the basis vector e_r.  The module
-    works over the integers: each generator is stored once as integer rows
-    with one positive denominator d (the lcm of its row denominators: the
-    denominator of q0 for word modules, 1 for flags), and a vector inside
-    the engine is (integer list, den > 0), whose den a generator step
-    multiplies by d.  Matrices are built row by row from the images of unit
-    vectors, which stay sparse maps through every generator step.  Fractions
-    appear only at the public boundary: every public method takes and
-    returns dense lists of Fractions, converting once on the way in and
-    once on the way out.  The integer terms of each
-    HeckeElement it acts by are computed once, keyed by the element's
-    equality, not its identity.
+    row r of a matrix is the image of the basis vector e_r.  Whatever acts
+    is built into (d, rows), the sparse integer rows of d times its matrix
+    at q0 reduced by their gcd, d > 0: the generators at construction, each
+    HeckeElement once (in _elements, keyed by equality), a literal word per
+    matrix.  A vector action is one integer row product and a matrix the
+    same rows made dense; Fractions appear only at the public boundary.
     """
 
     def __init__(self, n, q0, dim, gen_rows):
@@ -410,7 +409,7 @@ class HeckeModule:
         self.q0 = Fraction(q0)
         self.dim = dim
         self._gens = {i: _cleared_rows(rows) for i, rows in gen_rows.items()}
-        self._elements = {}  # HeckeElement -> its _int_terms at q0
+        self._elements = {}  # HeckeElement -> its built (d, rows) at q0
 
     def _times(self, num, rows):
         """The integer vector num times the sparse integer rows."""
@@ -421,14 +420,11 @@ class HeckeModule:
                     out[j] += x * c
         return out
 
-    def _word(self, num, den, word):
-        for i in word:
-            d, rows = self._gens[i]
-            num, den = self._times(num, rows), den * d
-        return num, den
-
-    def apply_gen(self, v, i):
-        return _fractions(*self._word(*_ints(v), (i,)))
+    def _act(self, v, built):
+        """v times the built (d, rows), over the integers in between."""
+        d, rows = built
+        num, den = _ints(v)
+        return _fractions(self._times(num, rows), den * d)
 
     def _terms_at(self, elem):
         """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
@@ -437,71 +433,72 @@ class HeckeModule:
         return [(w.reduced_word(), c.eval(self.q0))
                 for w, c in elem.terms.items()]
 
-    def _int_terms(self, terms):
-        """(L, [(word, f)]) with sum_w f_w (integer rows of the word) / L equal
-        to sum_w c_w T_w for the (word, c_w) terms: L is the lcm over the
-        terms of den(c_w) times the product of the word's generator dens."""
+    def _rows_of(self, terms):
+        """The built (d, rows) of sum_w c_w T_word over the (word, c_w)
+        terms: each c_w becomes an integer f_w over the lcm of den(c_w)
+        times the word's generator dens, and each unit image is followed
+        through the word as a sparse {column: integer} map."""
         scaled = [(word, c, c.denominator
                    * math.prod(self._gens[i][0] for i in word))
                   for word, c in terms]
-        lcm = math.lcm(*(d for _, _, d in scaled))
-        return lcm, [(word, c.numerator * (lcm // d)) for word, c, d in scaled]
-
-    def _element_terms(self, elem):
-        """The integer terms of elem at q0, evaluated on first use."""
-        terms = self._elements.get(elem)
-        if terms is None:
-            terms = self._elements[elem] = self._int_terms(
-                self._terms_at(elem))
-        return terms
-
-    def _apply_terms(self, num, den, int_terms):
-        lcm, terms = int_terms
-        out = [0] * self.dim
-        for word, f in terms:
-            img, _ = self._word(num, den, word)
-            for j, x in enumerate(img):
-                if x:
-                    out[j] += f * x
-        return out, den * lcm
-
-    def apply_hecke(self, v, elem):
-        """v . a for a HeckeElement a."""
-        return _fractions(*self._apply_terms(*_ints(v),
-                                             self._element_terms(elem)))
-
-    def _unit_rows(self, int_terms):
-        """(integer row, den) of e_r . a for each basis vector e_r in turn,
-        a the element of the integer terms (L, [(word, f)]).  Each unit
-        image is followed through the words as a sparse {column: integer}
-        map, so a row costs its nonzeros, not scans of dense vectors."""
-        lcm, terms = int_terms
+        lcm = math.lcm(*(s for _, _, s in scaled))
+        terms = [(word, c.numerator * (lcm // s)) for word, c, s in scaled]
+        totals, g = [], lcm
         for r in range(self.dim):
             total = {}
             for word, f in terms:
                 img = {r: f}
                 for i in word:
-                    rows, out = self._gens[i][1], {}
+                    gen, out = self._gens[i][1], {}
                     for k, x in img.items():
-                        for j, c in rows[k]:
+                        for j, c in gen[k]:
                             out[j] = out.get(j, 0) + x * c
                     img = out
                 for j, x in img.items():
                     total[j] = total.get(j, 0) + x
-            row = [0] * self.dim
-            for j, x in total.items():
-                row[j] = x
-            yield row, lcm
+            totals.append(total)
+            if g > 1:
+                g = math.gcd(g, *total.values())
+        if g > 1:
+            for total in totals:
+                for j in total:
+                    total[j] //= g
+        share = _PAIRS.setdefault
+        return lcm // g, [tuple([share(p, p) for p in total.items() if p[1]])
+                          for total in totals]
+
+    def _built(self, elem):
+        """The (d, rows) of a HeckeElement at q0, built on first use."""
+        built = self._elements.get(elem)
+        if built is None:
+            built = self._elements[elem] = self._rows_of(self._terms_at(elem))
+        return built
+
+    def _dense(self, built):
+        """(integer row, d) for each sparse row of the built (d, rows)."""
+        d, rows = built
+        for row in rows:
+            dense = [0] * self.dim
+            for j, x in row:
+                dense[j] = x
+            yield dense, d
+
+    def apply_gen(self, v, i):
+        return self._act(v, self._gens[i])
+
+    def apply_hecke(self, v, elem):
+        """v . a for a HeckeElement a."""
+        return self._act(v, self._built(elem))
 
     def word_matrix(self, word):
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
-        return [_fractions(*row) for row in self._unit_rows(
-            self._int_terms([(tuple(word), Fraction(1))]))]
+        return [_fractions(*row) for row in self._dense(
+            self._rows_of([(tuple(word), Fraction(1))]))]
 
     def _hecke_rows(self, elem):
-        """(integer row, den) of e_r . elem for each basis vector e_r in
+        """(integer row, d) of e_r . elem for each basis vector e_r in
         turn: the rows of hecke_matrix(elem) before they become Fractions."""
-        return self._unit_rows(self._element_terms(elem))
+        return self._dense(self._built(elem))
 
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""
@@ -560,4 +557,4 @@ def annihilator_check(a, n, name="a"):
             continue
         prod = prod * (a - HeckeElement.one(n).scale(qint(n - j)))
     return _require_same(prod, HeckeElement.zero(n),
-                         f"prod_(j != 1) ({name} - [n-j]_q) = 0")
+                         lambda: f"prod_(j != 1) ({name} - [n-j]_q) = 0")

@@ -13,12 +13,12 @@ can take on the image of p_{t|_{m-1}} (G. E. Murphy, J. Algebra 173 (1995)
 97-121).  Seminormal units are w_t = word(t) . p_t and span the Specht
 module S^lambda.
 
-Word modules ride the integer HeckeModule engine: J_m is stored once as
-integer rows with one denominator, and each idempotent factor is one
-integer row update of a (numerators, den) vector followed by a gcd
-reduction, so Fractions appear only where vectors enter and leave.  The
-factor schedule of each tableau (its J_m index and integer constants,
-factor by factor) is built once per module and replayed for every vector.
+Word modules ride the HeckeModule engine's one action path: J_m is the
+element q^-m (q^m J_m), built once per module into integer rows like any
+other, and each idempotent factor is one product with those rows, a row
+update of a (numerators, den) vector and a gcd reduction.  The factor
+schedule of each tableau (its J_m index and integer constants, factor by
+factor) is built once per module and replayed for every vector.
 
 word_module and specht_module share one built module per (lambda, q0)
 through hecke.memo.  All arithmetic is exact at an admissible evaluation
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import linalg
 from .hecke import (CheckFailed, HeckeModule, _fractions, _ints,
-                    jucys_murphy_scaled, memo, word_gen_rows)
+                    _jucys_murphy, memo, word_gen_rows)
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -69,7 +69,6 @@ class WordModuleRep(HeckeModule):
         self.index = {w: i for i, w in enumerate(self.basis)}
         super().__init__(lam.size, q0, len(self.basis),
                          word_gen_rows(self.basis, q0))
-        self._jm_int = {}
         self._factors = {}
         self._schedules = {}
 
@@ -79,29 +78,15 @@ class WordModuleRep(HeckeModule):
         return v
 
     def _jm(self, m):
-        """(d_J, integer rows of d_J J_m(q0)), d_J > 0 the least such
-        denominator; built on first use."""
-        if m not in self._jm_int:
-            scale = self.q0 ** -m
-            terms = self._int_terms(
-                [(word, scale * c) for word, c in
-                 self._terms_at(jucys_murphy_scaled(self.n, m))])
-            d_j = terms[0]  # the den of every image of a unit vector
-            rows = [[(j, x) for j, x in enumerate(img) if x]
-                    for img, _ in self._unit_rows(terms)]
-            g = math.gcd(d_j, *(x for row in rows for _, x in row))
-            self._jm_int[m] = (d_j // g, [[(j, x // g) for j, x in row]
-                                          for row in rows])
-        return self._jm_int[m]
+        """The built (d_J, rows) of J_m = q^-m (q^m J_m) at q0."""
+        return self._built(_jucys_murphy(self.n, m))
 
     def _jm_times(self, num, m):
-        """The integer vector num times the integer rows of d_J J_m: the one
-        step through which every J_m factor goes."""
+        """num times the integer rows of d_J J_m: every J_m factor's step."""
         return self._times(num, self._jm(m)[1])
 
     def apply_jm(self, v, m):
-        num, den = _ints(v)
-        return _fractions(self._jm_times(num, m), den * self._jm(m)[0])
+        return self._act(v, self._jm(m))
 
     def _factor(self, m, c, d):
         """(p, r, s), s > 0, such that the factor (J_m - [d]) / ([c] - [d])

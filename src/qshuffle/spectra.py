@@ -211,9 +211,9 @@ def build_eigenbasis(lam, q0):
                 _require_equal(
                     (rep_lam.apply_hecke(v, r_op) if r_op
                      else [Fraction(0)] * len(v)), [value * x for x in v],
-                    f"not an R_{n}-eigenvector with eigenvalue {value}: "
-                    f"lambda = {lam}, mu = {mu}, kernel vector {idx} of S^mu "
-                    f"at q0 = {q0}")
+                    lambda: f"not an R_{n}-eigenvector with eigenvalue "
+                            f"{value}: lambda = {lam}, mu = {mu}, kernel "
+                            f"vector {idx} of S^mu at q0 = {q0}")
             records.append(EigenvectorRecord(lam, mu, idx, v, value))
     rank = linalg.rank([rec.vector for rec in records])
     if rank != len(records) or rank != f_lambda(lam):
@@ -246,22 +246,24 @@ def straightening_scalars(lam, mu, q0):
         alpha = None
         for s, b, pivot in refs:
             a = apply_c_op(rep.word_module, unit[extend(s, t)], mu.size)
-            where = (f"for lambda = {lam}, mu = {mu}, t = {t}, s = {s} at "
-                     f"q0 = {rep.q0}")
+
+            def where():
+                return (f"for lambda = {lam}, mu = {mu}, t = {t}, s = {s} at "
+                        f"q0 = {rep.q0}")
             if pivot is None:
-                _require_zero(a, f"w_t(s) C_{mu.size} is nonzero over a zero "
-                                 f"reference {where}")
+                _require_zero(a, lambda: f"w_t(s) C_{mu.size} is nonzero over "
+                                         f"a zero reference {where()}")
                 continue
             ratio = a[pivot] / b[pivot]
             _require_equal(a, [ratio * y for y in b],
-                           f"w_t(s) C_{mu.size} is not proportional to its "
-                           f"reference {where}")
+                           lambda: f"w_t(s) C_{mu.size} is not proportional "
+                                   f"to its reference {where()}")
             if alpha is None:
                 alpha = ratio
             elif alpha != ratio:
                 raise CheckFailed(
-                    f"the straightening scalar depends on the source {where}, "
-                    f"{ratio} at index {pivot} against {alpha} for the first "
-                    f"source")
+                    f"the straightening scalar depends on the source "
+                    f"{where()}, {ratio} at index {pivot} against {alpha} for "
+                    f"the first source")
         out[t] = alpha
     return out

@@ -69,16 +69,18 @@ def check_hecke_relations_symbolic(n):
     for i in range(1, n):
         ti = HeckeElement.t_word([i], n)
         _require_same(ti * ti, ti.scale(Q - 1) + one.scale(Q),
-                      f"quadratic relation T_{i} T_{i} = (q-1) T_{i} + q")
+                      lambda: f"quadratic relation T_{i} T_{i} = "
+                              f"(q-1) T_{i} + q")
         for j in range(i + 2, n):
             tj = HeckeElement.t_word([j], n)
             _require_same(ti * tj, tj * ti,
-                          f"commutation relation T_{i} T_{j} = T_{j} T_{i}")
+                          lambda: f"commutation relation T_{i} T_{j} = "
+                                  f"T_{j} T_{i}")
         if i + 1 < n:
             tj = HeckeElement.t_word([i + 1], n)
             _require_same(ti * tj * ti, tj * ti * tj,
-                          f"braid relation T_{i} T_{i + 1} T_{i} = "
-                          f"T_{i + 1} T_{i} T_{i + 1}")
+                          lambda: f"braid relation T_{i} T_{i + 1} T_{i} = "
+                                  f"T_{i + 1} T_{i} T_{i + 1}")
     return True
 
 
@@ -109,8 +111,8 @@ def check_c_factorization(n):
         row = Composition(([j] if j else []) + ([n - j] if n - j else []))
         hook = Composition(([j] if j else []) + [1] * (n - j))
         _require_same(c, m_alpha(col) * x_alpha(row),
-                      f"C_{j} = m_{name(col)} x_{name(row)}")
-        _require_same(c, x_alpha(hook), f"C_{j} = x_{name(hook)}")
+                      lambda: f"C_{j} = m_{name(col)} x_{name(row)}")
+        _require_same(c, x_alpha(hook), lambda: f"C_{j} = x_{name(hook)}")
     return True
 
 
@@ -125,8 +127,9 @@ def check_jm_commute(n):
     jms = [(k, jucys_murphy_scaled(n, k)) for k in range(2, n + 1)]
     for j, a in jms:
         for k, b in jms:
-            _require_same(a * b, b * a, f"(q^{j} J_{j})(q^{k} J_{k}) = "
-                                        f"(q^{k} J_{k})(q^{j} J_{j})")
+            _require_same(a * b, b * a,
+                          lambda: f"(q^{j} J_{j})(q^{k} J_{k}) = "
+                                  f"(q^{k} J_{k})(q^{j} J_{j})")
     return True
 
 
@@ -139,22 +142,22 @@ def check_word_module_relations(n, q0):
     one = HeckeElement.one(n)
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
-        where = f"on W^{lam} at q0 = {wm.q0}"
         for i in range(1, n):
             quad = HeckeElement.t_word([i], n).scale(Q - 1) + one.scale(Q)
             _require_equal(wm.word_matrix((i, i)), wm.hecke_matrix(quad),
-                           f"quadratic relation for T_{i} fails {where}")
+                           lambda: f"quadratic relation for T_{i} fails "
+                                   f"{_on(wm)}")
             for j in range(i + 1, n):
                 if j > i + 1:
                     _require_equal(wm.word_matrix((i, j)),
                                    wm.word_matrix((j, i)),
-                                   f"commutation relation for T_{i}, T_{j} "
-                                   f"fails {where}")
+                                   lambda: f"commutation relation for T_{i}, "
+                                           f"T_{j} fails {_on(wm)}")
                 else:
                     _require_equal(wm.word_matrix((i, j, i)),
                                    wm.word_matrix((j, i, j)),
-                                   f"braid relation for T_{i}, T_{j} fails "
-                                   f"{where}")
+                                   lambda: f"braid relation for T_{i}, T_{j} "
+                                           f"fails {_on(wm)}")
     return True
 
 
@@ -166,24 +169,23 @@ def check_seminormal_action(n, q0):
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
-        where = f"on W^{lam} at q0 = {wm.q0}"
         index = {t: k for k, t in enumerate(rep.tableaux)}
-        for k, t in enumerate(rep.tableaux):
-            unit, at = rep.units[k], f"for t = {t} {where}"
+        for t, unit in zip(rep.tableaux, rep.units):
             if not any(unit):
-                raise CheckFailed(f"unit w_t is zero {at}")
+                raise CheckFailed(f"unit w_t is zero for t = {t} {_on(wm)}")
             for m in range(1, n + 1):
                 value = qint(t.content_of(m)).eval(q0)
                 _require_equal(wm.apply_jm(unit, m), [value * x for x in unit],
-                               f"w_t J_{m} = [{t.content_of(m)}]_q w_t fails "
-                               f"{at}")
+                               lambda: f"w_t J_{m} = [{t.content_of(m)}]_q "
+                                       f"w_t fails for t = {t} {_on(wm)}")
             for i in range(1, n):
                 coeffs = [0] * len(rep.units)
                 for tt, c in dipper_james_action(t, i, q0).items():
                     coeffs[index[tt]] = c
                 _require_equal(wm.apply_gen(unit, i),
                                linalg.vec_mat(coeffs, rep.units),
-                               f"w_t T_{i} = the four-case formula fails {at}")
+                               lambda: f"w_t T_{i} = the four-case formula "
+                                       f"fails for t = {t} {_on(wm)}")
     return True
 
 
@@ -200,7 +202,6 @@ def check_idempotents(n, q0):
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
-        where = f"on W^{lam} at q0 = {wm.q0}"
         mats = [wm.idempotent_int_matrix(t) for t in rep.tableaux]
         zero = [[0] * wm.dim for _ in range(wm.dim)]
         for a, (_, ma) in zip(rep.tableaux, mats):
@@ -210,19 +211,21 @@ def check_idempotents(n, q0):
                 prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
                 _require_equal(linalg.int_mat_mul(ma, mb),
                                _scaled(db, ma) if a == b else zero,
-                               f"{prop} fails for s = {a}, t = {b} {where}")
+                               lambda: f"{prop} fails for s = {a}, t = {b} "
+                                       f"{_on(wm)}")
         den, total = _int_sum(mats)  # p_lambda = total / den
         _require_equal(linalg.int_mat_mul(total, total), _scaled(den, total),
-                       f"p_lambda p_lambda = p_lambda fails {where}")
+                       lambda: f"p_lambda p_lambda = p_lambda fails {_on(wm)}")
         trace = Fraction(sum(total[i][i] for i in range(wm.dim)), den)
         if trace != f_lambda(lam):  # rank of an idempotent is its trace
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
-                              f"= {f_lambda(lam)}, {where}")
+                              f"= {f_lambda(lam)}, {_on(wm)}")
         for t, unit in zip(rep.tableaux, rep.units):
             num, _ = _ints(unit)
             _require_equal(linalg.int_mat_mul([num], total)[0],
                            [den * x for x in num],
-                           f"w_t p_lambda = w_t fails for t = {t} {where}")
+                           lambda: f"w_t p_lambda = w_t fails for t = {t} "
+                                   f"{_on(wm)}")
         if n <= 4:
             every = [m for mu in partitions_of(n) for m in (
                 mats if mu == lam else
@@ -231,9 +234,13 @@ def check_idempotents(n, q0):
             identity = [[den if i == j else 0 for j in range(wm.dim)]
                         for i in range(wm.dim)]
             _require_equal(everything, identity,
-                           f"sum of p_t over all tableaux of size {n} = 1 "
-                           f"fails {where}")
+                           lambda: f"sum of p_t over all tableaux of size "
+                                   f"{n} = 1 fails {_on(wm)}")
     return True
+
+
+def _on(wm):
+    return f"on W^{wm.lam} at q0 = {wm.q0}"
 
 
 def _scaled(c, matrix):
@@ -267,8 +274,6 @@ def check_phi_morphism(n, q0):
             rep_mu = word_module(mu, q0)
             skews = enumerate_syt(SkewShape(lam, mu))
             for t_skew in skews:
-                at = (f"of W^{mu} for lambda = {lam}, mu = {mu}, t = {t_skew} "
-                      f"at q0 = {rep_lam.q0}")
                 for word in rep_mu.basis:
                     v = rep_mu.basis_vector(word)
                     for i in range(1, max(mu.size, 1)):
@@ -277,8 +282,10 @@ def check_phi_morphism(n, q0):
                                       t_skew),
                             rep_lam.apply_gen(
                                 phi_apply(v, rep_mu, rep_lam, t_skew), i),
-                            f"Phi_t T_{i} = T_{i} Phi_t fails on the word "
-                            f"{word} {at}")
+                            lambda: f"Phi_t T_{i} = T_{i} Phi_t fails on the "
+                                    f"word {word} of W^{mu} for lambda = "
+                                    f"{lam}, mu = {mu}, t = {t_skew} at q0 = "
+                                    f"{rep_lam.q0}")
             if mu.size == 0:
                 continue
             rep_s = specht_module(mu, q0)
@@ -288,9 +295,9 @@ def check_phi_morphism(n, q0):
                     v = phi_apply(w_s, rep_s.word_module, rep_lam, t_skew)
                     _require_equal(
                         rep_lam.apply_idempotent(v, glued), unit[glued],
-                        f"w_t(s) = w_s Phi_t p_t(s) fails for lambda = {lam}, "
-                        f"mu = {mu}, s = {s}, t = {t_skew} at q0 = "
-                        f"{rep_lam.q0}")
+                        lambda: f"w_t(s) = w_s Phi_t p_t(s) fails for lambda "
+                                f"= {lam}, mu = {mu}, s = {s}, t = {t_skew} "
+                                f"at q0 = {rep_lam.q0}")
     return True
 
 
@@ -304,9 +311,9 @@ def check_dominance_vanishing(n, q0):
             for s in tabs:
                 img = wm.apply_idempotent(wm.basis_vector(s.word()), t)
                 if not s.dominance_leq(t):
-                    _require_zero(img, f"word(s) p_t = 0 fails for s = {s} "
-                                       f"not dominated by t = {t} on W^{lam} "
-                                       f"at q0 = {wm.q0}")
+                    _require_zero(img, lambda: f"word(s) p_t = 0 fails for "
+                                               f"s = {s} not dominated by t = "
+                                               f"{t} {_on(wm)}")
     return True
 
 
@@ -325,9 +332,10 @@ def check_projection_compat(n, q0):
                 v = phi_apply(unit, rep_s.word_module, rep_lam, t_skew)
                 _require_equal(rep_lam.apply_idempotent(v, t_skew),
                                rep_lam.apply_p_lambda(v),
-                               f"w_s Phi p_t = w_s Phi p_lambda fails for "
-                               f"lambda = {lam}, mu = {mu}, s = {s}, t = "
-                               f"{t_skew} at q0 = {rep_lam.q0}")
+                               lambda: f"w_s Phi p_t = w_s Phi p_lambda fails "
+                                       f"for lambda = {lam}, mu = {mu}, s = "
+                                       f"{s}, t = {t_skew} at q0 = "
+                                       f"{rep_lam.q0}")
     return True
 
 
@@ -353,11 +361,13 @@ def check_one_step_recursion(n, q0):
                          + q0 ** n * cell_content)
                 _require_equal(rep_lam.apply_hecke(v, r_op),
                                [value * x for x in v],
-                               f"u Phi B_{n} p_lambda is not an "
-                               f"R_{n}-eigenvector with eigenvalue {value} for "
-                               f"lambda = {lam}, lambda' = {smaller}, u = "
-                               f"eigenvector {rec.source_index} of strip "
-                               f"{smaller}/{rec.mu}, t = {t_skew} at q0 = {q0}")
+                               lambda: f"u Phi B_{n} p_lambda is not an "
+                                       f"R_{n}-eigenvector with eigenvalue "
+                                       f"{value} for lambda = {lam}, lambda' "
+                                       f"= {smaller}, u = eigenvector "
+                                       f"{rec.source_index} of strip "
+                                       f"{smaller}/{rec.mu}, t = {t_skew} at "
+                                       f"q0 = {q0}")
     return True
 
 
@@ -410,9 +420,10 @@ def check_strip_vanishing(n, q0):
                     v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
                     v = spectra.apply_c_op(rep_lam, v, mu.size)
                     _require_zero(rep_lam.apply_p_lambda(v),
-                                  f"w_s Phi_t C_{mu.size} p_lambda = 0 fails "
-                                  f"for lambda = {lam}, mu = {mu}, t = "
-                                  f"{t_skew}, s = {s} at q0 = {rep_lam.q0}")
+                                  lambda: f"w_s Phi_t C_{mu.size} p_lambda = "
+                                          f"0 fails for lambda = {lam}, mu = "
+                                          f"{mu}, t = {t_skew}, s = {s} at "
+                                          f"q0 = {rep_lam.q0}")
     return True
 
 
@@ -449,9 +460,10 @@ def check_bstar_kernel_lift(n, q0):
             lifted = linalg.vec_mat(u, m_mat)
             _require_equal(linalg.vec_mat(lifted, bstar_n),
                            [value * x for x in lifted],
-                           f"the lift of kernel vector {k} of B*_{j} is not a "
-                           f"B*_{n}-eigenvector with eigenvalue [{n - j}]_q "
-                           f"for j = {j} at q0 = {Fraction(q0)}")
+                           lambda: f"the lift of kernel vector {k} of B*_{j} "
+                                   f"is not a B*_{n}-eigenvector with "
+                                   f"eigenvalue [{n - j}]_q for j = {j} at "
+                                   f"q0 = {Fraction(q0)}")
     return True
 
 
@@ -541,17 +553,20 @@ def check_positivity_degree(n):
     negative exponent, and degree n + C - 1, C the largest strip content;
     a failure raises CheckFailed naming lambda, mu, E and the property."""
     for row in spectra.spectrum_table(n):
-        where = (f"for lambda = {row.lam}, mu = {row.mu}: E_lambda/mu = "
-                 f"{row.eigenvalue}")
         if not row.eigenvalue.is_nonneg_integral():
-            raise CheckFailed(f"positivity fails {where} has a negative "
+            raise CheckFailed(f"positivity fails {_of(row)} has a negative "
                               f"exponent or a coefficient that is not a "
                               f"nonnegative integer")
         if not spectra.degree_check(row.lam, row.mu):
-            raise CheckFailed(f"the degree check fails {where} is not of "
+            raise CheckFailed(f"the degree check fails {_of(row)} is not of "
                               f"degree n + C - 1 (C the largest strip "
                               f"content; E = 0 when mu = lambda)")
     return True
+
+
+def _of(row):
+    return (f"for lambda = {row.lam}, mu = {row.mu}: E_lambda/mu = "
+            f"{row.eigenvalue}")
 
 
 def check_diagonalizable(n, q0):

@@ -1,9 +1,10 @@
 """The integer module engine against the Fraction engine it replaced.
 
-FractionEngine keeps the Fraction-only bodies of HeckeModule._apply_rows,
-HeckeModule._apply_terms, the J_m rows and WordModuleRep.apply_idempotent
-as they were before the engine moved onto Python ints; every public result
-must equal theirs, entry for entry, and every entry must be a Fraction.
+FractionEngine keeps, in Fractions only, the generator step, the walk of
+each term's word one generator at a time, the J_m rows and
+WordModuleRep.apply_idempotent as they were before the engine moved onto
+Python ints and built rows; every public result must equal theirs, entry
+for entry, and every entry must be a Fraction.
 """
 
 import math
@@ -134,9 +135,16 @@ def test_word_module_actions_match_fraction_engine(case, word):
                  HeckeElement.zero(n)):
         assert same(wm.apply_hecke(v, elem), oracle.apply_hecke(v, elem))
     for m in range(1, n + 1):
-        assert oracle.matrix_of(lambda e: wm.apply_jm(e, m)) \
-            == oracle.matrix_of(lambda e: oracle.apply_jm(e, m))
         assert same(wm.apply_jm(v, m), oracle.apply_jm(v, m))
+    # J_m on every W^lambda of this n at this q0, unit vector by unit vector
+    for lam in partitions_of(n):
+        other = word_module(lam, wm.q0)
+        other_oracle = oracle_of(other)
+        for m in range(1, n + 1):
+            rows = other_oracle.jm_rows(m)
+            assert other_oracle.matrix_of(lambda e: other.apply_jm(e, m)) \
+                == other_oracle.matrix_of(
+                    lambda e: other_oracle._apply_rows(e, rows)), (lam, m)
     total = [Fraction(0)] * wm.dim
     for nu in partitions_of(n):
         for t in enumerate_syt(nu):
@@ -207,33 +215,41 @@ def test_engine_vectors_keep_one_positive_reduced_denominator(q0):
                     assert den > 0 and math.gcd(den, *num) == 1, (lam, t, r)
 
 
-# -- sparse unit images against dense integer vectors -------------------------
+# -- built rows against dense integer vectors ----------------------------------
 
-def dense_unit_rows(module, int_terms):
-    """(row, den) of e_r . a for each e_r, a given by its integer terms
-    (L, [(word, f)]): every word is applied to the whole dense integer
-    vector, generator by generator, scanning every entry."""
-    lcm, terms = int_terms
+def dense_unit_rows(module, terms):
+    """The Fraction row of e_r . a for each e_r, a = sum_w c_w T_word over
+    the (word, c_w) terms of module._terms_at: every word is applied to the
+    whole dense integer vector, generator by generator, scanning every
+    entry, with no built rows and no cache of the module's."""
     for r in range(module.dim):
-        total = [0] * module.dim
-        for word, f in terms:
-            v = [0] * module.dim
+        total = [Fraction(0)] * module.dim
+        for word, c in terms:
+            v, den = [0] * module.dim, 1
             v[r] = 1
             for i in word:
+                d, rows = module._gens[i]
                 out = [0] * module.dim
                 for k, x in enumerate(v):
                     if x:
-                        for j, c in module._gens[i][1][k]:
-                            out[j] += x * c
-                v = out
-            total = [t + f * x for t, x in zip(total, v)]
-        yield total, lcm
+                        for j, g in rows[k]:
+                            out[j] += x * g
+                v, den = out, den * d
+            total = [t + c * Fraction(x, den) if x else t
+                     for t, x in zip(total, v)]
+        yield total
 
 
-def dense_word_matrix(module, word):
-    den = math.prod(module._gens[i][0] for i in word)
-    rows = dense_unit_rows(module, (den, [(word, 1)]))
-    return [[Fraction(x, den) for x in row] for row, _ in rows]
+def assert_built_rows_match_dense(module, elem):
+    """The built rows of elem, made dense, equal the dense walk, and they
+    share one denominator d > 0 with gcd(d, entries) = 1."""
+    rows = list(module._hecke_rows(elem))
+    want = list(dense_unit_rows(module, module._terms_at(elem)))
+    assert [[Fraction(x, d) for x in row] for row, d in rows] == want, elem
+    d = {d for _, d in rows}.pop()
+    assert {den for _, den in rows} == {d}
+    assert d > 0 and math.gcd(d, *(x for row, _ in rows for x in row)) == 1
+    assert module.hecke_matrix(elem) == want
 
 
 def assert_unit_images_match_dense(module, elems):
@@ -241,14 +257,10 @@ def assert_unit_images_match_dense(module, elems):
     words = ([()] + [(i,) for i in range(1, n)] + [(i, i) for i in range(1, n)]
              + [(i, i + 1, i) for i in range(1, n - 1)])
     for word in words:
-        assert module.word_matrix(word) == dense_word_matrix(module, word)
+        assert module.word_matrix(word) == list(
+            dense_unit_rows(module, [(word, Fraction(1))]))
     for elem in elems:
-        terms = module._element_terms(elem)
-        assert list(module._hecke_rows(elem)) == list(
-            dense_unit_rows(module, terms)), elem
-        assert module.hecke_matrix(elem) == [
-            [Fraction(x, den) for x in row]
-            for row, den in dense_unit_rows(module, terms)]
+        assert_built_rows_match_dense(module, elem)
 
 
 DEFAULT_Q = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
@@ -256,6 +268,7 @@ DEFAULT_Q = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
 def operators(n):
     return [r2r(n), b2r(n), r2b(n), *top_ops(n), jucys_murphy_scaled(n, n),
+            *(hecke._jucys_murphy(n, m) for m in range(1, n + 1)),
             HeckeElement.zero(n)]
 
 
@@ -272,5 +285,5 @@ def test_sparse_unit_images_match_dense_on_word_and_regular_modules(n, q0):
 def test_sparse_tstar_rows_match_dense_on_flags(n, p):
     space = FlagSpace(n, p)
     tstar = top_ops(n)[1]
-    assert list(space._hecke_rows(tstar)) == list(
-        dense_unit_rows(space, space._element_terms(tstar)))
+    assert_built_rows_match_dense(space, tstar)
+    assert {d for _, d in space._hecke_rows(tstar)} == {1}

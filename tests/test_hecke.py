@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathlib
 
@@ -12,8 +14,9 @@ from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
                             jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
                             r2r, recursion_check, regular_rep_matrix, top_ops,
                             transposition_word, x_alpha)
-from qshuffle.qpoly import ONE, Q, QM1, ZERO, qint
+from qshuffle.qpoly import ONE, Q, QM1, ZERO, LaurentPoly, qint
 from qshuffle.symmetric import Composition, Permutation, all_permutations
+from qshuffle.tableaux import Partition, SkewShape, StandardTableau
 from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
                              check_hecke_relations_symbolic, check_jm_commute,
                              check_push_through_lemma, run_suite)
@@ -65,6 +68,57 @@ def test_t_word_multiplication_cases():
     # length down: T_1 T_1 = q + (q-1) T_1
     sq = t1 * t1
     assert sq == HeckeElement.one(n).scale(Q) + t1.scale(QM1)
+
+
+def reference_mul_gen(a, i):
+    """a T_{s_i} term by term, with general Laurent products c q and
+    c (q - 1) where the length goes down."""
+    out = HeckeElement.zero(a.n)
+    for w, c in a.terms.items():
+        wsi = w.apply_gen_right(i)
+        if w.one_line[i - 1] < w.one_line[i]:
+            out = out + HeckeElement(a.n, {wsi: c})
+        else:
+            out = out + HeckeElement(a.n, {wsi: c * Q, w: c * QM1})
+    return out
+
+
+def reference_product(a, b):
+    """a b as the sum, one term c_w T_w of b at a time, of (a T_w) c_w."""
+    total = HeckeElement.zero(a.n)
+    for w, c in b.terms.items():
+        image = a
+        for i in w.reduced_word():
+            image = reference_mul_gen(image, i)
+        total = total + image.scale(c)
+    return total
+
+
+laurent = st.dictionaries(
+    st.integers(-2, 3),
+    st.one_of(st.integers(-3, 3),
+              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))),
+    max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(1, 4))
+    perms = all_permutations(n)
+
+    def element():
+        return HeckeElement(n, draw(st.dictionaries(
+            st.sampled_from(perms), laurent, max_size=5)))
+    return element(), element()
+
+
+@settings(max_examples=80, deadline=None)
+@given(element_pairs())
+def test_product_matches_term_by_term_sum(pair):
+    a, b = pair
+    assert a * b == reference_product(a, b)
+    for i in range(1, a.n):
+        assert a.mul_gen(i) == reference_mul_gen(a, i)
 
 
 def test_size_mismatch():
@@ -341,6 +395,50 @@ def test_equal_vectors_and_zero_pass():
     assert hecke._require_equal([1, 2], [1, 2], "v") is None
     assert hecke._require_equal([[1], [2]], [[1], [2]], "m") is None
     assert hecke._require_zero([0, Fraction(0)], "z") is None
+
+
+def test_callable_wording_is_called_only_on_failure():
+    calls = []
+
+    def what():
+        calls.append(1)
+        return "v"
+
+    one = HeckeElement.one(2)
+    assert hecke._require_equal([1, 2], [1, 2], what) is None
+    assert hecke._require_zero([0, 0], what) is None
+    assert hecke._require_same(one, one, what) is True
+    assert calls == []
+    for call, message in (
+            (lambda: hecke._require_equal([1, 2], [1, 3], what),
+             "v, first difference at index 1"),
+            (lambda: hecke._require_zero([0, 4], what),
+             "v, first nonzero index 1"),
+            (lambda: hecke._require_same(one, one.scale(Q), what),
+             "v fails in H_2: the coefficient of T_w for w = [1,2] is 1 on "
+             "the left, q on the right")):
+        with pytest.raises(hecke.CheckFailed) as err:
+            call()
+        assert str(err.value) == message
+    assert calls == [1, 1, 1]
+
+
+def test_passing_run_formats_no_witness(monkeypatch):
+    # every witness is worded inside the branch that raises, so a run whose
+    # checks all pass formats no partition, tableau, permutation or
+    # Laurent polynomial
+    formatted = []
+    for cls, name in ((Partition, "__repr__"), (SkewShape, "__repr__"),
+                      (StandardTableau, "__repr__"),
+                      (Permutation, "__repr__"), (Composition, "__repr__"),
+                      (LaurentPoly, "__str__")):
+        def counted(self, original=getattr(cls, name)):
+            formatted.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, name, counted)
+    results = run_suite(3, [Fraction(2), Fraction(7, 5)])
+    assert all(r.passed for r in results)
+    assert formatted == []
 
 
 def test_every_check_returns_true_or_raises():

@@ -1,10 +1,11 @@
+import collections
 import math
 from fractions import Fraction
 
 import pytest
 
 from qshuffle import hecke, linalg, markov, spectra, verify
-from qshuffle.hecke import (HeckeElement, _fractions, _ints,
+from qshuffle.hecke import (HeckeElement, HeckeModule, _fractions, _ints,
                             clear_module_cache, r2r)
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
@@ -404,7 +405,8 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
         "qshuffle.markov.transition_matrix",
-        "qshuffle.hecke.jucys_murphy_scaled",
+        "qshuffle.hecke.jucys_murphy_scaled", "qshuffle.hecke._jucys_murphy",
+        "qshuffle.hecke._PAIRS",
         "qshuffle.spectra.spectrum_table",
         "qshuffle.spectra.eigenvalue_formula"}
     assert [name for name, table in saved.items() if not table] == []
@@ -426,27 +428,45 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     # each cached symbolic operator and J_m element has the terms of a fresh
     # build, so no caller changed a shared element
     for fn in (hecke.b2r_embedded, hecke.r2b_embedded, hecke.r2r,
-               hecke.jucys_murphy_scaled):
+               hecke.jucys_murphy_scaled, hecke._jucys_murphy):
         for args, elem in saved[f"qshuffle.hecke.{fn.__name__}"].items():
             fresh = fn.__wrapped__(*args)
             assert fresh is not elem and fresh.terms == elem.terms, args
-    # each cached evaluation of an element on a word or regular module
-    # equals one on a freshly built module
-    evaluations = [(build, args, module, elem, terms)
-                   for build in (word_module, hecke._regular_module)
-                   for args, module in saved[
-                       f"{build.__module__}.{build.__name__}"].items()
-                   for elem, terms in module._elements.items()]
-    assert {build for build, *_ in evaluations} == {word_module,
-                                                    hecke._regular_module}
+    # each element's cached rows on a word or regular module equal the rows
+    # a freshly built module builds for it
+    built = [(build, args, module, elem, rows)
+             for build in (word_module, hecke._regular_module)
+             for args, module in saved[
+                 f"{build.__module__}.{build.__name__}"].items()
+             for elem, rows in module._elements.items()]
+    assert {build for build, *_ in built} == {word_module,
+                                              hecke._regular_module}
+    assert any(elem in saved["qshuffle.hecke._jucys_murphy"].values()
+               for *_, elem, _ in built)
     fresh_modules = {}
-    for build, args, module, elem, terms in evaluations:
-        assert module._elements[elem] is terms  # the key still hashes alike
+    for build, args, module, elem, rows in built:
+        assert module._elements[elem] is rows  # the key still hashes alike
         if (build, args) not in fresh_modules:
             fresh_modules[build, args] = build.__wrapped__(*args)
-        fresh = fresh_modules[build, args]
-        assert terms == fresh._int_terms(fresh._terms_at(elem)), args
+        assert rows == fresh_modules[build, args]._built(elem), args
     clear_module_cache()
+
+
+def test_each_element_is_built_once_per_module(monkeypatch):
+    # in one run every (module, element) pair reaches the row build once:
+    # J_m, the shuffle elements and every other element acting at q0
+    builds = collections.Counter()
+    original = HeckeModule._terms_at
+
+    def counted(self, elem):
+        builds[self, elem] += 1
+        return original(self, elem)
+
+    monkeypatch.setattr(HeckeModule, "_terms_at", counted)
+    assert all(r.passed for r in run_suite(3, [2, Fraction(7, 5)]))
+    assert builds and max(builds.values()) == 1
+    jm = {hecke._jucys_murphy(3, m) for m in range(1, 4)}
+    assert jm <= {elem for _, elem in builds}
 
 
 def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
