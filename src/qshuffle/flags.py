@@ -85,7 +85,7 @@ class FlagSpace(HeckeModule):
         self._joins = {}        # (basis, v) -> span(basis + [v])
         self._spans = {}        # (basis, residue of v) -> the same span
         self._outside = {}      # (base, lower, upper) -> _joins_outside
-        self._x_rows = None     # sparse rows {column: count} of x
+        self._x_rows = None     # sparse rows ((column, count), ...) of x
         whole = tuple(tuple(1 if k == j else 0 for k in range(n))
                       for j in range(n))
         flags = [()]
@@ -176,14 +176,8 @@ class FlagSpace(HeckeModule):
                                                 for j in range(i - 2))
                         j = self.index[chain + flag[i - 1:]]
                         row[j] = row.get(j, 0) + 1
-                self._x_rows.append(row)
-        mat = []
-        for row in self._x_rows:
-            dense = [0] * self.size
-            for j, c in row.items():
-                dense[j] = c
-            mat.append(dense)
-        return mat
+                self._x_rows.append(tuple(row.items()))
+        return list(linalg._dense(self._x_rows, self.size))
 
     def _terms_at(self, elem):
         """The flag action needs integer coefficients at q = p."""

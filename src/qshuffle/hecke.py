@@ -11,7 +11,7 @@ At a rational point q0 every module of H_n(q0) used here (word modules,
 the regular representation, flags) is a HeckeModule with one action path:
 each generator and element is built once per module into sparse integer
 rows with one denominator, and every action is one row product over the
-integers; Fractions appear only at the module's boundary.
+integers; that integer form, its boundary and the row product are linalg's.
 
 Every build shared across one verify run (the shuffle elements, the
 Jucys-Murphy elements, scaled and not, the regular modules, and in others
@@ -29,6 +29,7 @@ import functools
 import math
 from fractions import Fraction
 
+from .linalg import _at_lcm, _dense, _fractions, _int_rows, _ints, _times
 from .qpoly import LaurentPoly, ONE, Q, qint
 from .symmetric import Permutation, all_permutations, min_coset_reps, young_subgroup
 
@@ -364,29 +365,6 @@ def word_gen_rows(words, q0):
     return gen_rows
 
 
-def _ints(v):
-    """(numerators, den) of a rational vector: den > 0 is the lcm of the
-    entry denominators.  Where a vector enters the integer engine."""
-    den = math.lcm(*(x.denominator for x in v if x))
-    return [x.numerator * (den // x.denominator) if x else 0 for x in v], den
-
-
-_ZERO = Fraction(0)  # one shared zero, so comparing outputs skips zeros
-
-
-def _fractions(num, den):
-    """The Fraction vector num / den.  Where a vector leaves the engine."""
-    return [Fraction(x, den) if x else _ZERO for x in num]
-
-
-def _cleared_rows(rows):
-    """(d, integer rows of d * rows) for sparse rows of rationals, d the lcm
-    of the entry denominators."""
-    d = math.lcm(*(c.denominator for row in rows for _, c in row))
-    return d, [tuple((j, c.numerator * (d // c.denominator)) for j, c in row)
-               for row in rows]
-
-
 # One shared (column, integer) tuple per pair the built rows hold, which
 # repeat few distinct pairs; emptied with the memo tables.
 _PAIRS = _TABLES["qshuffle.hecke._PAIRS"] = {}
@@ -400,31 +378,22 @@ class HeckeModule:
     is built into (d, rows), the sparse integer rows of d times its matrix
     at q0 reduced by their gcd, d > 0: the generators at construction, each
     HeckeElement once (in _elements, keyed by equality), a literal word per
-    matrix.  A vector action is one integer row product and a matrix the
-    same rows made dense; Fractions appear only at the public boundary.
+    matrix.  A vector action is linalg's row product between its boundary
+    pair, and a matrix the same rows made dense by linalg._dense.
     """
 
     def __init__(self, n, q0, dim, gen_rows):
         self.n = n
         self.q0 = Fraction(q0)
         self.dim = dim
-        self._gens = {i: _cleared_rows(rows) for i, rows in gen_rows.items()}
+        self._gens = {i: _int_rows(rows) for i, rows in gen_rows.items()}
         self._elements = {}  # HeckeElement -> its built (d, rows) at q0
-
-    def _times(self, num, rows):
-        """The integer vector num times the sparse integer rows."""
-        out = [0] * self.dim
-        for x, row in zip(num, rows):
-            if x:
-                for j, c in row:
-                    out[j] += x * c
-        return out
 
     def _act(self, v, built):
         """v times the built (d, rows), over the integers in between."""
         d, rows = built
         num, den = _ints(v)
-        return _fractions(self._times(num, rows), den * d)
+        return _fractions(_times(num, rows, self.dim), den * d)
 
     def _terms_at(self, elem):
         """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
@@ -435,14 +404,12 @@ class HeckeModule:
 
     def _rows_of(self, terms):
         """The built (d, rows) of sum_w c_w T_word over the (word, c_w)
-        terms: each c_w becomes an integer f_w over the lcm of den(c_w)
-        times the word's generator dens, and each unit image is followed
-        through the word as a sparse {column: integer} map."""
-        scaled = [(word, c, c.denominator
-                   * math.prod(self._gens[i][0] for i in word))
-                  for word, c in terms]
-        lcm = math.lcm(*(s for _, _, s in scaled))
-        terms = [(word, c.numerator * (lcm // s)) for word, c, s in scaled]
+        terms: each c_w over the product of the word's generator dens is
+        brought to an integer f_w over their lcm, and each unit image is
+        followed through the word as a sparse {column: integer} map."""
+        fs, lcm = _at_lcm([([c.numerator], c.denominator * math.prod(
+            self._gens[i][0] for i in word)) for word, c in terms])
+        terms = [(word, f) for (word, _), (f,) in zip(terms, fs)]
         totals, g = [], lcm
         for r in range(self.dim):
             total = {}
@@ -474,15 +441,6 @@ class HeckeModule:
             built = self._elements[elem] = self._rows_of(self._terms_at(elem))
         return built
 
-    def _dense(self, built):
-        """(integer row, d) for each sparse row of the built (d, rows)."""
-        d, rows = built
-        for row in rows:
-            dense = [0] * self.dim
-            for j, x in row:
-                dense[j] = x
-            yield dense, d
-
     def apply_gen(self, v, i):
         return self._act(v, self._gens[i])
 
@@ -492,13 +450,14 @@ class HeckeModule:
 
     def word_matrix(self, word):
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
-        return [_fractions(*row) for row in self._dense(
-            self._rows_of([(tuple(word), Fraction(1))]))]
+        d, rows = self._rows_of([(tuple(word), Fraction(1))])
+        return [_fractions(row, d) for row in _dense(rows, self.dim)]
 
     def _hecke_rows(self, elem):
         """(integer row, d) of e_r . elem for each basis vector e_r in
         turn: the rows of hecke_matrix(elem) before they become Fractions."""
-        return self._dense(self._built(elem))
+        d, rows = self._built(elem)
+        return ((row, d) for row in _dense(rows, self.dim))
 
     def hecke_matrix(self, elem):
         """Matrix of right multiplication by elem."""

@@ -1,15 +1,19 @@
 """Exact rational dense linear algebra: elimination, kernels, products,
 char polys, and the dense polynomial arithmetic on char polys.
 
+This is also the one exact integer kernel.  A rational vector's integer
+form is (numerators, den), den > 0 the lcm of its denominators: only this
+module crosses that boundary (_ints, _fractions; _int_rows for sparse
+rows), multiplies an integer vector by sparse integer rows (_times), makes
+sparse rows dense (_dense) and brings integer forms to, or sums them at,
+one lcm (_at_lcm, _lcm_sum).
 Matrices are lists of rows of Fractions, and every kernel takes and returns
 them (rank and charpoly also take ints, and int_mat_mul multiplies integer
-matrices), but the work is done over the integers: a kernel clears
-denominators on the way in (`_cleared`) and builds Fractions only on the
-way out.  RREF is Gauss-Jordan on primitive integer rows, rank is forward
-elimination on them (no back-substitution, no Fractions), and products
-accumulate integer rows.  Pivoting is deterministic (first nonzero column,
-then the largest row index among nonzero entries), so kernel bases and
-echelon forms are reproducible run to run.
+matrices), but works on the rows' integer forms and builds Fractions only
+on the way out.  RREF is Gauss-Jordan on primitive integer rows, rank
+forward elimination on them, and products are row products.  Pivoting is
+deterministic (first nonzero column, then the largest row index among
+nonzero entries), so kernel bases and echelon forms are reproducible.
 
 Char polys are computed modulo primes and lifted.  Each prime is a Proth
 prime k * 2^248 + 1, proven prime by Proth's theorem (F. Proth, C. R. Acad.
@@ -33,49 +37,91 @@ from fractions import Fraction
 from operator import mul
 
 
-def _cleared(matrix):
-    """(d, d * matrix as Python ints), d the lcm of the entry denominators:
-    where every kernel here enters the integers.  Only nonzero entries are
-    read twice, which keeps sparse matrices cheap."""
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
-    d = math.lcm(*(x.denominator for row in nonzero for _, x in row))
-    out = [[0] * len(row) for row in matrix]
-    for dense, row in zip(out, nonzero):
-        for j, x in row:
-            dense[j] = x.numerator * (d // x.denominator)
-    return d, out
+_ZERO = Fraction(0)  # one shared zero, so comparing outputs skips zeros
 
 
-def int_mat_mul(a, b):
-    """Product of integer matrices: the nonzero entries of each row of a
-    are multiplied into an integer accumulator along the sparse rows of b."""
-    cols = len(b[0])
-    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, bk in zip(row, b):
-            if x:
-                for j, y in bk:
-                    acc[j] += x * y
-        out.append(acc)
+def _ints(v):
+    """(numerators, den) of a rational vector: den > 0 is the lcm of the
+    entry denominators.  Where a vector enters the integers."""
+    den = math.lcm(*(x.denominator for x in v if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in v], den
+
+
+def _fractions(num, den):
+    """The Fraction vector num / den.  Where a vector leaves the integers."""
+    return [Fraction(x, den) if x else _ZERO for x in num]
+
+
+def _int_rows(rows):
+    """(d, integer rows of d * rows) for sparse rows of (column, rational)
+    pairs, d the lcm of the entry denominators: sparse rows enter the
+    integers together."""
+    d = math.lcm(*(c.denominator for row in rows for _, c in row))
+    return d, [tuple((j, c.numerator * (d // c.denominator)) for j, c in row)
+               for row in rows]
+
+
+def _at_lcm(forms):
+    """(nums, L): each num / den of the (num, den) in forms as an integer
+    vector over L > 0, the lcm of the den."""
+    den = math.lcm(*(d for _, d in forms))
+    return [[x * (den // d) for x in num] for num, d in forms], den
+
+
+def _lcm_sum(forms):
+    """(S, L): S / L is the sum of the M / d over the (M, d) in forms, each
+    M an integer matrix as a list of rows (a vector is one row), and L > 0
+    the lcm of the d."""
+    den = math.lcm(*(d for _, d in forms))
+    total = [[0] * len(row) for row in forms[0][0]]
+    for mat, d in forms:
+        scale = den // d
+        for out, row in zip(total, mat):
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += scale * x
+    return total, den
+
+
+def _times(num, rows, dim):
+    """The integer vector num times the sparse integer rows, each a sequence
+    of (column, integer) pairs, as a dense integer vector of length dim: the
+    one row product."""
+    out = [0] * dim
+    for x, row in zip(num, rows):
+        if x:
+            for j, c in row:
+                out[j] += x * c
     return out
 
 
+def _dense(rows, dim):
+    """Each sparse row of (column, integer) pairs as a dense integer list
+    of length dim, one row at a time."""
+    for row in rows:
+        dense = [0] * dim
+        for j, x in row:
+            dense[j] = x
+        yield dense
+
+
+def int_mat_mul(a, b):
+    """Product of integer matrices: each row of a times the sparse rows of
+    b, by the row product."""
+    rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    return [_times(row, rows, len(b[0])) for row in a]
+
+
 def vec_mat(v, m):
-    """Row vector times matrix, as Fractions.  v and the rows of m that it
-    uses are each cleared of denominators once, and the products
-    accumulate as ints."""
-    used = [i for i, x in enumerate(v) if x]
-    dv, (cv,) = _cleared([[v[i] for i in used]])
-    dm, rows = _cleared([m[i] for i in used])
-    acc = [0] * len(m[0])
-    for x, row in zip(cv, rows):
-        for j, y in enumerate(row):
-            if y:
-                acc[j] += x * y
-    d = dv * dm
-    return [Fraction(x, d) for x in acc]
+    """Row vector times matrix, as Fractions.  v, and the nonzero entries
+    of the rows of m that it uses, enter the integers once; the row
+    product does the rest."""
+    num, dv = _ints(v)
+    used = [i for i, x in enumerate(num) if x]
+    dm, rows = _int_rows([[(j, y) for j, y in enumerate(m[i]) if y]
+                          for i in used])
+    return _fractions(_times([num[i] for i in used], rows, len(m[0])),
+                      dv * dm)
 
 
 def _eliminate(matrix, full):
@@ -86,7 +132,7 @@ def _eliminate(matrix, full):
     changes which entries are zero, so the pivots are those of the same
     elimination over Q.  full clears the entries above each pivot too
     (Gauss-Jordan); otherwise only those below it (forward elimination)."""
-    m = [_cleared([row])[1][0] for row in matrix]
+    m = [_ints(row)[0] for row in matrix]
     rows, cols = len(m), len(m[0]) if m else 0
     pivots = []
     r = 0
@@ -124,10 +170,8 @@ def rref(matrix):
     if not matrix:
         return [], []
     m, pivots = _eliminate(matrix, full=True)
-    zero, cols = Fraction(0), len(m[0])
-    out = [[Fraction(x, row[c]) if x else zero for x in row]
-           for row, c in zip(m, pivots)]
-    out += [[zero] * cols for _ in range(len(m) - len(pivots))]
+    out = [_fractions(row, row[c]) for row, c in zip(m, pivots)]
+    out += [[_ZERO] * len(m[0]) for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
@@ -284,16 +328,14 @@ def charpoly(matrix):
     the symmetric residue of each g_k c_k is that integer, with no
     probabilistic step."""
     n = len(matrix)
-    cleared = [_cleared([row]) for row in matrix]
-    dens = [d for d, _ in cleared]
-    rows = [m[0] for _, m in cleared]
-    total = math.prod(dens)
+    cleared = [_ints(row) for row in matrix]
+    total = math.prod(d for _, d in cleared)
     bounds = [1]  # P e_k(rho): the coefficients of prod_i (d_i + r_i t)
-    for d, row in zip(dens, rows):
+    for row, d in cleared:
         s = sum(x * x for x in row)
         r = math.isqrt(s - 1) + 1 if s else 0
         bounds = [d * x + r * y for x, y in zip(bounds + [0], [0] + bounds)]
-    d_all = math.lcm(*dens)
+    d_all = math.lcm(*(d for _, d in cleared))
     gs = [math.gcd(d_all ** k, total) for k in range(n + 1)]
     need = 2 * max(g * b for g, b in zip(gs, bounds))
     residues, modulus, ladder = [0] * (n + 1), 1, itertools.count()
@@ -302,7 +344,7 @@ def charpoly(matrix):
         if total % p == 0:
             continue
         reduced = []
-        for d, row in zip(dens, rows):
+        for row, d in cleared:
             inv = pow(d, -1, p)
             reduced.append([x * inv % p for x in row])
         coeffs = _charpoly_mod(reduced, p)

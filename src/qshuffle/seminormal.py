@@ -15,10 +15,12 @@ module S^lambda.
 
 Word modules ride the HeckeModule engine's one action path: J_m is the
 element q^-m (q^m J_m), built once per module into integer rows like any
-other, and each idempotent factor is one product with those rows, a row
-update of a (numerators, den) vector and a gcd reduction.  The factor
+other, and each idempotent factor is one row product with those rows, a
+row update of a (numerators, den) vector and a gcd reduction.  The factor
 schedule of each tableau (its J_m index and integer constants, factor by
-factor) is built once per module and replayed for every vector.
+factor) is built once per module and replayed for every vector.  The
+integer form is linalg's: its boundary, the row product, the rows of p_t
+brought to one denominator (_at_lcm) and the sum in p_lambda (_lcm_sum).
 
 word_module and specht_module share one built module per (lambda, q0)
 through hecke.memo.  All arithmetic is exact at an admissible evaluation
@@ -32,8 +34,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import (CheckFailed, HeckeModule, _fractions, _ints,
-                    _jucys_murphy, memo, word_gen_rows)
+from .hecke import CheckFailed, HeckeModule, _jucys_murphy, memo, word_gen_rows
+from .linalg import _at_lcm, _fractions, _ints, _lcm_sum, _times
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -83,7 +85,7 @@ class WordModuleRep(HeckeModule):
 
     def _jm_times(self, num, m):
         """num times the integer rows of d_J J_m: every J_m factor's step."""
-        return self._times(num, self._jm(m)[1])
+        return _times(num, self._jm(m)[1], self.dim)
 
     def apply_jm(self, v, m):
         return self._act(v, self._jm(m))
@@ -159,25 +161,16 @@ class WordModuleRep(HeckeModule):
         num, den = _ints(v)
         images = [self._idempotent(num, den, t)
                   for t in enumerate_syt(lam or self.lam)]
-        common = math.lcm(*(d for _, d in images))
-        out = [0] * self.dim
-        for img, d in images:
-            scale = common // d
-            for j, x in enumerate(img):
-                if x:
-                    out[j] += scale * x
-        return _fractions(out, common)
+        (out,), den = _lcm_sum([([img], d) for img, d in images])
+        return _fractions(out, den)
 
     def idempotent_int_matrix(self, t):
         """(D, P) with P an integer matrix and p_t = P / D: row r of P is
         e_r . p_t, brought to D > 0, the lcm of the row denominators."""
-        rows = []
-        for r in range(self.dim):
-            e = [0] * self.dim
-            e[r] = 1
-            rows.append(self._idempotent(e, 1, t))
-        d = math.lcm(*(den for _, den in rows))
-        return d, [[x * (d // den) for x in num] for num, den in rows]
+        rows, d = _at_lcm([self._idempotent(
+            [0] * r + [1] + [0] * (self.dim - r - 1), 1, t)
+            for r in range(self.dim)])
+        return d, rows
 
 
 class SpechtRep:

@@ -10,13 +10,12 @@ certify at the exact rational points supplied.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, markov, spectra
-from .hecke import (CheckFailed, HeckeElement, _first_index, _ints,
+from .hecke import (CheckFailed, HeckeElement, _first_index,
                     _require_equal, _require_same, _require_zero,
                     annihilator_check, b2r, b2r_embedded, c_op,
                     clear_module_cache, intermediate_recursion_check,
@@ -213,7 +212,8 @@ def check_idempotents(n, q0):
                                _scaled(db, ma) if a == b else zero,
                                lambda: f"{prop} fails for s = {a}, t = {b} "
                                        f"{_on(wm)}")
-        den, total = _int_sum(mats)  # p_lambda = total / den
+        # p_lambda = total / den
+        total, den = linalg._lcm_sum([(m, d) for d, m in mats])
         _require_equal(linalg.int_mat_mul(total, total), _scaled(den, total),
                        lambda: f"p_lambda p_lambda = p_lambda fails {_on(wm)}")
         trace = Fraction(sum(total[i][i] for i in range(wm.dim)), den)
@@ -221,7 +221,7 @@ def check_idempotents(n, q0):
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
                               f"= {f_lambda(lam)}, {_on(wm)}")
         for t, unit in zip(rep.tableaux, rep.units):
-            num, _ = _ints(unit)
+            num, _ = linalg._ints(unit)
             _require_equal(linalg.int_mat_mul([num], total)[0],
                            [den * x for x in num],
                            lambda: f"w_t p_lambda = w_t fails for t = {t} "
@@ -230,7 +230,7 @@ def check_idempotents(n, q0):
             every = [m for mu in partitions_of(n) for m in (
                 mats if mu == lam else
                 [wm.idempotent_int_matrix(t) for t in enumerate_syt(mu)])]
-            den, everything = _int_sum(every)
+            everything, den = linalg._lcm_sum([(m, d) for d, m in every])
             identity = [[den if i == j else 0 for j in range(wm.dim)]
                         for i in range(wm.dim)]
             _require_equal(everything, identity,
@@ -245,20 +245,6 @@ def _on(wm):
 
 def _scaled(c, matrix):
     return [[c * x for x in row] for row in matrix]
-
-
-def _int_sum(mats):
-    """(L, S) with S / L the sum of P / D over the (D, P) in mats, L the
-    lcm of the D."""
-    den = math.lcm(*(d for d, _ in mats))
-    total = [[0] * len(mats[0][1][0]) for _ in mats[0][1]]
-    for d, mat in mats:
-        scale = den // d
-        for out, row in zip(total, mat):
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += scale * x
-    return den, total
 
 
 def check_phi_morphism(n, q0):
@@ -510,8 +496,8 @@ def check_walk_spectrum(n, q0):
     weights = [q0.numerator ** k * q0.denominator ** (top - k)
                for k in lengths]
     for i, (row, reg_row) in enumerate(zip(mat, reg)):
-        num, den = _ints(row)
-        reg_num, reg_den = _ints(reg_row)
+        num, den = linalg._ints(row)
+        reg_num, reg_den = linalg._ints(reg_row)
         left = norm.numerator * weights[i] * reg_den
         right = norm.denominator * den
         for j, (x, y) in enumerate(zip(num, reg_num)):
@@ -574,7 +560,7 @@ def check_diagonalizable(n, q0):
     formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
     and its geometric and algebraic multiplicities."""
     mat = regular_rep_matrix(r2r(n), q0)
-    d, dm = linalg._cleared(mat)  # mat = dm / d
+    dm, d = linalg._at_lcm([linalg._ints(row) for row in mat])  # mat = dm / d
     for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),
                                            q0).items():
         # the rank of mat - (a/b) I is that of the integer b dm - a d I

@@ -149,6 +149,50 @@ def test_config_pins_q_default(runner, tmp_path):
     assert json.loads(result.output)["q_values"] == ["2"]
 
 
+@pytest.mark.parametrize("content", [None, b"\xffq = 2\n"])
+def test_unreadable_config_is_a_usage_error(runner, tmp_path, content):
+    # a directory, and a file that is not UTF-8
+    cfg = tmp_path / "conf"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    result = runner.invoke(main, ["--config", str(cfg), "spectrum", "--n",
+                                  "3"])
+    assert result.exit_code == 2
+    assert f"cannot read config {cfg}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n", "3", "--q", "1000000", "--steps", "200"],
+    ["verify", "--n", "2", "--q", "1e5000"],
+    ["charpoly", "--n", "2", "--q", "1e5000"],
+    ["eigvectors", "--lam", "2,1", "--q", "1e5000"],
+    ["verify", "--n", "2", "--q", "1/10001"],
+    ["verify", "--n", "2", "--q", "1e99999999999"],
+])
+def test_oversized_q_is_a_usage_error(runner, args):
+    # past the bound on numerator and denominator, or a decimal exponent
+    # too large to expand
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "out of range" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_cli_prints_ints_past_the_default_digit_limit(runner):
+    # exact values may have more than CPython's default 4,300 digits
+    # (simulate --n 5 --q 10000 --steps 200 prints such fractions)
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert runner.invoke(main, ["spectrum", "--n", "2"]).exit_code == 0
+        assert len(str(10 ** 5000)) == 5001
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_eigvectors_dump(runner):
     result = runner.invoke(main, ["eigvectors", "--lam", "2,1", "--q", "2"])
     assert result.exit_code == 0

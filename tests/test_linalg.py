@@ -349,6 +349,19 @@ def test_vec_mat_matches_fraction_oracle(rows, cols, data):
     zero = linalg.vec_mat([0] * len(v), m)
     assert zero == [F(0)] * len(m[0])
     assert all(type(x) is Fraction for x in zero)
+    # the boundary round trip, in lowest terms
+    num, den = linalg._ints(v)
+    assert linalg._fractions(num, den) == v and math.gcd(den, *num) == 1
+    # the lcm sum of the rows' integer forms is their Fraction sum, and of
+    # m over one denominator and m / 2 is 3/2 m
+    forms = [linalg._ints(row) for row in m]
+    (total,), den = linalg._lcm_sum([([num], d) for num, d in forms])
+    assert linalg._fractions(total, den) == [
+        sum((F(row[j]) for row in m), F(0)) for j in range(cols)]
+    rows, d = linalg._at_lcm(forms)
+    both, den = linalg._lcm_sum([(rows, d), (rows, 2 * d)])
+    assert [linalg._fractions(row, den) for row in both] == [
+        [Fraction(3, 2) * x for x in row] for row in m]
 
 
 roots = st.lists(st.tuples(st.one_of(st.integers(-5, 5), entries),

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import hecke, linalg, markov, spectra, verify
-from qshuffle.hecke import (HeckeElement, HeckeModule, _fractions, _ints,
-                            clear_module_cache, r2r)
+from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
+from qshuffle.linalg import _fractions, _ints
 from qshuffle.qpoly import qint
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
