@@ -47,8 +47,27 @@ def _parse_q(text):
         f"each be at most {Q_MAX:,} in absolute value")
 
 
+# The most q values one verify run takes: each q runs every matrix check
+# again.  verify --n 5 takes 17 s of CPU with the 16 values 2, ..., 11,
+# 1/2, 3/2, ..., 11/2 and 27 s with 16 values near the size bound,
+# 9999/9998, 9997/9996, ... (2-CPU machine, Python 3.11).
+Q_LIST_MAX = 16
+
+
 def _parse_q_list(text):
-    return [_parse_q(part) for part in text.split(",") if part.strip()]
+    """The distinct q values of a comma-separated list, at most
+    Q_LIST_MAX of them."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if len(parts) > Q_LIST_MAX:
+        raise click.UsageError(f"{len(parts)} q values given; a run takes "
+                               f"at most {Q_LIST_MAX}")
+    values = {}
+    for part in parts:
+        q0 = _parse_q(part)
+        if q0 in values:
+            raise click.UsageError(f"q = {part} repeats q = {values[q0]}")
+        values[q0] = part
+    return list(values)
 
 
 def _parse_partition(text):

@@ -99,7 +99,12 @@ class FlagSpace(HeckeModule):
         self.flags = flags
         self.index = {f: i for i, f in enumerate(flags)}
         self.size = len(flags)
-        assert all(len(f[i]) == i + 1 for f in flags for i in range(n))
+        for f in flags:
+            for i, sub in enumerate(f):
+                if len(sub) != i + 1:
+                    raise CheckFailed(
+                        f"{_where(self)}: F_{i + 1} of the flag {f} has "
+                        f"dimension {len(sub)}, not {i + 1}")
         super().__init__(n, p, self.size,
                          {i: self._gen_rows(i) for i in range(1, n)})
 

@@ -1,6 +1,7 @@
-"""The Iwahori-Hecke algebra H_n(q) with symbolic Laurent coefficients.
+"""The Iwahori-Hecke algebra H_n(q) over Z[q, q^-1].
 
-Elements are finite sums sum_w c_w(q) T_w over the permutation basis.
+Elements are finite sums sum_w c_w(q) T_w over the permutation basis, each
+c_w a LaurentPoly with integer coefficients.
 Right multiplication by a generator follows
     T_w T_{s_i} = T_{w s_i}                       if l(w s_i) > l(w)
     T_w T_{s_i} = q T_{w s_i} + (q - 1) T_w       otherwise,
@@ -88,8 +89,9 @@ class HeckeElement:
         return self + (-other)
 
     def scale(self, poly):
+        """poly times self, for a LaurentPoly or an int poly."""
         if not isinstance(poly, LaurentPoly):
-            poly = LaurentPoly.const(poly)
+            poly = LaurentPoly.const(poly)  # which refuses all but an int
         if poly.is_zero():
             return HeckeElement.zero(self.n)
         return HeckeElement(self.n,
@@ -122,7 +124,7 @@ class HeckeElement:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
+        if not isinstance(other, HeckeElement):
             return self.scale(other)
         if self.n != other.n:
             raise SizeMismatch("different n")
@@ -133,10 +135,7 @@ class HeckeElement:
                 out[v] = d * c if s is None else s + d * c
         return HeckeElement(self.n, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = scale
 
     def is_zero(self):
         return not self.terms

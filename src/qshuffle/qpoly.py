@@ -1,10 +1,11 @@
-"""Exact Laurent polynomials in q with rational coefficients.
+"""Exact Laurent polynomials in q with integer coefficients: Z[q, q^-1].
 
 Everything downstream (shuffle operators, eigenvalue formulas, contents)
 is built from these; no floating point is used anywhere.  Every structure
-constant of H_n(q) lies in Z[q, q^-1], so a coefficient is stored as an int
-whenever it is integral and as a Fraction only otherwise: the symbolic
-Hecke products and the q-integers stay in int arithmetic.
+constant of H_n(q) lies in Z[q, q^-1], and so does every eigenvalue of
+R_n(q), so each coefficient is an int: the constructor refuses any other
+(a Fraction included, integral or not), and sums, products and scalings
+stay in the ring by themselves.  Only eval leaves it, at a rational q0.
 """
 
 from __future__ import annotations
@@ -17,27 +18,23 @@ class ZeroEvaluationPoint(ValueError):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: mapping exponent -> nonzero coefficient,
-    an int when the coefficient is integral and a Fraction otherwise.
+    """Sparse Laurent polynomial over Z: mapping exponent -> nonzero int.
 
-    Values are immutable; arithmetic always returns canonical form
-    (no zero coefficients stored, integral coefficients as ints), so == is
-    structural equality.
+    Values are immutable; arithmetic always returns canonical form (no zero
+    coefficients stored), so == is structural equality.  The constructor,
+    from a dict {int exponent: int}, is where every coefficient enters.
     """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for exp, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = _exact(coeff)
-                if coeff != 0:
-                    c = _exact(clean.get(exp, 0) + coeff)
-                    if c:
-                        clean[int(exp)] = c
-                    else:
-                        clean.pop(int(exp), None)
+        for exp, coeff in (terms or {}).items():
+            if type(exp) is not int or type(coeff) is not int:
+                raise TypeError(f"the term {coeff!r} q^{exp!r} needs an int "
+                                f"coefficient and an int exponent")
+            if coeff:
+                clean[exp] = coeff
         self.terms = clean
         self._hash = None
 
@@ -70,7 +67,7 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return _canon(out)
+        return _raw(out)
 
     __radd__ = __add__
 
@@ -94,7 +91,7 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return _canon(out)
+        return _raw(out)
 
     __rmul__ = __mul__
 
@@ -111,10 +108,7 @@ class LaurentPoly:
         return result
 
     def scale(self, c):
-        c = _exact(c)
-        if c == 0:
-            return LaurentPoly.zero()
-        return _canon({e: coeff * c for e, coeff in self.terms.items()})
+        return self * LaurentPoly.const(c)
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -130,17 +124,16 @@ class LaurentPoly:
         return max(self.terms) if self.terms else None
 
     def is_nonneg_integral(self):
-        """All coefficients nonnegative integers and no negative exponents."""
-        return all(e >= 0 and c >= 0 and c.denominator == 1
-                   for e, c in self.terms.items())
+        """All coefficients nonnegative and no negative exponents (every
+        coefficient is an integer by construction)."""
+        return all(e >= 0 and c >= 0 for e, c in self.terms.items())
 
     def eval(self, q0):
         """Exact value at a rational point q0 = a/b, as a Fraction.
 
         With lo and hi the least and greatest exponents, the value is
         a^lo b^-hi N for the integer N = sum_e c_e a^(e-lo) b^(hi-e), so
-        one Fraction is built at the end (N is a Fraction only when a
-        coefficient is)."""
+        one Fraction is built at the end."""
         q0 = Fraction(q0)
         if not self.terms:
             return Fraction(0)
@@ -157,7 +150,7 @@ class LaurentPoly:
     # -- equality / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -196,35 +189,17 @@ class LaurentPoly:
 
 
 def _coerce(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentPoly")
-
-
-def _exact(c):
-    """The number c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    """x itself if a LaurentPoly, else the constant x, which must be an int."""
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
 def _raw(terms):
-    """Build from an already-clean dict without re-normalizing."""
-    p = LaurentPoly()
+    """Build from a dict of nonzero ints without checking it: sums,
+    products and shifts of polynomials over Z stay over Z."""
+    p = object.__new__(LaurentPoly)
     p.terms = terms
+    p._hash = None
     return p
-
-
-def _canon(terms):
-    """Build from a dict with no zero coefficients, turning each integral
-    Fraction into an int (a sum or product of Fractions can be one)."""
-    for e, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[e] = c.numerator
-    return _raw(terms)
 
 
 ZERO = LaurentPoly.zero()

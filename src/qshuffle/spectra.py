@@ -32,7 +32,8 @@ class NotAHorizontalStrip(ValueError):
 def eigenvalue_formula(lam, mu):
     """E_{lambda/mu}(q) for a horizontal strip, cross-checked against the
     manifestly positive form sum_k q^(n-k) [content_k + k]_q; built once
-    per strip."""
+    per strip.  If the two forms differ, raises CheckFailed naming lambda,
+    mu and both."""
     shape = SkewShape(lam, mu)
     if not shape.is_horizontal_strip():
         raise NotAHorizontalStrip(f"{shape}")
@@ -46,7 +47,10 @@ def eigenvalue_formula(lam, mu):
     for k in range(j + 1, n + 1):
         positive = positive + qint(t.content_of(k) + k).shift(n - k)
     if value != positive:
-        raise AssertionError("eigenvalue formula forms disagree")
+        raise CheckFailed(
+            f"the two forms of E_lambda/mu disagree for lambda = {lam}, "
+            f"mu = {mu}: q^n c_lambda/mu(q) + sum_k q^(n-k) [k]_q = {value}, "
+            f"sum_k q^(n-k) [content_k + k]_q = {positive}")
     return value
 
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from . import linalg, markov, spectra
 from .hecke import (CheckFailed, HeckeElement, _first_index,
-                    _require_equal, _require_same, _require_zero,
-                    annihilator_check, b2r, b2r_embedded, c_op,
+                    _regular_module, _require_equal, _require_same,
+                    _require_zero, annihilator_check, b2r, b2r_embedded, c_op,
                     clear_module_cache, intermediate_recursion_check,
                     jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
                     recursion_check, regular_rep_matrix, x_alpha)
@@ -489,24 +489,24 @@ def check_walk_spectrum(n, q0):
     the first differing coefficient index."""
     q0 = Fraction(q0)
     mat = markov.transition_matrix(n, q0)
-    reg = regular_rep_matrix(r2r(n), q0)
+    reg = _regular_module(n, q0)._hecke_rows(r2r(n))
     norm = qint(n).eval(q0) ** 2
     lengths = [w.length() for w in all_permutations(n)]
     top = max(lengths)
     weights = [q0.numerator ** k * q0.denominator ** (top - k)
                for k in lengths]
-    for i, (row, reg_row) in enumerate(zip(mat, reg)):
+    for i, (row, (reg_num, reg_den)) in enumerate(zip(mat, reg)):
         num, den = linalg._ints(row)
-        reg_num, reg_den = linalg._ints(reg_row)
         left = norm.numerator * weights[i] * reg_den
         right = norm.denominator * den
         for j, (x, y) in enumerate(zip(num, reg_num)):
             if x * left != y * weights[j] * right:
+                want = (Fraction(y, reg_den)
+                        * q0 ** (lengths[j] - lengths[i]) / norm)
                 raise CheckFailed(
                     f"the walk's transition matrix at q0 = {q0} differs from "
                     f"D^-1 M D / [{n}]_q^2 at (row, col) ({i}, {j}): P has "
-                    f"{row[j]}, D^-1 M D / [{n}]_q^2 has "
-                    f"{reg_row[j] * q0 ** (lengths[j] - lengths[i]) / norm}")
+                    f"{row[j]}, D^-1 M D / [{n}]_q^2 has {want}")
     walk = [c / norm ** k for k, c in enumerate(
         spectra.bruteforce_charpoly(r2r(n), q0))]
     expected = linalg.poly_from_roots(
@@ -559,15 +559,16 @@ def check_diagonalizable(n, q0):
     """R_n(q0) on the regular representation is diagonalizable with the
     formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
     and its geometric and algebraic multiplicities."""
-    mat = regular_rep_matrix(r2r(n), q0)
-    dm, d = linalg._at_lcm([linalg._ints(row) for row in mat])  # mat = dm / d
+    rows = list(_regular_module(n, q0)._hecke_rows(r2r(n)))
+    # R_n(q0) = dm / d, d the lcm of its entry denominators
+    dm, d = [row for row, _ in rows], rows[0][1]
     for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),
                                            q0).items():
-        # the rank of mat - (a/b) I is that of the integer b dm - a d I
+        # the rank of R_n(q0) - (a/b) I is that of the integer b dm - a d I
         a, b = value.numerator, value.denominator
         shifted = [[b * x - (a * d if i == j else 0)
                     for j, x in enumerate(row)] for i, row in enumerate(dm)]
-        geometric = len(mat) - linalg.rank(shifted)
+        geometric = len(dm) - linalg.rank(shifted)
         if geometric != mult:
             raise CheckFailed(
                 f"eigenvalue {value} of r2r at q0 = {Fraction(q0)} has "

@@ -7,7 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from qshuffle.cli import main
+from qshuffle.cli import Q_LIST_MAX, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -139,6 +139,32 @@ def test_verify_rejects_inadmissible_q(runner):
                                 "--q", "0"]).exit_code == 2
     assert runner.invoke(main, ["verify", "--n", "3",
                                 "--q", "-1"]).exit_code == 2
+
+
+def test_verify_refuses_a_repeated_q(runner, tmp_path):
+    # a value repeated as a rational would run every matrix check twice
+    result = runner.invoke(main, ["verify", "--n", "2", "--q", "2,4/2"])
+    assert result.exit_code == 2
+    assert "q = 4/2 repeats q = 2" in result.output
+    assert "Traceback" not in result.output
+    cfg = tmp_path / "conf"
+    cfg.write_text("q = 1/2, 3, 0.5\n")
+    result = runner.invoke(main, ["--config", str(cfg), "verify", "--n", "2"])
+    assert result.exit_code == 2
+    assert "q = 0.5 repeats q = 1/2" in result.output
+
+
+def test_verify_refuses_more_than_q_list_max_values(runner):
+    values = [str(k) for k in range(2, 3 + Q_LIST_MAX)]
+    result = runner.invoke(main, ["verify", "--n", "2", "--q",
+                                  ",".join(values)])
+    assert result.exit_code == 2
+    assert f"{Q_LIST_MAX + 1} q values given; a run takes at most " \
+        f"{Q_LIST_MAX}" in result.output
+    assert "Traceback" not in result.output
+    report = json.loads(runner.invoke(main, [
+        "verify", "--n", "1", "--q", ",".join(values[:-1])]).output)
+    assert len(report["q_values"]) == Q_LIST_MAX and report["all_passed"]
 
 
 def test_config_pins_q_default(runner, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pathlib
 
-from qshuffle import hecke, linalg, verify
+from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
                             b2r_embedded, c_op, intermediate_recursion_check,
                             jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
@@ -95,10 +95,7 @@ def reference_product(a, b):
 
 
 laurent = st.dictionaries(
-    st.integers(-2, 3),
-    st.one_of(st.integers(-3, 3),
-              st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))),
-    max_size=3).map(LaurentPoly)
+    st.integers(-4, 5), st.integers(-1000, 1000), max_size=3).map(LaurentPoly)
 
 
 @st.composite
@@ -457,3 +454,35 @@ def test_every_check_returns_true_or_raises():
     assert len(checks) >= 20
     for fn in checks:
         assert ast.unparse(fn.body[-1]) == "return True", fn.name
+
+
+def test_no_assert_in_the_package():
+    """Every failure is an explicit CheckFailed (or another named error):
+    no module of the package has an assert statement, which python -O
+    strips, or raises a bare AssertionError."""
+    package = pathlib.Path(hecke.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 12
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), \
+                f"{path.name}: assert at line {node.lineno}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = (node.exc.func if isinstance(node.exc, ast.Call)
+                          else node.exc)
+                assert ast.unparse(raised) != "AssertionError", \
+                    f"{path.name}: AssertionError at line {node.lineno}"
+
+
+def test_disagreeing_eigenvalue_forms_name_the_strip(monkeypatch):
+    # shifting every q-content by 1 breaks the first form only, so
+    # positivity-degree fails at the first strip, (2)/(2), with both forms
+    content = spectra.q_content
+    monkeypatch.setattr(spectra, "q_content", lambda shape: content(shape) + ONE)
+    report = {r.check_id: r for r in run_suite(2, [Fraction(2)])}
+    row = report["positivity-degree"]
+    assert not row.passed
+    assert row.detail == (
+        "CheckFailed: the two forms of E_lambda/mu disagree for lambda = (2), "
+        "mu = (2): q^n c_lambda/mu(q) + sum_k q^(n-k) [k]_q = q^2, "
+        "sum_k q^(n-k) [content_k + k]_q = 0")

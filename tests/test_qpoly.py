@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshuffle.hecke import HeckeElement
 from qshuffle.qpoly import LaurentPoly, ZeroEvaluationPoint, qint, ONE, Q, ZERO
 
 
-coeffs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
-polys = st.dictionaries(st.integers(-6, 6), coeffs, max_size=5).map(LaurentPoly)
-points = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)).filter(
+coeffs = st.integers(-10 ** 6, 10 ** 6)
+polys = st.dictionaries(st.integers(-12, 12), coeffs, max_size=6).map(
+    LaurentPoly)
+points = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 15)).filter(
     lambda x: x != 0)
 
 
 def test_canonical_form_drops_zeros():
-    p = LaurentPoly({3: Fraction(0), 1: Fraction(2)})
-    assert p.terms == {1: Fraction(2)}
+    p = LaurentPoly({3: 0, 1: 2})
+    assert p.terms == {1: 2}
     assert (p - p).is_zero()
     assert p - p == ZERO
 
@@ -54,29 +56,26 @@ def test_eval_is_ring_homomorphism(a, b, q0):
 
 
 def test_eval_at_zero_rejected_for_negative_exponents():
-    assert LaurentPoly({2: Fraction(1)}).eval(0) == 0
+    assert LaurentPoly({2: 1}).eval(0) == 0
     with pytest.raises(ZeroEvaluationPoint):
-        LaurentPoly({-1: Fraction(1)}).eval(0)
+        LaurentPoly({-1: 1}).eval(0)
 
 
 def eval_oracle(p, q0):
     """The value of p at q0 as a Fraction sum, term by term."""
-    return sum((Fraction(c) * Fraction(q0) ** e for e, c in p.terms.items()),
+    return sum((c * Fraction(q0) ** e for e, c in p.terms.items()),
                Fraction(0))
 
 
-mixed = st.dictionaries(st.integers(-6, 6),
-                        st.one_of(st.integers(-50, 50), coeffs),
-                        max_size=5).map(LaurentPoly)
-any_points = st.one_of(st.integers(-9, 9),
-                       st.builds(Fraction, st.integers(-9, 9),
-                                 st.integers(1, 5)))
+any_points = st.one_of(st.integers(-40, 40),
+                       st.builds(Fraction, st.integers(-40, 40),
+                                 st.integers(1, 15)))
 
 
-@given(mixed, any_points)
+@given(polys, any_points)
 def test_integer_eval_matches_fraction_oracle(p, q0):
-    # negative exponents, negative and non-integral q0, int and Fraction
-    # coefficients, the zero polynomial, and q0 = 0
+    # negative exponents, negative and non-integral q0, the zero
+    # polynomial, and q0 = 0
     if q0 == 0 and p.terms and min(p.terms) < 0:
         with pytest.raises(ZeroEvaluationPoint):
             p.eval(q0)
@@ -90,11 +89,11 @@ def test_eval_edge_cases():
     assert ZERO.eval(0) == ZERO.eval(Fraction(-7, 3)) == 0
     assert type(ZERO.eval(2)) is Fraction
     assert LaurentPoly({0: 5, 3: 1}).eval(0) == 5
-    assert LaurentPoly({-2: 4, 1: Fraction(1, 2)}).eval(Fraction(-2, 3)) \
-        == Fraction(4 * 9, 4) + Fraction(1, 2) * Fraction(-2, 3)
+    assert LaurentPoly({-2: 4, 1: -3}).eval(Fraction(-2, 3)) \
+        == Fraction(4 * 9, 4) - 3 * Fraction(-2, 3)
     assert qint(-3).eval(Fraction(1, 2)) == -(2 + 4 + 8)
     with pytest.raises(ZeroEvaluationPoint):
-        LaurentPoly({-3: Fraction(2, 7), 0: 1}).eval(Fraction(0))
+        LaurentPoly({-3: 2, 0: 1}).eval(Fraction(0))
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8))
@@ -116,17 +115,16 @@ def test_qint_values():
 def test_json_roundtrip(a):
     # to_json loses nothing: the polynomial is rebuilt from its terms
     data = json.loads(json.dumps(a.to_json()))
-    assert LaurentPoly({e: Fraction(c) for e, c in data["terms"]}) == a
+    assert LaurentPoly({e: int(c) for e, c in data["terms"]}) == a
 
 
 def test_json_format():
-    p = qint(3) + LaurentPoly({5: Fraction(1, 2)})
-    assert p.to_json() == {"terms": [[0, "1"], [1, "1"], [2, "1"], [5, "1/2"]]}
+    p = qint(3) + LaurentPoly({5: -7})
+    assert p.to_json() == {"terms": [[0, "1"], [1, "1"], [2, "1"], [5, "-7"]]}
 
 
 def test_str_format():
-    p = LaurentPoly({5: Fraction(1), 3: Fraction(1), 1: Fraction(2),
-                     0: Fraction(1)})
+    p = LaurentPoly({5: 1, 3: 1, 1: 2, 0: 1})
     assert str(p) == "q^5 + q^3 + 2*q + 1"
     assert str(ZERO) == "0"
 
@@ -139,14 +137,20 @@ def test_degree_and_positivity():
     assert not (qint(2) - qint(3)).is_nonneg_integral()
 
 
-def test_integral_coefficients_are_stored_as_ints():
-    a, b = LaurentPoly({0: Fraction(3)}), LaurentPoly({0: 3})
-    assert a == b and hash(a) == hash(b)
-    assert str(a) == str(b) and a.to_json() == b.to_json()
-    assert type(a.terms[0]) is int
-    assert type(LaurentPoly({1: Fraction(1, 2)}).terms[1]) is Fraction
-    half = LaurentPoly({1: Fraction(1, 2), 2: Fraction(3, 2)})
-    assert all(type(c) is int for c in (half + half).terms.values())
-    assert all(type(c) is int for c in half.scale(2).terms.values())
-    assert all(type(c) is int for c in qint(4).terms.values())
-    assert all(type(c) is int for c in (qint(3) * qint(-2)).terms.values())
+def test_non_int_coefficients_are_refused():
+    # coefficients live in Z: a Fraction, integral or not, never enters,
+    # and neither does an exponent that is not an int
+    for build in (lambda: LaurentPoly({1: Fraction(1, 2)}),
+                  lambda: LaurentPoly({0: Fraction(3)}),
+                  lambda: LaurentPoly.const(Fraction(3)),
+                  lambda: Q.scale(Fraction(1, 2)),
+                  lambda: HeckeElement.one(2) * Fraction(1, 2),
+                  lambda: LaurentPoly({1.5: 1})):
+        with pytest.raises(TypeError, match="needs an int coefficient"):
+            build()
+
+
+@given(polys, polys, st.integers(-50, 50))
+def test_arithmetic_keeps_int_coefficients(a, b, k):
+    for p in (a + b, a - b, a * b, a.scale(k), a.shift(k), -a):
+        assert all(type(c) is int and c for c in p.terms.values())

@@ -45,8 +45,7 @@ def test_specific_table_rows():
     assert eigenvalue_formula(P(2, 1, 1), P(2, 1)) == qint(2)
     # n = 4, strip (2,1,1)/(1,1): q^4 + q^3 + q^2 + 2q + 1
     got = eigenvalue_formula(P(2, 1, 1), P(1, 1))
-    assert got == LaurentPoly({4: Fraction(1), 3: Fraction(1), 2: Fraction(1),
-                               1: Fraction(2), 0: Fraction(1)})
+    assert got == LaurentPoly({4: 1, 3: 1, 2: 1, 1: 2, 0: 1})
     # n = 3, strip (2,1)/(1,1): [1]_q [4]_q
     assert eigenvalue_formula(P(2, 1), P(1, 1)) == qint(1) * qint(4)
 
