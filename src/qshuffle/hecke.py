@@ -8,20 +8,21 @@ Right multiplication by a generator follows
 and general products iterate this along reduced words.  Identity checks on
 these symbolic elements certify statements for all q at once.
 
-At a rational point q0 every module of H_n(q0) used here (word modules,
-the regular representation, flags) is a HeckeModule with one action path:
-each generator and element is built once per module into sparse integer
-rows with one denominator, and every action is one row product over the
-integers; that integer form, its boundary and the row product are linalg's.
+At a rational point q0 every module of H_n(q0) used here (seminormal's
+word modules, among them the regular representation W^(1^n), and flags)
+is a HeckeModule with one action path: each generator and element is
+built once per module into sparse integer rows with one denominator, and
+every action is one row product over the integers; that integer form, its
+boundary and the row product are linalg's.
 
 Every build shared across one verify run (the shuffle elements, the
-Jucys-Murphy elements, scaled and not, the regular modules, and in others
-the spectrum tables, the eigenvalue formulas, the word and Specht
-modules, the kernel bases, the eigenbases, the regular-route char polys
-and the walk's transition matrices) is a memo function; clear_module_cache
-forgets them all.  Pure partition and tableau combinatorics outside the
-traced layers (tableaux, verify._sub_partitions) is kept instead with
-functools.lru_cache for the life of the process.
+Jucys-Murphy elements, scaled and not, and in others the spectrum tables,
+the eigenvalue formulas, the word and Specht modules, the kernel bases,
+the eigenbases, the regular-route char polys and the walk's transition
+matrices) is a memo function; clear_module_cache forgets them all.  Pure
+partition and tableau combinatorics outside the traced layers (tableaux,
+verify._sub_partitions) is kept instead with functools.lru_cache for the
+life of the process.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .linalg import _at_lcm, _dense, _fractions, _int_rows, _ints, _times
 from .qpoly import LaurentPoly, ONE, Q, qint
-from .symmetric import Permutation, all_permutations, min_coset_reps, young_subgroup
+from .symmetric import Permutation, min_coset_reps, young_subgroup
 
 
 class SizeMismatch(ValueError):
@@ -340,30 +341,6 @@ def c_op(j, n):
 
 # -- modules at a rational point --------------------------------------
 
-def word_gen_rows(words, q0):
-    """Sparse rows of each T_{s_i} on the span of words at q = q0:
-        w . T_{s_i} = q w                      if w_i = w_{i+1}
-        w . T_{s_i} = w s_i                    if w_i < w_{i+1}
-        w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}.
-    The words are tuples of one length, closed under swapping neighbours.
-    """
-    q0 = Fraction(q0)
-    index = {w: k for k, w in enumerate(words)}
-    gen_rows = {}
-    for i in range(1, len(words[0])):
-        rows = []
-        for k, w in enumerate(words):
-            a, b = w[i - 1], w[i]
-            if a == b:
-                rows.append([(k, q0)])
-                continue
-            j = index[w[:i - 1] + (b, a) + w[i + 1:]]
-            rows.append([(j, Fraction(1))] if a < b
-                        else [(j, q0), (k, q0 - 1)])
-        gen_rows[i] = rows
-    return gen_rows
-
-
 # One shared (column, integer) tuple per pair the built rows hold, which
 # repeat few distinct pairs; emptied with the memo tables.
 _PAIRS = _TABLES["qshuffle.hecke._PAIRS"] = {}
@@ -465,20 +442,16 @@ class HeckeModule:
 
 # -- matrices and identity checks -------------------------------------
 
-@memo
-def _regular_module(n, q0):
-    """The regular representation at q0: the word module W^(1^n) on the
-    one-line words, which all_permutations lists in Lehmer-rank order."""
-    words = [w.one_line for w in all_permutations(n)]
-    return HeckeModule(n, q0, len(words), word_gen_rows(words, q0))
-
-
 def regular_rep_matrix(a, q0):
     """Matrix of right multiplication by a on the T_w basis at q = q0.
 
-    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.
+    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.  The
+    module is the shared word module W^(1^n), so an inadmissible q0 raises
+    InadmissibleQ.
     """
-    return _regular_module(a.n, q0).hecke_matrix(a)
+    from .seminormal import word_module  # which imports hecke
+    from .tableaux import Partition
+    return word_module(Partition((1,) * a.n), q0).hecke_matrix(a)
 
 
 def recursion_check(n):

@@ -4,7 +4,11 @@ The word module has basis the words of content lambda (letter i appears
 lambda_i times); the right action of a generator on a word w is
     w . T_{s_i} = q w                      if w_i = w_{i+1}
     w . T_{s_i} = w s_i                    if w_i < w_{i+1}
-    w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}.
+    w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}  (word_gen_rows).
+The words of content (1^n) are the one-line permutations in Lehmer-rank
+order, so W^(1^n) is the regular representation: H_n(q0) acting on itself,
+and the one module every regular-route check acts through.
+
 Young idempotents are Murphy's restricted Lagrange interpolation products
 in the Jucys-Murphy elements, applied to vectors factor by factor: entry m
 of t contributes one factor (J_m - [c]) / ([c_t(m)] - [c]) for each content
@@ -34,7 +38,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import CheckFailed, HeckeModule, _jucys_murphy, memo, word_gen_rows
+from .hecke import CheckFailed, HeckeModule, _jucys_murphy, memo
 from .linalg import _at_lcm, _fractions, _ints, _lcm_sum, _times
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
@@ -59,6 +63,27 @@ def content_words(lam):
     """All words with letter i appearing lambda_i times, lex sorted."""
     letters = [i + 1 for i, p in enumerate(lam.parts) for _ in range(p)]
     return sorted(set(itertools.permutations(letters)))
+
+
+def word_gen_rows(words, q0):
+    """Sparse rows of each T_{s_i} on the span of words at q = q0, by the
+    rule above.  The words are tuples of one length, closed under swapping
+    neighbours."""
+    q0 = Fraction(q0)
+    index = {w: k for k, w in enumerate(words)}
+    gen_rows = {}
+    for i in range(1, len(words[0])):
+        rows = []
+        for k, w in enumerate(words):
+            a, b = w[i - 1], w[i]
+            if a == b:
+                rows.append([(k, q0)])
+                continue
+            j = index[w[:i - 1] + (b, a) + w[i + 1:]]
+            rows.append([(j, Fraction(1))] if a < b
+                        else [(j, q0), (k, q0 - 1)])
+        gen_rows[i] = rows
+    return gen_rows
 
 
 class WordModuleRep(HeckeModule):
@@ -187,17 +212,14 @@ class SpechtRep:
             self.units.append(self.word_module.apply_idempotent(v, t))
         self.dim = len(self.units)
 
-    def coords(self, v):
-        """Coordinates of v in the unit basis, or None if outside the span."""
-        return linalg.solve_in_span(self.units, v)
-
     def hecke_action_matrix(self, elem):
         """Matrix of elem on S^lambda in the seminormal unit basis; raises
         CheckFailed naming lambda, q0, the unit's tableau and elem if the
         image of a unit leaves the span of the units."""
         rows = []
         for t, u in zip(self.tableaux, self.units):
-            coords = self.coords(self.word_module.apply_hecke(u, elem))
+            coords = linalg.solve_in_span(
+                self.units, self.word_module.apply_hecke(u, elem))
             if coords is None:
                 raise CheckFailed(
                     f"the units of S^{self.lam} at q0 = {self.q0} do not span "

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import linalg
 from .hecke import (CheckFailed, _require_equal, _require_zero, b2r_embedded,
-                    memo, r2r, regular_rep_matrix)
+                    memo, r2r)
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
 from .seminormal import phi_apply, specht_module, word_module
-from .tableaux import (SkewShape, d_mu, enumerate_syt, extend, f_lambda,
-                       horizontal_strips, partitions_of, q_content,
+from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
+                       f_lambda, horizontal_strips, partitions_of, q_content,
                        superstandard)
 
 
@@ -137,9 +137,13 @@ def bruteforce_charpoly(op, q0):
 
     Independent oracle: no spectral theory, just exact elimination on the
     n! x n! matrix.  Returns monic coefficients, highest degree first,
-    shared: callers must not change them.
+    shared: callers must not change them.  Coefficient k is that of the
+    integer rows d M of the regular module W^(1^n), over d^k.
     """
-    return linalg.charpoly(regular_rep_matrix(op, q0))
+    rows = list(word_module(Partition((1,) * op.n), q0)._hecke_rows(op))
+    d = rows[0][1]
+    return [c / d ** k for k, c in enumerate(
+        linalg.charpoly([row for row, _ in rows]))]
 
 
 @memo

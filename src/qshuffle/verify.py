@@ -15,18 +15,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, markov, spectra
-from .hecke import (CheckFailed, HeckeElement, _first_index,
-                    _regular_module, _require_equal, _require_same,
-                    _require_zero, annihilator_check, b2r, b2r_embedded, c_op,
-                    clear_module_cache, intermediate_recursion_check,
-                    jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
-                    recursion_check, regular_rep_matrix, x_alpha)
+from .hecke import (CheckFailed, HeckeElement, _first_index, _require_equal,
+                    _require_same, _require_zero, annihilator_check, b2r,
+                    b2r_embedded, c_op, clear_module_cache,
+                    intermediate_recursion_check, jucys_murphy_scaled,
+                    m_alpha, r2b, r2b_embedded, r2r, recursion_check, x_alpha)
 from .qpoly import Q, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
 from .symmetric import Composition, all_permutations, derangement_count
-from .tableaux import (SkewShape, d_mu, enumerate_syt, extend, f_lambda,
-                       horizontal_strips, partitions_of, superstandard)
+from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
+                       f_lambda, horizontal_strips, partitions_of,
+                       superstandard)
 
 
 class CheckResult:
@@ -434,17 +434,15 @@ def check_bstar_kernel_lift(n, q0):
     """u in ker B*_j gives a B*_n-eigenvector m_{(1^j, n-j)} u with
     eigenvalue [n-j]_{q0}, in the regular representation; a failure raises
     CheckFailed naming j, q0, the index of the kernel vector and the first
-    differing index."""
-    bstar_n = regular_rep_matrix(r2b(n), q0)
+    differing index.  Only ker B*_j is taken of a dense matrix."""
+    reg = word_module(Partition((1,) * n), q0)
     for j in range(2, n):
-        bstar_j = regular_rep_matrix(
-            HeckeElement.one(n) * r2b_embedded(j, n), q0)
-        m_mat = regular_rep_matrix(
-            m_alpha(Composition([1] * j + [n - j])), q0)
+        m_j = m_alpha(Composition([1] * j + [n - j]))
         value = qint(n - j).eval(q0)
-        for k, u in enumerate(linalg.left_kernel(bstar_j)):
-            lifted = linalg.vec_mat(u, m_mat)
-            _require_equal(linalg.vec_mat(lifted, bstar_n),
+        for k, u in enumerate(linalg.left_kernel(
+                reg.hecke_matrix(r2b_embedded(j, n)))):
+            lifted = reg.apply_hecke(u, m_j)
+            _require_equal(reg.apply_hecke(lifted, r2b(n)),
                            [value * x for x in lifted],
                            lambda: f"the lift of kernel vector {k} of B*_{j} "
                                    f"is not a B*_{n}-eigenvector with "
@@ -489,7 +487,7 @@ def check_walk_spectrum(n, q0):
     the first differing coefficient index."""
     q0 = Fraction(q0)
     mat = markov.transition_matrix(n, q0)
-    reg = _regular_module(n, q0)._hecke_rows(r2r(n))
+    reg = word_module(Partition((1,) * n), q0)._hecke_rows(r2r(n))
     norm = qint(n).eval(q0) ** 2
     lengths = [w.length() for w in all_permutations(n)]
     top = max(lengths)
@@ -559,7 +557,7 @@ def check_diagonalizable(n, q0):
     """R_n(q0) on the regular representation is diagonalizable with the
     formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
     and its geometric and algebraic multiplicities."""
-    rows = list(_regular_module(n, q0)._hecke_rows(r2r(n)))
+    rows = list(word_module(Partition((1,) * n), q0)._hecke_rows(r2r(n)))
     # R_n(q0) = dm / d, d the lcm of its entry denominators
     dm, d = [row for row, _ in rows], rows[0][1]
     for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import pathlib
 
 from qshuffle import hecke, linalg, spectra, verify
-from qshuffle.hecke import (HeckeElement, SizeMismatch, annihilator_check, b2r,
-                            b2r_embedded, c_op, intermediate_recursion_check,
-                            jucys_murphy_scaled, m_alpha, r2b, r2b_embedded,
-                            r2r, recursion_check, regular_rep_matrix, top_ops,
-                            transposition_word, x_alpha)
+from qshuffle.hecke import (HeckeElement, HeckeModule, SizeMismatch,
+                            annihilator_check, b2r, b2r_embedded, c_op,
+                            intermediate_recursion_check, jucys_murphy_scaled,
+                            m_alpha, r2b, r2b_embedded, r2r, recursion_check,
+                            regular_rep_matrix, top_ops, transposition_word,
+                            x_alpha)
 from qshuffle.qpoly import ONE, Q, QM1, ZERO, LaurentPoly, qint
+from qshuffle.seminormal import InadmissibleQ, word_gen_rows, word_module
 from qshuffle.symmetric import Composition, Permutation, all_permutations
 from qshuffle.tableaux import Partition, SkewShape, StandardTableau
 from qshuffle.verify import (check_bstar_kernel_lift, check_c_factorization,
@@ -224,6 +226,28 @@ def test_regular_rep_row_sums():
     n = 3
     mat = regular_rep_matrix(r2r(n), Fraction(1))
     assert all(sum(row) == n * n for row in mat)
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(1, 2),
+                                Fraction(7, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regular_representation_is_the_word_module_of_one_line_words(n, q0):
+    # the construction the shared word module W^(1^n) replaced: a module
+    # of its own on the one-line permutations in Lehmer-rank order
+    words = [w.one_line for w in all_permutations(n)]
+    own = HeckeModule(n, q0, len(words), word_gen_rows(words, q0))
+    assert word_module(Partition((1,) * n), q0).basis == words
+    for a in (r2r(n), b2r(n), r2b(n),
+              m_alpha(Composition([1] * (n // 2) + [n - n // 2])),
+              m_alpha(Composition([n]))):
+        assert own.hecke_matrix(a) == regular_rep_matrix(a, q0)
+
+
+@pytest.mark.parametrize("q0", [0, -1])
+def test_regular_rep_refuses_inadmissible_q(q0):
+    # q0 = 0, or [2]_q = 1 + q vanishing at q0 = -1
+    with pytest.raises(InadmissibleQ):
+        regular_rep_matrix(b2r(3), q0)
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 2), Fraction(7, 5),

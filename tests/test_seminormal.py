@@ -8,6 +8,7 @@ from qshuffle import hecke, linalg, markov, spectra, verify
 from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
 from qshuffle.linalg import _fractions, _ints
 from qshuffle.qpoly import qint
+from qshuffle.symmetric import Composition
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
 from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
@@ -355,24 +356,30 @@ def test_sub_partitions_returns_a_fresh_list():
 
 
 def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
-    builds = {"word": 0, "specht": 0}
+    builds = {"word": 0, "specht": 0, "module": 0}
 
     def counting(init, kind):
-        def counted(self, lam, q0):
+        def counted(self, *args):
             builds[kind] += 1
-            init(self, lam, q0)
+            init(self, *args)
         return counted
 
     monkeypatch.setattr(WordModuleRep, "__init__",
                         counting(WordModuleRep.__init__, "word"))
     monkeypatch.setattr(SpechtRep, "__init__",
                         counting(SpechtRep.__init__, "specht"))
+    monkeypatch.setattr(HeckeModule, "__init__",
+                        counting(HeckeModule.__init__, "module"))
     q_values = [Fraction(2), Fraction(7, 5)]
     assert all(r.passed for r in run_suite(3, q_values))
     first = dict(builds)
+    # every HeckeModule a run builds is a word module memo entry, the
+    # regular representation W^(1^n) among them: one per (lambda, q0)
     assert first == {"word": len(memo_table(word_module)),
-                     "specht": len(memo_table(specht_module))}
-    builds.update(word=0, specht=0)
+                     "specht": len(memo_table(specht_module)),
+                     "module": len(memo_table(word_module))}
+    assert (Partition((1, 1, 1)), Fraction(2)) in memo_table(word_module)
+    builds.update(word=0, specht=0, module=0)
     assert all(r.passed for r in run_suite(3, q_values))
     assert builds == first
     # no check changed a shared module: each equals a fresh build
@@ -400,7 +407,7 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     saved = {name: dict(table) for name, table in hecke._TABLES.items()}
     assert set(saved) == {
         "qshuffle.hecke.r2r", "qshuffle.hecke.b2r_embedded",
-        "qshuffle.hecke.r2b_embedded", "qshuffle.hecke._regular_module",
+        "qshuffle.hecke.r2b_embedded",
         "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
@@ -432,23 +439,24 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         for args, elem in saved[f"qshuffle.hecke.{fn.__name__}"].items():
             fresh = fn.__wrapped__(*args)
             assert fresh is not elem and fresh.terms == elem.terms, args
-    # each element's cached rows on a word or regular module equal the rows
-    # a freshly built module builds for it
-    built = [(build, args, module, elem, rows)
-             for build in (word_module, hecke._regular_module)
+    # each element's cached rows on a word module, the regular one among
+    # them, equal the rows a freshly built module builds for it
+    built = [(args, module, elem, rows)
              for args, module in saved[
-                 f"{build.__module__}.{build.__name__}"].items()
+                 "qshuffle.seminormal.word_module"].items()
              for elem, rows in module._elements.items()]
-    assert {build for build, *_ in built} == {word_module,
-                                              hecke._regular_module}
     assert any(elem in saved["qshuffle.hecke._jucys_murphy"].values()
                for *_, elem, _ in built)
+    on_regular = {elem for (lam, _), _, elem, _ in built
+                  if lam == Partition((1,) * 4)}
+    assert {r2r(4), hecke.r2b(4), hecke.r2b_embedded(2, 4),
+            hecke.m_alpha(Composition([1, 1, 2]))} <= on_regular
     fresh_modules = {}
-    for build, args, module, elem, rows in built:
+    for args, module, elem, rows in built:
         assert module._elements[elem] is rows  # the key still hashes alike
-        if (build, args) not in fresh_modules:
-            fresh_modules[build, args] = build.__wrapped__(*args)
-        assert rows == fresh_modules[build, args]._built(elem), args
+        if args not in fresh_modules:
+            fresh_modules[args] = word_module.__wrapped__(*args)
+        assert rows == fresh_modules[args]._built(elem), args
     clear_module_cache()
 
 
