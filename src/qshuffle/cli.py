@@ -269,9 +269,8 @@ def verify_cmd(ctx, n, q_text, route):
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 1),
         "scope_note": (
             "Identities checked symbolically hold for all q; matrix-level "
-            "checks certify only the listed exact rational points, which "
-            "suffices for the polynomial identities involved by degree "
-            "bounds but is not a proof of the general-q statements."),
+            "checks certify only the listed exact rational points and are "
+            "not a proof of the general-q statements."),
     }
     click.echo(json.dumps(report, indent=2))
     if not report["all_passed"]:

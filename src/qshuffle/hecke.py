@@ -31,7 +31,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import _at_lcm, _dense, _fractions, _int_rows, _ints, _times
+from .linalg import (_at_lcm, _dense, _fractions, _int_rows, _ints, _step,
+                     _times)
 from .qpoly import LaurentPoly, ONE, Q, qint
 from .symmetric import Permutation, min_coset_reps, young_subgroup
 
@@ -423,6 +424,17 @@ class HeckeModule:
     def apply_hecke(self, v, elem):
         """v . a for a HeckeElement a."""
         return self._act(v, self._built(elem))
+
+    def apply_shifted_product(self, v, elem, roots):
+        """v . prod over the rational roots r, in order, of (elem - r): one
+        linalg._step per root on elem's built (d, rows), which with r = a/b
+        maps num / den to (b num rows - a d num) / (den d b)."""
+        d, rows = self._built(elem)
+        num, den = _ints(v)
+        for root in roots:
+            a, b = root.numerator, root.denominator
+            num, den = _step(num, den, rows, b, a * d, d * b)
+        return _fractions(num, den)
 
     def word_matrix(self, word):
         """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""

@@ -4,9 +4,10 @@ char polys, and the dense polynomial arithmetic on char polys.
 This is also the one exact integer kernel.  A rational vector's integer
 form is (numerators, den), den > 0 the lcm of its denominators: only this
 module crosses that boundary (_ints, _fractions; _int_rows for sparse
-rows), multiplies an integer vector by sparse integer rows (_times), makes
-sparse rows dense (_dense) and brings integer forms to, or sums them at,
-one lcm (_at_lcm, _lcm_sum).
+rows), multiplies an integer vector by sparse integer rows (_times),
+applies one factor (p M - r) / s of a product to an integer form (_step),
+makes sparse rows dense (_dense) and brings integer forms to, or sums them
+at, one lcm (_at_lcm, _lcm_sum).
 Matrices are lists of rows of Fractions, and every kernel takes and returns
 them (rank and charpoly also take ints, and int_mat_mul multiplies integer
 matrices), but works on the rows' integer forms and builds Fractions only
@@ -93,6 +94,19 @@ def _times(num, rows, dim):
             for j, c in row:
                 out[j] += x * c
     return out
+
+
+def _step(num, den, rows, p, r, s):
+    """(p num M - r num) / (den s) for the integer form num / den and M
+    the sparse integer rows, reduced by the gcd of the new den and entries:
+    the one row update, which takes each factor of an idempotent and of a
+    product of shifts (M - root)."""
+    num = [p * x - r * y for x, y in zip(_times(num, rows, len(num)), num)]
+    den *= s
+    g = math.gcd(den, *num)
+    if g > 1:
+        return [x // g for x in num], den // g
+    return num, den
 
 
 def _dense(rows, dim):

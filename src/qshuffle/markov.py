@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import memo, r2r, regular_rep_matrix
+from .hecke import memo, r2r
 from .linalg import vec_mat
 from .qpoly import qint
+from .seminormal import word_module
 from .symmetric import all_permutations
+from .tableaux import Partition
 
 
 class SubunitQ(ValueError):
@@ -24,19 +26,29 @@ class SubunitQ(ValueError):
 @memo
 def transition_matrix(n, q0):
     """Stochastic matrix P[rank(w)][rank(u)] of one walk step (q0 >= 1),
-    shared: callers must not change it."""
+    shared: callers must not change it.
+
+    P_ij = M_ij q0^(l(j) - l(i)) / [n]_{q0}^2, M = rows / d the built
+    integer rows of R_n on the regular module W^(1^n).  With q0 = a/b and L
+    the longest length, q0^l(k) is w_k / b^L for w_k = a^l(k) b^(L - l(k)),
+    so each nonzero entry is one Fraction M_ij w_j / (d w_i [n]^2); every
+    other entry is 0."""
     q0 = Fraction(q0)
     if q0 < 1:
         raise SubunitQ("the walk needs q0 >= 1")
-    mat = regular_rep_matrix(r2r(n), q0)
+    d, rows = word_module(Partition((1,) * n), q0)._built(r2r(n))
     lengths = [w.length() for w in all_permutations(n)]
+    top = max(lengths)
+    weights = [q0.numerator ** k * q0.denominator ** (top - k)
+               for k in lengths]
     norm = qint(n).eval(q0) ** 2
-    size = len(mat)
-    out = []
-    for i in range(size):
-        row = [mat[i][j] * q0 ** (lengths[j] - lengths[i]) / norm
-               for j in range(size)]
-        out.append(row)
+    zero, out = Fraction(0), []
+    for w_i, row in zip(weights, rows):
+        dense = [zero] * len(rows)
+        scale = d * w_i * norm.numerator
+        for j, c in row:
+            dense[j] = Fraction(c * weights[j] * norm.denominator, scale)
+        out.append(dense)
     return out
 
 

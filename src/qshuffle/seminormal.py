@@ -19,12 +19,12 @@ module S^lambda.
 
 Word modules ride the HeckeModule engine's one action path: J_m is the
 element q^-m (q^m J_m), built once per module into integer rows like any
-other, and each idempotent factor is one row product with those rows, a
-row update of a (numerators, den) vector and a gcd reduction.  The factor
-schedule of each tableau (its J_m index and integer constants, factor by
-factor) is built once per module and replayed for every vector.  The
-integer form is linalg's: its boundary, the row product, the rows of p_t
-brought to one denominator (_at_lcm) and the sum in p_lambda (_lcm_sum).
+other, and each idempotent factor is one row update of a (numerators,
+den) vector with those rows (linalg._step).  The factor schedule of each
+tableau (its J_m index and integer constants, factor by factor) is built
+once per module and replayed for every vector.  The integer form is
+linalg's: its boundary, the row update, the rows of p_t brought to one
+denominator (_at_lcm) and the sums of images of p_t (_lcm_sum).
 
 word_module and specht_module share one built module per (lambda, q0)
 through hecke.memo.  All arithmetic is exact at an admissible evaluation
@@ -34,12 +34,11 @@ point q0.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import linalg
 from .hecke import CheckFailed, HeckeModule, _jucys_murphy, memo
-from .linalg import _at_lcm, _fractions, _ints, _lcm_sum, _times
+from .linalg import _at_lcm, _fractions, _ints, _lcm_sum, _step
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -108,10 +107,6 @@ class WordModuleRep(HeckeModule):
         """The built (d_J, rows) of J_m = q^-m (q^m J_m) at q0."""
         return self._built(_jucys_murphy(self.n, m))
 
-    def _jm_times(self, num, m):
-        """num times the integer rows of d_J J_m: every J_m factor's step."""
-        return _times(num, self._jm(m)[1], self.dim)
-
     def apply_jm(self, v, m):
         return self._act(v, self._jm(m))
 
@@ -158,15 +153,10 @@ class WordModuleRep(HeckeModule):
         return steps
 
     def _idempotent(self, num, den, t):
-        """(num, den) . p_t over the integers: one row update per factor of
-        t's schedule, then division by gcd(den, *num)."""
+        """(num, den) . p_t over the integers: one linalg._step per factor
+        of t's schedule."""
         for m, p, r, s in self._schedule(t):
-            jv = self._jm_times(num, m)
-            num = [p * x - r * y for x, y in zip(jv, num)]
-            den *= s
-            g = math.gcd(den, *num)
-            if g > 1:
-                num, den = [x // g for x in num], den // g
+            num, den = _step(num, den, self._jm(m)[1], p, r, s)
         return num, den
 
     def apply_idempotent(self, v, t):
@@ -181,11 +171,14 @@ class WordModuleRep(HeckeModule):
         return _fractions(*self._idempotent(*_ints(v), t))
 
     def apply_p_lambda(self, v, lam=None):
-        """v . p_lambda = sum over t in SYT(lambda) of v . p_t, summed over
-        the integers at the lcm of the image denominators."""
+        """v . p_lambda = sum over t in SYT(lambda) of v . p_t."""
+        return self.apply_idempotent_sum(v, enumerate_syt(lam or self.lam))
+
+    def apply_idempotent_sum(self, v, tableaux):
+        """v . (sum of p_t over the straight tableaux t), the images summed
+        over the integers at the lcm of their denominators."""
         num, den = _ints(v)
-        images = [self._idempotent(num, den, t)
-                  for t in enumerate_syt(lam or self.lam)]
+        images = [self._idempotent(num, den, t) for t in tableaux]
         (out,), den = _lcm_sum([([img], d) for img, d in images])
         return _fractions(out, den)
 

@@ -191,12 +191,12 @@ def check_seminormal_action(n, q0):
 def check_idempotents(n, q0):
     """Shape-lambda idempotents on W^lambda: orthogonal, idempotent, and
     their sum projects onto the Specht component (rank f^lambda, fixes
-    every unit).  For n <= 4 the full cross-shape completeness
-    sum over all tableaux of size n = identity is also checked.  Every
-    comparison is over the integers: p_t = P_t / D_t, each sum is taken at
-    the lcm of its denominators, and each side of an equation is scaled by
-    the same integer, so each differs where the rational sides do.  A
-    failure raises CheckFailed naming lambda, the tableaux, q0 and the
+    every unit).  Every comparison on W^lambda is over the integers: p_t =
+    P_t / D_t, each sum is taken at the lcm of its denominators, and each
+    side of an equation is scaled by the same integer, so each differs
+    where the rational sides do.  Then completeness, sum of p_t over all
+    tableaux of size n = 1, is checked in the algebra, by _require_complete.
+    A failure raises CheckFailed naming lambda, the tableaux, q0 and the
     first differing entry."""
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
@@ -226,17 +226,23 @@ def check_idempotents(n, q0):
                            [den * x for x in num],
                            lambda: f"w_t p_lambda = w_t fails for t = {t} "
                                    f"{_on(wm)}")
-        if n <= 4:
-            every = [m for mu in partitions_of(n) for m in (
-                mats if mu == lam else
-                [wm.idempotent_int_matrix(t) for t in enumerate_syt(mu)])]
-            everything, den = linalg._lcm_sum([(m, d) for d, m in every])
-            identity = [[den if i == j else 0 for j in range(wm.dim)]
-                        for i in range(wm.dim)]
-            _require_equal(everything, identity,
-                           lambda: f"sum of p_t over all tableaux of size "
-                                   f"{n} = 1 fails {_on(wm)}")
+    _require_complete(n, q0)
     return True
+
+
+def _require_complete(n, q0):
+    """The sum of p_t over every standard tableau t of size n is 1 in
+    H_n(q0).  W^(1^n) is H_n(q0) acting on itself, with T_1 its first basis
+    vector, so an element h is 0 exactly when T_1 . h is: one vector pass
+    per tableau decides the identity, which then holds on every module.  A
+    failure raises CheckFailed naming n, W^(1^n), q0 and the first index at
+    which T_1 . sum p_t differs from T_1."""
+    reg = word_module(Partition((1,) * n), q0)
+    unit = reg.basis_vector(reg.basis[0])
+    _require_equal(reg.apply_idempotent_sum(unit, [
+        t for mu in partitions_of(n) for t in enumerate_syt(mu)]), unit,
+        lambda: f"sum of p_t over all tableaux of size {n} = 1 fails "
+                f"{_on(reg)}")
 
 
 def _on(wm):
@@ -555,23 +561,26 @@ def _of(row):
 
 def check_diagonalizable(n, q0):
     """R_n(q0) on the regular representation is diagonalizable with the
-    formula spectrum; a failure raises CheckFailed naming q0, the eigenvalue
-    and its geometric and algebraic multiplicities."""
-    rows = list(word_module(Partition((1,) * n), q0)._hecke_rows(r2r(n)))
-    # R_n(q0) = dm / d, d the lcm of its entry denominators
-    dm, d = [row for row, _ in rows], rows[0][1]
-    for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),
-                                           q0).items():
-        # the rank of R_n(q0) - (a/b) I is that of the integer b dm - a d I
-        a, b = value.numerator, value.denominator
-        shifted = [[b * x - (a * d if i == j else 0)
-                    for j, x in enumerate(row)] for i, row in enumerate(dm)]
-        geometric = len(dm) - linalg.rank(shifted)
-        if geometric != mult:
-            raise CheckFailed(
-                f"eigenvalue {value} of r2r at q0 = {Fraction(q0)} has "
-                f"geometric multiplicity {geometric} (size - rank), algebraic "
-                f"multiplicity {mult}")
+    formula spectrum.  Its minimal polynomial divides prod_E (y - E) over
+    the distinct formula values E at q0: R_n(q0) acts on W^(1^n), H_n(q0)
+    acting on itself, whose first basis vector is T_1, so the product is 0
+    exactly when T_1 . prod_E (R_n - E) is.  R_n(q0) is then diagonalizable
+    with eigenvalues among the E, so each geometric multiplicity is the
+    algebraic one, read from the char poly r2r-charpoly shares
+    (spectra.bruteforce_charpoly) against the formula's.  A failure raises
+    CheckFailed naming q0 and the first nonzero index of T_1 . prod_E
+    (R_n - E), or the first differing char-poly coefficient."""
+    q0 = Fraction(q0)
+    reg = word_module(Partition((1,) * n), q0)
+    mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
+    _require_zero(reg.apply_shifted_product(reg.basis_vector(reg.basis[0]),
+                                            r2r(n), mults),
+                  lambda: f"T_1 . prod (r2r - E) = 0 over the {len(mults)} "
+                          f"distinct formula eigenvalues E fails at q0 = "
+                          f"{q0}")
+    _charpoly_agrees("r2r", q0, "regular",
+                     [(None, spectra.bruteforce_charpoly(r2r(n), q0))],
+                     linalg.poly_from_roots(mults.items()))
     return True
 
 

@@ -137,6 +137,12 @@ def test_word_module_actions_match_fraction_engine(case, word):
         assert same(wm.apply_hecke(v, elem), oracle.apply_hecke(v, elem))
     for m in range(1, n + 1):
         assert same(wm.apply_jm(v, m), oracle.apply_jm(v, m))
+    roots = [Fraction(3), Fraction(-1, 2), Fraction(0), wm.q0]
+    want = v
+    for root in roots:
+        want = [x - root * y
+                for x, y in zip(oracle.apply_hecke(want, r2r(n)), want)]
+    assert same(wm.apply_shifted_product(v, r2r(n), roots), want)
     # J_m on every W^lambda of this n at this q0, unit vector by unit vector
     for lam in partitions_of(n):
         other = word_module(lam, wm.q0)
@@ -147,13 +153,17 @@ def test_word_module_actions_match_fraction_engine(case, word):
                 == other_oracle.matrix_of(
                     lambda e: other_oracle._apply_rows(e, rows)), (lam, m)
     total = [Fraction(0)] * wm.dim
+    every = [Fraction(0)] * wm.dim
     for nu in partitions_of(n):
         for t in enumerate_syt(nu):
             want = oracle.apply_idempotent(v, t)
             assert same(wm.apply_idempotent(v, t), want), t
+            every = [x + y for x, y in zip(every, want)]
             if nu == wm.lam:
                 total = [x + y for x, y in zip(total, want)]
     assert same(wm.apply_p_lambda(v), total)
+    assert same(wm.apply_idempotent_sum(v, [
+        t for nu in partitions_of(n) for t in enumerate_syt(nu)]), every)
 
 
 @pytest.mark.parametrize("q0", Q_VALUES)

@@ -172,6 +172,21 @@ def test_transition_matrix_scaling():
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(7, 5)])
+def test_transition_matrix_matches_the_dense_formula(q0):
+    # the sparse build against every entry of the dense regular matrix
+    # through the formula, zeros included
+    from qshuffle.hecke import r2r, regular_rep_matrix
+    from qshuffle.symmetric import all_permutations
+    for n in range(1, 5):
+        raw = regular_rep_matrix(r2r(n), q0)
+        lengths = [w.length() for w in all_permutations(n)]
+        norm = qint(n).eval(q0) ** 2
+        assert markov.transition_matrix(n, q0) == [
+            [x * q0 ** (lengths[j] - lengths[i]) / norm
+             for j, x in enumerate(row)] for i, row in enumerate(raw)]
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(7, 5)])
 def test_walk_spectrum_agrees_with_the_char_poly_of_the_walk(q0):
     # the old verdict: the char poly of P itself against the formula
     for n in range(2, 5):

@@ -6,7 +6,7 @@ import pytest
 
 from qshuffle import hecke, linalg, markov, spectra, verify
 from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
-from qshuffle.linalg import _fractions, _ints
+from qshuffle.linalg import _fractions, _ints, _times
 from qshuffle.qpoly import qint
 from qshuffle.symmetric import Composition
 from qshuffle.spectra import kernel_basis
@@ -265,14 +265,15 @@ def test_restricted_product_factor_count(monkeypatch, n):
     # c_t(m): 3 or 4 factors per tableau at n = 4, where the full product
     # applies 10
     calls = []
-    original = WordModuleRep._jm_times
-
-    def counted(self, num, m):
-        calls.append(m)
-        return original(self, num, m)
-
-    monkeypatch.setattr(WordModuleRep, "_jm_times", counted)
+    original = seminormal._step
     wm = WordModuleRep(Partition([1] * n), Fraction(2))
+    jm_of = {id(wm._jm(m)[1]): m for m in range(1, n + 1)}
+
+    def counted(num, den, rows, p, r, s):
+        calls.append(jm_of[id(rows)])
+        return original(num, den, rows, p, r, s)
+
+    monkeypatch.setattr(seminormal, "_step", counted)
     for lam in partitions_of(n):
         for t in enumerate_syt(lam):
             calls.clear()
@@ -292,7 +293,7 @@ def per_vector_idempotent(wm, num, den, t):
             if d == cm:
                 continue
             p, r, s = wm._factor(m, cm, d)
-            jv = wm._jm_times(num, m)
+            jv = _times(num, wm._jm(m)[1], wm.dim)
             num = [p * x - r * y for x, y in zip(jv, num)]
             den *= s
             g = math.gcd(den, *num)
@@ -541,16 +542,35 @@ def fraction_check_idempotents(n, q0):
                 raise CheckFailed(
                     f"w_t p_lambda = w_t fails for t = {t} {where}, first "
                     f"difference at index {index}")
-        if n <= 4:
-            everything = zero
-            for mu in partitions_of(n):
-                shape_mats = mats if mu == lam else [
-                    idempotent_matrix(wm, t) for t in enumerate_syt(mu)]
-                for m in shape_mats:
-                    everything = mat_add(everything, m)
-            require_equal(everything, identity(wm.dim),
-                          f"sum of p_t over all tableaux of size {n} = 1 "
-                          f"fails {where}")
+    reg = verify.word_module(Partition((1,) * n), q0)
+    unit = reg.basis_vector(reg.basis[0])
+    total = [Fraction(0)] * reg.dim
+    for mu in partitions_of(n):
+        for t in enumerate_syt(mu):
+            total = [x + y for x, y in zip(total, reg.apply_idempotent(unit,
+                                                                       t))]
+    if total != unit:
+        index = next(i for i, (x, y) in enumerate(zip(total, unit)) if x != y)
+        raise CheckFailed(f"sum of p_t over all tableaux of size {n} = 1 fails "
+                          f"on W^{reg.lam} at q0 = {reg.q0}, first difference "
+                          f"at index {index}")
+    return True
+
+
+def completeness_on_every_module(n, q0):
+    """The completeness sum as check_idempotents took it before it moved
+    into the algebra: sum of p_t over all tableaux of size n = 1 on every
+    W^lambda, each p_t an integer matrix.  The oracle for _require_complete,
+    which checks T_1 . sum p_t = T_1 on W^(1^n) alone."""
+    for lam in partitions_of(n):
+        wm = verify.word_module(lam, q0)
+        every = [wm.idempotent_int_matrix(t)
+                 for mu in partitions_of(n) for t in enumerate_syt(mu)]
+        everything, den = linalg._lcm_sum([(m, d) for d, m in every])
+        if everything != [[den * (i == j) for j in range(wm.dim)]
+                          for i in range(wm.dim)]:
+            raise CheckFailed(f"sum of p_t over all tableaux of size {n} = 1 "
+                              f"fails on W^{lam} at q0 = {wm.q0}")
     return True
 
 
@@ -575,11 +595,14 @@ def _zeroed(wm, t, d, mat):
     return d, mat
 
 
-def _row_shape_zeroed(wm, t, d, mat):  # only the completeness sum sees it
-    if wm.lam.size > 1 and t == enumerate_syt(Partition([wm.lam.size]))[0] \
-            and wm.lam.parts != (wm.lam.size,):
-        mat = [[0] * len(row) for row in mat]
-    return d, mat
+def _row_shape_zeroed(wm, t, num, den):
+    """T_1 . p_t = 0 for the row-shape t on the regular module W^(1^n),
+    n > 1: only the completeness sum sees it."""
+    n = wm.lam.size
+    if n > 1 and wm.lam.parts == (1,) * n \
+            and t == enumerate_syt(Partition([n]))[0]:
+        num = [0] * len(num)
+    return num, den
 
 
 def _doubled(wm, t, d, mat):
@@ -628,6 +651,12 @@ def test_integer_idempotent_check_matches_fraction_oracle(monkeypatch, inject,
         original = verify.specht_module
         monkeypatch.setattr(verify, "specht_module",
                             lambda lam, q0: _UnitOffImage(original(lam, q0)))
+    elif inject is _row_shape_zeroed:
+        original = WordModuleRep._idempotent
+        monkeypatch.setattr(
+            WordModuleRep, "_idempotent",
+            lambda self, num, den, t: inject(self, t,
+                                             *original(self, num, den, t)))
     elif inject:
         original = WordModuleRep.idempotent_int_matrix
         monkeypatch.setattr(WordModuleRep, "idempotent_int_matrix",
@@ -639,7 +668,32 @@ def test_integer_idempotent_check_matches_fraction_oracle(monkeypatch, inject,
             assert got == _outcome(fraction_check_idempotents, n, q0), (n, q0)
             if got is not True:
                 seen.add(next(f for f in failures if got.startswith(f)))
+            if inject is _row_shape_zeroed and n > 1:
+                assert f"on W^{Partition((1,) * n)} at q0" in got
     assert seen == failures
+
+
+@pytest.mark.parametrize("zeroed", [False, True])
+def test_completeness_on_t1_agrees_with_every_module(monkeypatch, zeroed):
+    # Sum p_t = 1 in H_n(q0) holds on every W^lambda exactly when it holds
+    # on T_1 in W^(1^n), so the two give one verdict, with or without the
+    # row-shape p_t zeroed on W^(1^n)
+    if zeroed:
+        original = WordModuleRep._idempotent
+        monkeypatch.setattr(
+            WordModuleRep, "_idempotent",
+            lambda self, num, den, t: _row_shape_zeroed(
+                self, t, *original(self, num, den, t)))
+    for n in range(2 if zeroed else 1, 5):
+        for q0 in Q_VALUES:
+            every = _outcome(completeness_on_every_module, n, q0)
+            on_t1 = _outcome(verify._require_complete, n, q0)
+            assert (every is True) == (on_t1 is None) == (not zeroed), (n, q0)
+
+
+@pytest.mark.parametrize("q0", Q_VALUES)
+def test_completeness_holds_at_n5(q0):
+    assert verify._require_complete(5, q0) is None
 
 
 def test_projection_compat_failure_names_strip_and_q(monkeypatch):

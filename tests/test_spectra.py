@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import linalg, spectra
-from qshuffle.hecke import b2r, r2b, r2r
+from qshuffle.hecke import (HeckeModule, b2r, clear_module_cache, r2b, r2r,
+                            regular_rep_matrix)
 from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
-from qshuffle.symmetric import derangement_count
-from qshuffle.seminormal import WordModuleRep, specht_module
+from qshuffle.symmetric import all_permutations, derangement_count
+from qshuffle.seminormal import WordModuleRep, specht_module, word_module
 from qshuffle.tableaux import (Partition, SkewShape, d_mu, enumerate_syt,
                                f_lambda, horizontal_strips, partitions_of,
                                superstandard)
@@ -222,29 +223,129 @@ def test_eigenbasis_requires_positive_q():
         build_eigenbasis(P(2, 1), Fraction(-2, 3))
 
 
-def test_diagonalizable_failure_names_eigenvalue_and_multiplicities(
-        monkeypatch):
-    q0, original, calls = Fraction(7, 5), linalg.rank, []
+Q_VALUES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
-    def wrong(matrix):  # one too many for the first eigenvalue of R_3 only
-        rank = original(matrix)
-        if len(matrix) == 6:
-            calls.append(matrix)
-            return rank + (len(calls) == 1)
-        return rank
 
-    monkeypatch.setattr(linalg, "rank", wrong)
+def rank_check_diagonalizable(n, q0):
+    """check_diagonalizable as it was before it moved onto T_1: for each
+    distinct formula eigenvalue E = a/b at q0, the geometric multiplicity
+    n! - rank(b dM - a d I), dM / d the regular matrix of R_n, equals the
+    formula's.  The oracle for its verdicts."""
+    rows = list(word_module(P(*(1,) * n), q0)._hecke_rows(r2r(n)))
+    dm, d = [row for row, _ in rows], rows[0][1]
+    for value, mult in spectra.spectrum_at(spectra.r2r_charpoly_factored(n),
+                                           q0).items():
+        a, b = value.numerator, value.denominator
+        shifted = [[b * x - (a * d if i == j else 0)
+                    for j, x in enumerate(row)] for i, row in enumerate(dm)]
+        if len(dm) - linalg.rank(shifted) != mult:
+            raise CheckFailed(f"eigenvalue {value} of r2r at q0 = {q0} has "
+                              f"geometric multiplicity "
+                              f"{len(dm) - linalg.rank(shifted)}, algebraic "
+                              f"multiplicity {mult}")
+    return True
+
+
+def _verdict(check, n, q0):
+    try:
+        return check(n, q0)
+    except CheckFailed:
+        return False
+
+
+def _entry_added(original):
+    """HeckeModule._built with 1 added to entry (0, 1) of d R_n on the
+    regular module W^(1^n), n >= 2: R_n(q0) perturbed off its spectrum."""
+    def built(self, elem):
+        d, rows = original(self, elem)
+        if elem == r2r(self.n) and self.dim == len(all_permutations(self.n)):
+            row = dict(rows[0])
+            row[1] = row.get(1, 0) + 1
+            rows = [tuple(row.items())] + list(rows[1:])
+        return d, rows
+    return built
+
+
+def _jordan_block(original):
+    """HeckeModule._built with x y added to R_n on the regular module
+    W^(1^n), n >= 3: x a right and y a left eigenvector of R_n(q0) for its
+    first eigenvalue of multiplicity > 1, with y x = 0.  x y is nilpotent
+    and R_n(q0) + x y keeps the char poly, but has a Jordan block there, so
+    only the product on T_1 sees it."""
+    def built(self, elem):
+        d, rows = original(self, elem)
+        if elem != r2r(self.n) or self.dim != len(all_permutations(self.n)):
+            return d, rows
+        mat = [[Fraction(x, d) for x in row]
+               for row in linalg._dense(rows, self.dim)]
+        value = next(e for e, m in spectra.spectrum_at(
+            spectra.r2r_charpoly_factored(self.n), self.q0).items() if m > 1)
+        shifted = [[x - value * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        x = linalg.kernel(shifted)[0]
+        y1, y2 = linalg.left_kernel(shifted)[:2]
+        c1, c2 = (sum(a * b for a, b in zip(y, x)) for y in (y1, y2))
+        y = y1 if c1 == 0 else [b - c2 / c1 * a for a, b in zip(y1, y2)]
+        return linalg._int_rows([[(j, e + x[i] * y[j]) for j, e in
+                                  enumerate(row)] for i, row in enumerate(mat)])
+    return built
+
+
+@pytest.mark.parametrize("perturb, smallest", [(None, 1), (_entry_added, 2),
+                                               (_jordan_block, 3)])
+@pytest.mark.parametrize("q0", Q_VALUES)
+def test_diagonalizable_agrees_with_rank_oracle(monkeypatch, q0, perturb,
+                                                smallest):
+    perturbed = perturb is not None
+    if perturbed:
+        monkeypatch.setattr(HeckeModule, "_built",
+                            perturb(HeckeModule._built))
+    for n in range(smallest, 5):
+        clear_module_cache()
+        want = _verdict(rank_check_diagonalizable, n, q0)
+        assert want is not perturbed, (n, q0)
+        clear_module_cache()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rank", None)  # it makes no rank call
+            assert _verdict(check_diagonalizable, n, q0) is want, (n, q0)
+
+
+def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
+    q0, original = Fraction(7, 5), HeckeModule.apply_shifted_product
+
+    def dropped(self, v, elem, roots):  # the first distinct value left out
+        return original(self, v, elem, list(roots)[1:])
+
+    monkeypatch.setattr(HeckeModule, "apply_shifted_product", dropped)
     report = {r.check_id: r for r in run_suite(3, [q0])}
     assert [k for k, r in report.items() if not r.passed] \
         == ["diagonalizable[q=7/5]"]
-    rows = [row for row in spectrum_table(3) if row.multiplicity]
-    value = rows[0].eigenvalue.eval(q0)
-    algebraic = sum(row.multiplicity for row in rows
-                    if row.eigenvalue.eval(q0) == value)
+    values = list(spectra.spectrum_at(spectra.r2r_charpoly_factored(3), q0))
+    mat = regular_rep_matrix(r2r(3), q0)
+    v = [Fraction(int(i == 0)) for i in range(6)]  # T_1
+    for value in values[1:]:
+        v = [x - value * y for x, y in zip(linalg.vec_mat(v, mat), v)]
+    first = next(i for i, x in enumerate(v) if x)
     assert report["diagonalizable[q=7/5]"].detail == (
-        f"CheckFailed: eigenvalue {value} of r2r at q0 = 7/5 has geometric "
-        f"multiplicity {algebraic - 1} (size - rank), algebraic multiplicity "
-        f"{algebraic}")
+        f"CheckFailed: T_1 . prod (r2r - E) = 0 over the {len(values)} "
+        f"distinct formula eigenvalues E fails at q0 = 7/5, first nonzero "
+        f"index {first}")
+
+
+def test_diagonalizable_multiplicity_failure_names_q_and_coefficient(
+        monkeypatch):
+    original = spectra.bruteforce_charpoly
+
+    def wrong(op, q0):  # coefficient 2 of the char poly moved by 1
+        out = list(original(op, q0))
+        out[2] += 1
+        return out
+
+    monkeypatch.setattr(spectra, "bruteforce_charpoly", wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_diagonalizable(3, Fraction(7, 5))
+    assert str(err.value) == ("char poly of r2r at q0 = 7/5, route regular, "
+                              "differs from the formula at coefficient index 2")
 
 
 def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
