@@ -18,11 +18,10 @@ boundary and the row product are linalg's.
 Every build shared across one verify run (the shuffle elements, the
 Jucys-Murphy elements, scaled and not, and in others the spectrum tables,
 the eigenvalue formulas, the word and Specht modules, the kernel bases,
-the eigenbases, the regular-route char polys and the walk's transition
-matrices) is a memo function; clear_module_cache forgets them all.  Pure
-partition and tableau combinatorics outside the traced layers (tableaux,
-verify._sub_partitions) is kept instead with functools.lru_cache for the
-life of the process.
+the eigenbases and the regular-route char polys) is a memo function;
+clear_module_cache forgets them all.  Pure partition and tableau
+combinatorics outside the traced layers (tableaux, verify._sub_partitions)
+is kept instead with functools.lru_cache for the life of the process.
 """
 
 from __future__ import annotations
@@ -452,19 +451,7 @@ class HeckeModule:
         return [_fractions(*row) for row in self._hecke_rows(elem)]
 
 
-# -- matrices and identity checks -------------------------------------
-
-def regular_rep_matrix(a, q0):
-    """Matrix of right multiplication by a on the T_w basis at q = q0.
-
-    Row/column indices are Lehmer ranks; row r holds T_{w_r} * a.  The
-    module is the shared word module W^(1^n), so an inadmissible q0 raises
-    InadmissibleQ.
-    """
-    from .seminormal import word_module  # which imports hecke
-    from .tableaux import Partition
-    return word_module(Partition((1,) * a.n), q0).hecke_matrix(a)
-
+# -- identity checks --------------------------------------------------
 
 def recursion_check(n):
     """B_n R_n = (q R_{n-1} + [n]_q + q^n J_n) B_n, symbolically; a failure

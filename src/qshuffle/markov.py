@@ -2,17 +2,17 @@
 
 The transition matrix is the T_w-basis regular representation of R_n(q0)
 conjugated by the diagonal matrix of q0^l(w) and divided by ([n]_{q0})^2;
-for q0 >= 1 the entries are genuine probabilities and the Mallows measure
-(pi(w) proportional to q0^l(w)) is stationary.  All computations are exact
-rational; floats appear only in the optional display columns.
+for q0 >= 1 it is a Markov chain with the Mallows measure (pi(w)
+proportional to q0^l(w)) stationary, as verify proves for every q.  The
+matrix serves simulate's exact mixing curve, whose CSV alone has floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .hecke import memo, r2r
-from .linalg import vec_mat
+from .hecke import r2r
+from .linalg import _dense, _fractions, vec_mat
 from .qpoly import qint
 from .seminormal import word_module
 from .symmetric import all_permutations
@@ -23,45 +23,38 @@ class SubunitQ(ValueError):
     pass
 
 
-@memo
-def transition_matrix(n, q0):
-    """Stochastic matrix P[rank(w)][rank(u)] of one walk step (q0 >= 1),
-    shared: callers must not change it.
+def _weights(n, q0):
+    """The integers b^L q0^l(w) = a^l(w) b^(L - l(w)) in Lehmer-rank order,
+    for q0 = a/b and L the longest length."""
+    q0 = Fraction(q0)
+    lengths = [w.length() for w in all_permutations(n)]
+    top = max(lengths)
+    return [q0.numerator ** k * q0.denominator ** (top - k) for k in lengths]
 
-    P_ij = M_ij q0^(l(j) - l(i)) / [n]_{q0}^2, M = rows / d the built
-    integer rows of R_n on the regular module W^(1^n).  With q0 = a/b and L
-    the longest length, q0^l(k) is w_k / b^L for w_k = a^l(k) b^(L - l(k)),
-    so each nonzero entry is one Fraction M_ij w_j / (d w_i [n]^2); every
-    other entry is 0."""
+
+def transition_matrix(n, q0):
+    """Stochastic matrix P[rank(w)][rank(u)] of one walk step (q0 >= 1).
+
+    P_ij = M_ij q0^(l(j) - l(i)) / [n]_{q0}^2 = rows_ij w_j / (d w_i [n]^2)
+    for the built (d, rows) of M, R_n on the regular module W^(1^n), and
+    w = _weights(n, q0), made dense by linalg's helpers."""
     q0 = Fraction(q0)
     if q0 < 1:
         raise SubunitQ("the walk needs q0 >= 1")
     d, rows = word_module(Partition((1,) * n), q0)._built(r2r(n))
-    lengths = [w.length() for w in all_permutations(n)]
-    top = max(lengths)
-    weights = [q0.numerator ** k * q0.denominator ** (top - k)
-               for k in lengths]
+    weights = _weights(n, q0)
     norm = qint(n).eval(q0) ** 2
-    zero, out = Fraction(0), []
-    for w_i, row in zip(weights, rows):
-        dense = [zero] * len(rows)
-        scale = d * w_i * norm.numerator
-        for j, c in row:
-            dense[j] = Fraction(c * weights[j] * norm.denominator, scale)
-        out.append(dense)
-    return out
+    return [_fractions([c * w_j * norm.denominator
+                        for c, w_j in zip(row, weights)],
+                       d * w_i * norm.numerator)
+            for w_i, row in zip(weights, _dense(rows, len(rows)))]
 
 
 def mallows(n, q0):
     """Mallows distribution pi(w) = q0^l(w) / [n]!_{q0}, Lehmer-rank indexed."""
-    q0 = Fraction(q0)
-    weights = [q0 ** w.length() for w in all_permutations(n)]
+    weights = _weights(n, q0)
     total = sum(weights)
-    return [w / total for w in weights]
-
-
-def is_stochastic(matrix):
-    return all(all(x >= 0 for x in row) and sum(row) == 1 for row in matrix)
+    return [Fraction(w, total) for w in weights]
 
 
 def tv_distance(p, q):

@@ -128,6 +128,13 @@ class LaurentPoly:
         coefficient is an integer by construction)."""
         return all(e >= 0 and c >= 0 for e, c in self.terms.items())
 
+    def is_nonneg_in_q_minus_1(self):
+        """A polynomial in q - 1 with coefficients in N, so >= 0 at every
+        q >= 1: p(1 + q) has no negative exponent or coefficient."""
+        return all(e >= 0 for e in self.terms) and sum(
+            (((ONE + Q) ** e).scale(c) for e, c in self.terms.items()),
+            ZERO).is_nonneg_integral()
+
     def eval(self, q0):
         """Exact value at a rational point q0 = a/b, as a Fraction.
 

@@ -20,10 +20,10 @@ from .hecke import (CheckFailed, HeckeElement, _first_index, _require_equal,
                     b2r_embedded, c_op, clear_module_cache,
                     intermediate_recursion_check, jucys_murphy_scaled,
                     m_alpha, r2b, r2b_embedded, r2r, recursion_check, x_alpha)
-from .qpoly import Q, qint
+from .qpoly import Q, ZERO, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
-from .symmetric import Composition, all_permutations, derangement_count
+from .symmetric import Composition, Permutation, derangement_count
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of,
                        superstandard)
@@ -458,59 +458,71 @@ def check_bstar_kernel_lift(n, q0):
 
 
 def check_mallows_stationarity(n, q0):
-    """The walk's transition matrix P is stochastic and the Mallows measure
-    pi is stationary; a failure raises CheckFailed naming q0 and either the
-    first row that is not stochastic, with its sum and least entry, or the
-    first j where (pi P)_j != pi_j, with both values."""
-    q0 = Fraction(q0)
-    mat = markov.transition_matrix(n, q0)
-    for i, row in enumerate(mat):
-        if not markov.is_stochastic([row]):
-            raise CheckFailed(
-                f"row {i} of the walk's transition matrix at q0 = {q0} is "
-                f"not stochastic: its entries sum to {sum(row)}, least "
-                f"entry {min(row)}")
-    pi = markov.mallows(n, q0)
-    moved = linalg.vec_mat(pi, mat)
-    j = _first_index(moved, pi)
+    """The walk P = D^-1 M D / [n]_q^2 (M_ij = [T_j](T_i R_n),
+    D = diag(q^l(w))) is a Markov chain with the Mallows measure
+    pi_w ~ q^l(w) stationary, at every q >= 1.  eps(T_w) = q^l(w) is an
+    algebra map (T_s -> q kills (T_s - q)(T_s + 1)) and x = sum_w T_w has
+    x h = eps(h) x (pair w with w s).  So x R_n = eps(R_n) x gives
+    sum_i M_ij = eps(R_n), and eps(T_i R_n) gives sum_j M_ij q^l(j) =
+    q^l(i) eps(R_n): once eps(R_n) = [n]_q^2, P's rows sum to 1 and
+    pi P = pi.  P >= 0 at q >= 1 once R_n's coefficients lie in N[q - 1],
+    as T_s acts by entries 1, q and q - 1.  A failure names n and the first
+    w (Lehmer order) whose coefficient leaves N[q - 1], or eps(R_n) against
+    [n]_q^2; _require_mallows_rows then checks both at q0."""
+    terms = r2r(n).terms
+    bad = [w for w, c in terms.items() if not c.is_nonneg_in_q_minus_1()]
+    if bad:
+        w = min(bad, key=Permutation.lehmer_rank)
+        raise CheckFailed(f"the coefficient of T_w in r2r for w = {w} at "
+                          f"n = {n} is {terms[w]}, not in N[q - 1]")
+    eps = sum((c.shift(w.length()) for w, c in terms.items()), ZERO)
+    if eps != qint(n) ** 2:
+        raise CheckFailed(f"the trivial character of r2r at n = {n} is "
+                          f"{eps}, not [{n}]_q^2 = {qint(n) ** 2}")
+    _require_mallows_rows(n, q0)
+    return True
+
+
+def _require_mallows_rows(n, q0):
+    """check_mallows_stationarity at q0, in integers on the built (d, rows)
+    of d M on the shared regular module W^(1^n), with c = [n]_{q0}^2 and w
+    = markov._weights: every entry >= 0, each column sums to d c, and
+    sum_j rows_ij w_j = d c w_i; else CheckFailed naming q0 and the first
+    negative entry, or the first column or row that fails, both sides."""
+    d, rows = word_module(Partition((1,) * n), q0)._built(r2r(n))
+    for i, row in enumerate(rows):
+        for j, c in row:
+            if c < 0:
+                raise CheckFailed(
+                    f"entry ({i}, {j}) of the walk's transition matrix at "
+                    f"q0 = {q0} is negative: M_ij = {Fraction(c, d)}")
+    norm = qint(n).eval(q0) ** 2
+    cols = linalg._times([1] * len(rows), rows, len(rows))
+    j = _first_index([x * norm.denominator for x in cols],
+                     [d * norm.numerator] * len(cols))
     if j is not None:
         raise CheckFailed(
-            f"the Mallows measure is not stationary at q0 = {q0}: "
-            f"(pi P)_{j} = {moved[j]}, pi_{j} = {pi[j]}")
-    return True
+            f"the Mallows measure is not stationary at q0 = {q0}: column "
+            f"{j} of the regular matrix of r2r sums to {Fraction(cols[j], d)}"
+            f", not [{n}]_q^2 = {norm}")
+    weights = markov._weights(n, q0)
+    for i, (w_i, row) in enumerate(zip(weights, rows)):
+        total = sum(c * weights[j] for j, c in row) * norm.denominator
+        if total != d * w_i * norm.numerator:
+            raise CheckFailed(
+                f"row {i} of the walk's transition matrix at q0 = {q0} is "
+                f"not stochastic: its entries sum to "
+                f"{Fraction(total, d * w_i * norm.numerator)}, not 1")
 
 
 def check_walk_spectrum(n, q0):
     """Char poly of the walk equals the formula spectrum over ([n]_q)^2.
 
-    The transition matrix P is checked to be D^-1 M D / c entry by entry
-    over the integers, with M the regular matrix of R_n, D = diag(q0^l(w))
-    and c = [n]_q^2: P_ij c q0^l(i) = M_ij q0^l(j), times b^L for q0 = a/b
-    and L the longest length, with each row's denominators cleared.  Then
-    det(y - P) = sum_k m_k c^-k y^(N-k) for M's char poly sum_k m_k y^(N-k),
-    the one r2r-charpoly computes.  A failure raises CheckFailed naming q0
-    and either the first (row, col) where P differs, with both entries, or
-    the first differing coefficient index."""
-    q0 = Fraction(q0)
-    mat = markov.transition_matrix(n, q0)
-    reg = word_module(Partition((1,) * n), q0)._hecke_rows(r2r(n))
+    The walk D^-1 M D / c (M the regular matrix of R_n, c = [n]_q^2) is
+    similar to M / c, so its char poly is sum_k m_k c^-k y^(N-k) for M's,
+    sum_k m_k y^(N-k), the one r2r-charpoly computes.  A failure raises
+    CheckFailed naming q0 and the first differing coefficient index."""
     norm = qint(n).eval(q0) ** 2
-    lengths = [w.length() for w in all_permutations(n)]
-    top = max(lengths)
-    weights = [q0.numerator ** k * q0.denominator ** (top - k)
-               for k in lengths]
-    for i, (row, (reg_num, reg_den)) in enumerate(zip(mat, reg)):
-        num, den = linalg._ints(row)
-        left = norm.numerator * weights[i] * reg_den
-        right = norm.denominator * den
-        for j, (x, y) in enumerate(zip(num, reg_num)):
-            if x * left != y * weights[j] * right:
-                want = (Fraction(y, reg_den)
-                        * q0 ** (lengths[j] - lengths[i]) / norm)
-                raise CheckFailed(
-                    f"the walk's transition matrix at q0 = {q0} differs from "
-                    f"D^-1 M D / [{n}]_q^2 at (row, col) ({i}, {j}): P has "
-                    f"{row[j]}, D^-1 M D / [{n}]_q^2 has {want}")
     walk = [c / norm ** k for k, c in enumerate(
         spectra.bruteforce_charpoly(r2r(n), q0))]
     expected = linalg.poly_from_roots(

@@ -1,6 +1,8 @@
 import pytest
 
 from qshuffle.hecke import clear_module_cache
+from qshuffle.seminormal import word_module
+from qshuffle.tableaux import Partition
 
 
 @pytest.fixture(autouse=True)
@@ -12,3 +14,11 @@ def forget_builds_made_under_monkeypatch(request):
     yield
     if "monkeypatch" in request.fixturenames:
         clear_module_cache()
+
+
+def regular_matrix(a, q0):
+    """Dense matrix of right multiplication by the HeckeElement a on the T_w
+    basis at q0, rows and columns in Lehmer-rank order: row r holds
+    T_{w_r} a.  Read from the shared regular module W^(1^n), so an
+    inadmissible q0 raises InadmissibleQ."""
+    return word_module(Partition((1,) * a.n), q0).hecke_matrix(a)

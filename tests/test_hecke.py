@@ -1,4 +1,5 @@
 import ast
+import collections
 import json
 from fractions import Fraction
 
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 import pathlib
 
+from conftest import regular_matrix
 from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import (HeckeElement, HeckeModule, SizeMismatch,
                             annihilator_check, b2r, b2r_embedded, c_op,
                             intermediate_recursion_check, jucys_murphy_scaled,
                             m_alpha, r2b, r2b_embedded, r2r, recursion_check,
-                            regular_rep_matrix, top_ops, transposition_word,
-                            x_alpha)
+                            top_ops, transposition_word, x_alpha)
 from qshuffle.qpoly import ONE, Q, QM1, ZERO, LaurentPoly, qint
 from qshuffle.seminormal import InadmissibleQ, word_gen_rows, word_module
 from qshuffle.symmetric import Composition, Permutation, all_permutations
@@ -216,15 +217,15 @@ def test_regular_rep_is_multiplicative():
     n, q0 = 3, Fraction(2)
     a = b2r(n)
     b = r2b(n)
-    ma, mb = regular_rep_matrix(a, q0), regular_rep_matrix(b, q0)
-    assert regular_rep_matrix(b * a, q0) == [linalg.vec_mat(row, ma)
+    ma, mb = regular_matrix(a, q0), regular_matrix(b, q0)
+    assert regular_matrix(b * a, q0) == [linalg.vec_mat(row, ma)
                                              for row in mb]
 
 
 def test_regular_rep_row_sums():
     # row sums of R_n at q=1 all equal n^2 (doubly-stochastic scaling)
     n = 3
-    mat = regular_rep_matrix(r2r(n), Fraction(1))
+    mat = regular_matrix(r2r(n), Fraction(1))
     assert all(sum(row) == n * n for row in mat)
 
 
@@ -240,14 +241,14 @@ def test_regular_representation_is_the_word_module_of_one_line_words(n, q0):
     for a in (r2r(n), b2r(n), r2b(n),
               m_alpha(Composition([1] * (n // 2) + [n - n // 2])),
               m_alpha(Composition([n]))):
-        assert own.hecke_matrix(a) == regular_rep_matrix(a, q0)
+        assert own.hecke_matrix(a) == regular_matrix(a, q0)
 
 
 @pytest.mark.parametrize("q0", [0, -1])
 def test_regular_rep_refuses_inadmissible_q(q0):
     # q0 = 0, or [2]_q = 1 + q vanishing at q0 = -1
     with pytest.raises(InadmissibleQ):
-        regular_rep_matrix(b2r(3), q0)
+        regular_matrix(b2r(3), q0)
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 2), Fraction(7, 5),
@@ -257,7 +258,7 @@ def test_regular_rep_rows_are_symbolic_products(n, q0):
     # row r is T_{w_r} * a multiplied out symbolically, then evaluated
     perms = all_permutations(n)
     for a in (r2r(n), b2r(n), r2b(n), m_alpha(Composition([1, 1, n - 2]))):
-        for w, row in zip(perms, regular_rep_matrix(a, q0)):
+        for w, row in zip(perms, regular_matrix(a, q0)):
             expect = [Fraction(0)] * len(perms)
             for u, c in (HeckeElement.t_perm(w) * a).terms.items():
                 expect[u.lehmer_rank()] = c.eval(q0)
@@ -496,6 +497,37 @@ def test_no_assert_in_the_package():
                           else node.exc)
                 assert ast.unparse(raised) != "AssertionError", \
                     f"{path.name}: AssertionError at line {node.lineno}"
+
+
+def _names(node):
+    """Every name node uses: variables, attributes and imported names."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else
+        n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_public_name_is_used_in_the_package():
+    """No dead helpers: every public top-level def or class of a package
+    module is named in some package module outside its own definition.
+    Only click commands are exempt: the CLI group registers them by their
+    decorator, and no code names them."""
+    package = pathlib.Path(hecke.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    named = sum((_names(tree) for tree in trees.values()),
+                collections.Counter())
+    unused = [f"{module}: {node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(isinstance(d, ast.Call)
+                          and isinstance(d.func, ast.Attribute)
+                          and d.func.attr == "command"
+                          for d in node.decorator_list)
+              and named[node.name] == _names(node)[node.name]]
+    assert unused == []
 
 
 def test_disagreeing_eigenvalue_forms_name_the_strip(monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qshuffle import linalg, markov, spectra
 from qshuffle.flags import FlagSpace
-from qshuffle.hecke import b2r, r2b, r2r, regular_rep_matrix
+from conftest import regular_matrix
+from qshuffle.hecke import b2r, r2b, r2r
 from qshuffle.seminormal import word_module
 from qshuffle.tableaux import enumerate_syt, partitions_of
 
@@ -149,7 +150,7 @@ def test_charpoly_matches_determinant_oracle(m):
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5), Fraction(1, 2)])
 @pytest.mark.parametrize("op", [r2r, b2r, r2b])
 def test_charpoly_matches_determinant_oracle_on_regular_rep(op, q0):
-    assert_charpoly_is_det(regular_rep_matrix(op(3), q0))
+    assert_charpoly_is_det(regular_matrix(op(3), q0))
 
 
 def square_of(entries):
@@ -187,7 +188,7 @@ def test_charpoly_matches_berkowitz_on_flag_x(n, p):
                                 Fraction(7, 5)])
 def test_charpoly_matches_berkowitz_on_operators_at_n4(q0):
     for op in (r2r, b2r, r2b):
-        assert_charpoly_is_berkowitz(regular_rep_matrix(op(4), q0))
+        assert_charpoly_is_berkowitz(regular_matrix(op(4), q0))
     if q0 >= 1:  # the walk is defined for q0 >= 1 only
         assert_charpoly_is_berkowitz(markov.transition_matrix(4, q0))
 
@@ -266,7 +267,7 @@ def test_every_modulus_is_a_proven_prime(monkeypatch):
     monkeypatch.setattr(linalg, "_charpoly_mod", recorded)
     linalg.charpoly([[10 ** 40 * x for x in row]
                      for row in sylvester_hadamard(16)])
-    linalg.charpoly(regular_rep_matrix(r2r(4), Fraction(7, 5)))
+    linalg.charpoly(regular_matrix(r2r(4), Fraction(7, 5)))
     assert len(set(used)) >= 4
     for p in set(used):
         assert p.bit_length() in range(249, 260)
@@ -564,7 +565,7 @@ def test_rref_negative_pivots_and_mixed_denominators():
                                           (b2r, spectra.b_charpoly_factored),
                                           (r2b, spectra.b_charpoly_factored)])
 def test_integer_kernels_on_regular_rep(op, factored, q0):
-    mat = regular_rep_matrix(op(3), q0)
+    mat = regular_matrix(op(3), q0)
     assert_mat_mul_matches_oracle(mat, mat)
     assert_rref_matches_oracle(mat)
     for value in {e.eval(q0) for e, _ in factored(3)}:

@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import linalg, markov, spectra
+from conftest import regular_matrix
+from qshuffle import linalg, markov, spectra, verify
+from qshuffle.hecke import HeckeElement, r2r
 from qshuffle.qpoly import qint
+from qshuffle.seminormal import word_module
+from qshuffle.symmetric import all_permutations
+from qshuffle.tableaux import Partition
 from qshuffle.verify import (CheckFailed, check_mallows_stationarity,
                              check_second_eigenvalue, check_walk_spectrum)
 
@@ -52,40 +57,121 @@ def test_second_eigenvalue(q0):
         assert check_second_eigenvalue(n, q0)
 
 
+def with_moved_entry(monkeypatch, n, q0, src, dst):
+    """Make the built rows of r2r(n) on the regular module at q0 move the
+    entry at src = (row, col) onto dst, added to what is there; returns the
+    moved value of M."""
+    reg = word_module(Partition((1,) * n), q0)
+    d, rows = reg._built(r2r(n))
+    out = [dict(row) for row in rows]
+    x = out[src[0]].pop(src[1])
+    out[dst[0]][dst[1]] = out[dst[0]].get(dst[1], 0) + x
+    monkeypatch.setitem(reg._elements, r2r(n),
+                        (d, [tuple(row.items()) for row in out]))
+    return Fraction(x, d)
+
+
 def test_mallows_stationarity_failure_names_the_row(monkeypatch):
-    original = markov.transition_matrix
-
-    def wrong(n, q0):  # row 4 loses a third of its mass
-        mat = list(original(n, q0))  # the shared matrix stays intact
-        mat[4] = [x * Fraction(2, 3) for x in mat[4]]
-        return mat
-
-    monkeypatch.setattr(markov, "transition_matrix", wrong)
-    least = min(wrong(3, 2)[4])
+    # row 2 loses its entry in column 0 to row 4: every column sum stays
+    mat = markov.transition_matrix(3, 2)
+    with_moved_entry(monkeypatch, 3, 2, (2, 0), (4, 0))
     with pytest.raises(CheckFailed) as err:
         check_mallows_stationarity(3, Fraction(2))
     assert str(err.value) == (
-        f"row 4 of the walk's transition matrix at q0 = 2 is not stochastic: "
-        f"its entries sum to 2/3, least entry {least}")
+        f"row 2 of the walk's transition matrix at q0 = 2 is not stochastic: "
+        f"its entries sum to {1 - mat[2][0]}, not 1")
 
 
 def test_mallows_stationarity_failure_names_the_index(monkeypatch):
-    original = markov.transition_matrix
-
-    def wrong(n, q0):  # still stochastic: rows 0 and 1 trade places
-        mat = list(original(n, q0))  # the shared matrix stays intact
-        mat[0], mat[1] = mat[1], mat[0]
-        return mat
-
-    monkeypatch.setattr(markov, "transition_matrix", wrong)
-    mat, pi = wrong(3, 2), markov.mallows(3, 2)
-    moved = [sum(pi[i] * mat[i][j] for i in range(6)) for j in range(6)]
-    j = next(j for j in range(6) if moved[j] != pi[j])
+    # row 4 moves its entry in column 1 to column 3: column 1 loses it
+    entry = regular_matrix(r2r(3), Fraction(2))[4][1]
+    moved = with_moved_entry(monkeypatch, 3, 2, (4, 1), (4, 3))
+    assert moved == entry != 0
     with pytest.raises(CheckFailed) as err:
         check_mallows_stationarity(3, Fraction(2))
     assert str(err.value) == (
-        f"the Mallows measure is not stationary at q0 = 2: "
-        f"(pi P)_{j} = {moved[j]}, pi_{j} = {pi[j]}")
+        f"the Mallows measure is not stationary at q0 = 2: column 1 of the "
+        f"regular matrix of r2r sums to {49 - moved}, not [3]_q^2 = 49")
+
+
+def test_mallows_stationarity_failure_names_the_negative_entry(monkeypatch):
+    reg = word_module(Partition((1,) * 3), 2)
+    d, rows = reg._built(r2r(3))
+    monkeypatch.setitem(reg._elements, r2r(3),
+                        (d, [tuple((j, -c) for j, c in row) for row in rows]))
+    j, c = rows[0][0]
+    with pytest.raises(CheckFailed) as err:
+        check_mallows_stationarity(3, Fraction(2))
+    assert str(err.value) == (
+        f"entry (0, {j}) of the walk's transition matrix at q0 = 2 is "
+        f"negative: M_ij = {Fraction(-c, d)}")
+
+
+def with_t1_fault(monkeypatch):
+    """r2r(n) + T_1 wherever verify and markov read R_n."""
+    def wrong(n):
+        return r2r(n) + HeckeElement.one(n)
+    monkeypatch.setattr(verify, "r2r", wrong)
+    monkeypatch.setattr(markov, "r2r", wrong)
+
+
+def test_mallows_t1_fault_fails_the_identity_and_the_rows(monkeypatch):
+    # R_3 + T_1: eps gains 1, and each column of M gains 1 on the diagonal
+    with_t1_fault(monkeypatch)
+    with pytest.raises(CheckFailed) as err:
+        check_mallows_stationarity(3, Fraction(2))
+    assert str(err.value) == (
+        f"the trivial character of r2r at n = 3 is {qint(3) ** 2 + 1}, not "
+        f"[3]_q^2 = {qint(3) ** 2}")
+    with pytest.raises(CheckFailed) as err:
+        verify._require_mallows_rows(3, Fraction(2))
+    assert str(err.value) == (
+        "the Mallows measure is not stationary at q0 = 2: column 0 of the "
+        "regular matrix of r2r sums to 50, not [3]_q^2 = 49")
+
+
+def test_mallows_coefficient_outside_n_of_q_minus_1_names_w(monkeypatch):
+    # the coefficient of T_{s_1} drops to -1: negative near q = 1
+    s1 = HeckeElement.t_word([1], 3)
+    (w, c), = s1.terms.items()
+    wrong = r2r(3) - s1.scale(r2r(3).terms[w] + 1)
+    monkeypatch.setattr(verify, "r2r", lambda n: wrong)
+    with pytest.raises(CheckFailed) as err:
+        check_mallows_stationarity(3, Fraction(2))
+    assert str(err.value) == (
+        f"the coefficient of T_w in r2r for w = {w} at n = 3 is -1, not in "
+        f"N[q - 1]")
+
+
+def dense_stationarity_oracle(n, q0):
+    """The dense check mallows-stationarity made before it read the trivial
+    character: P = D^-1 M D / [n]_q^2 from the dense regular matrix M of
+    verify's r2r(n), every row of P nonnegative and summing to 1, and
+    pi P = pi for the Mallows measure pi."""
+    raw = regular_matrix(verify.r2r(n), q0)
+    lengths = [w.length() for w in all_permutations(n)]
+    norm = qint(n).eval(q0) ** 2
+    mat = [[x * q0 ** (lengths[j] - lengths[i]) / norm
+            for j, x in enumerate(row)] for i, row in enumerate(raw)]
+    weights = [q0 ** k for k in lengths]
+    pi = [x / sum(weights) for x in weights]
+    return (all(min(row) >= 0 and sum(row) == 1 for row in mat)
+            and linalg.vec_mat(pi, mat) == pi)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("q0", [Fraction(1), Fraction(2), Fraction(3),
+                                Fraction(7, 5)])
+def test_mallows_stationarity_agrees_with_the_dense_oracle(monkeypatch, q0,
+                                                           faulted):
+    if faulted:
+        with_t1_fault(monkeypatch)
+    for n in range(1, 6):
+        try:
+            verdict = check_mallows_stationarity(n, q0)
+        except CheckFailed:
+            verdict = False
+        assert verdict == dense_stationarity_oracle(n, q0) == (not faulted)
 
 
 def test_second_eigenvalue_failure_names_value_and_multiplicity(monkeypatch):
@@ -161,9 +247,7 @@ def test_transition_matrix_scaling():
     n, q0 = 3, Fraction(2)
     mat = markov.transition_matrix(n, q0)
     norm = qint(n).eval(q0) ** 2
-    from qshuffle.hecke import r2r, regular_rep_matrix
-    from qshuffle.symmetric import all_permutations
-    raw = regular_rep_matrix(r2r(n), q0)
+    raw = regular_matrix(r2r(n), q0)
     lengths = [w.length() for w in all_permutations(n)]
     for i in range(6):
         for j in range(6):
@@ -175,10 +259,8 @@ def test_transition_matrix_scaling():
 def test_transition_matrix_matches_the_dense_formula(q0):
     # the sparse build against every entry of the dense regular matrix
     # through the formula, zeros included
-    from qshuffle.hecke import r2r, regular_rep_matrix
-    from qshuffle.symmetric import all_permutations
     for n in range(1, 5):
-        raw = regular_rep_matrix(r2r(n), q0)
+        raw = regular_matrix(r2r(n), q0)
         lengths = [w.length() for w in all_permutations(n)]
         norm = qint(n).eval(q0) ** 2
         assert markov.transition_matrix(n, q0) == [
@@ -198,20 +280,17 @@ def test_walk_spectrum_agrees_with_the_char_poly_of_the_walk(q0):
         assert check_walk_spectrum(n, q0)
 
 
-def test_walk_spectrum_failure_names_the_entry(monkeypatch):
-    original = markov.transition_matrix
+def test_walk_spectrum_failure_names_the_coefficient(monkeypatch):
+    original = spectra.bruteforce_charpoly
 
-    def wrong(n, q0):  # one entry moves, the row sums stay
-        mat = [row[:] for row in original(n, q0)]
-        mat[2][3] += Fraction(1, 7)
-        mat[2][4] -= Fraction(1, 7)
-        return mat
+    def wrong(op, q0):  # coefficient 2 of R_n's char poly moves
+        coeffs = list(original(op, q0))  # the shared list stays intact
+        coeffs[2] += 1
+        return coeffs
 
-    monkeypatch.setattr(markov, "transition_matrix", wrong)
-    entry = original(3, 2)[2][3]
+    monkeypatch.setattr(spectra, "bruteforce_charpoly", wrong)
     with pytest.raises(CheckFailed) as err:
         check_walk_spectrum(3, Fraction(2))
     assert str(err.value) == (
-        f"the walk's transition matrix at q0 = 2 differs from D^-1 M D / "
-        f"[3]_q^2 at (row, col) (2, 3): P has {entry + Fraction(1, 7)}, "
-        f"D^-1 M D / [3]_q^2 has {entry}")
+        "char poly of the Mallows walk at q0 = 2, route transition matrix, "
+        "differs from the formula at coefficient index 2")

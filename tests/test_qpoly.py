@@ -154,3 +154,22 @@ def test_non_int_coefficients_are_refused():
 def test_arithmetic_keeps_int_coefficients(a, b, k):
     for p in (a + b, a - b, a * b, a.scale(k), a.shift(k), -a):
         assert all(type(c) is int and c for c in p.terms.values())
+
+
+def test_nonneg_in_q_minus_1():
+    # q - 1 and (q - 1)^2 + 1 = q^2 - 2q + 2 lie in N[q - 1]; q - 2, q^-1
+    # and q^2 - 3q + 3 = (q - 1)^2 - (q - 1) + 1 do not, though the last is
+    # positive at every q >= 1: the test is sufficient, not necessary
+    m1 = Q - ONE
+    for p in (ZERO, ONE, Q, m1, m1 ** 2 + ONE, qint(4) * m1 ** 3):
+        assert p.is_nonneg_in_q_minus_1(), p
+    for p in (Q - 2, Q.shift(-2), m1 ** 2 - m1 + ONE, -ONE):
+        assert not p.is_nonneg_in_q_minus_1(), p
+
+
+@settings(max_examples=50)
+@given(st.dictionaries(st.integers(0, 6), st.integers(0, 5), max_size=4))
+def test_every_polynomial_in_q_minus_1_is_accepted(terms):
+    # a polynomial in q - 1 with coefficients in N, expanded in q
+    p = sum((((Q - ONE) ** e).scale(c) for e, c in terms.items()), ZERO)
+    assert p.is_nonneg_in_q_minus_1()

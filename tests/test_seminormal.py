@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qshuffle import hecke, linalg, markov, spectra, verify
+from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
 from qshuffle.linalg import _fractions, _ints, _times
 from qshuffle.qpoly import qint
@@ -412,7 +412,6 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
-        "qshuffle.markov.transition_matrix",
         "qshuffle.hecke.jucys_murphy_scaled", "qshuffle.hecke._jucys_murphy",
         "qshuffle.hecke._PAIRS",
         "qshuffle.spectra.spectrum_table",
@@ -420,13 +419,11 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     assert [name for name, table in saved.items() if not table] == []
     clear_module_cache()
     assert [name for name, table in hecke._TABLES.items() if table] == []
-    # each cached eigenbasis, regular-route char poly, transition matrix,
-    # spectrum table and eigenvalue equals a fresh build, so no caller
-    # changed a shared one
+    # each cached eigenbasis, regular-route char poly, spectrum table and
+    # eigenvalue equals a fresh build, so no caller changed a shared one
     for fn, form in ((spectra.build_eigenbasis,
                       lambda records: [r.to_json() for r in records]),
                      (spectra.bruteforce_charpoly, list),
-                     (markov.transition_matrix, list),
                      (spectra.spectrum_table,
                       lambda rows: [r.to_json() for r in rows]),
                      (spectra.eigenvalue_formula, lambda e: e.terms)):

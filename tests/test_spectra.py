@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import linalg, spectra
-from qshuffle.hecke import (HeckeModule, b2r, clear_module_cache, r2b, r2r,
-                            regular_rep_matrix)
+from conftest import regular_matrix
+from qshuffle.hecke import HeckeModule, b2r, clear_module_cache, r2b, r2r
 from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
@@ -321,7 +321,7 @@ def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
     assert [k for k, r in report.items() if not r.passed] \
         == ["diagonalizable[q=7/5]"]
     values = list(spectra.spectrum_at(spectra.r2r_charpoly_factored(3), q0))
-    mat = regular_rep_matrix(r2r(3), q0)
+    mat = regular_matrix(r2r(3), q0)
     v = [Fraction(int(i == 0)) for i in range(6)]  # T_1
     for value in values[1:]:
         v = [x - value * y for x, y in zip(linalg.vec_mat(v, mat), v)]
