@@ -12,13 +12,18 @@ At a rational point q0 every module of H_n(q0) used here (seminormal's
 word modules, among them the regular representation W^(1^n), and flags)
 is a HeckeModule with one action path: each generator and element is
 built once per module into sparse integer rows with one denominator, and
-every action is one row product over the integers; that integer form, its
-boundary and the row product are linalg's.
+every action is one row product over the integers.  A vector is its
+reduced integer form (num, den), den > 0 and gcd(den, *num) = 1, which is
+unique (linalg), so the checks compare forms with ==; that form, the row
+product and the reduction are linalg's.  _require_equal and _require_zero
+word the witness of every vector and matrix comparison, and
+cross-multiply only on a failure.
 
 Every build shared across one verify run (the shuffle elements, the
-Jucys-Murphy elements, scaled and not, and in others the spectrum tables,
-the eigenvalue formulas, the word and Specht modules, the kernel bases,
-the eigenbases and the regular-route char polys) is a memo function;
+Jucys-Murphy elements, scaled and not, the value of each Laurent
+coefficient at each q0, and in others the spectrum tables, the eigenvalue
+formulas, the word and Specht modules, the kernel bases, the eigenbases and
+the regular-route char polys) is a memo function;
 clear_module_cache forgets them all.  Pure partition and tableau
 combinatorics outside the traced layers (tableaux, verify._sub_partitions)
 is kept instead with functools.lru_cache for the life of the process.
@@ -30,8 +35,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .linalg import (_at_lcm, _dense, _fractions, _int_rows, _ints, _step,
-                     _times)
+from .linalg import _at_lcm, _dense, _int_rows, _reduce, _step, _times
 from .qpoly import LaurentPoly, ONE, Q, qint
 from .symmetric import Permutation, min_coset_reps, young_subgroup
 
@@ -201,18 +205,39 @@ def _first_cell(a, b):
 
 def _require_equal(got, want, what):
     """Raise CheckFailed saying what failed and the first index (vectors) or
-    (row, col) (matrices) at which got and want differ, unless equal."""
+    (row, col) (matrices) at which got and want differ, unless equal.  Each
+    is an integer form (num, den), num a vector or a matrix (a list of
+    rows) over den > 0; both reduced, or both over one den, they are equal
+    exactly when their values are, so a pass is one ==.  Only a failure
+    cross-multiplies, num_got den_want against num_want den_got, to name
+    the first entry whose values differ."""
     if got != want:
-        where = (f"(row, col) {_first_cell(got, want)}"
-                 if got and isinstance(got[0], list)
-                 else f"index {_first_index(got, want)}")
+        (a, da), (b, db) = got, want
+        if a and isinstance(a[0], list):
+            where = "(row, col) " + str(_first_cell(
+                [[x * db for x in row] for row in a],
+                [[y * da for y in row] for row in b]))
+        else:
+            where = "index " + str(_first_index([x * db for x in a],
+                                                [y * da for y in b]))
         raise CheckFailed(f"{_worded(what)}, first difference at {where}")
+
+
+def _require_same_rows(module, got, want, what):
+    """_require_equal for two built (d, rows) of module.  Each is reduced
+    by its gcd, so they are one matrix exactly when their d agree and each
+    row holds the same (column, integer) pairs, in any order; a failure is
+    worded by _require_equal on the rows made dense."""
+    if got[0] != want[0] or any(dict(a) != dict(b)
+                                for a, b in zip(got[1], want[1])):
+        _require_equal(*((list(_dense(rows, module.dim)), d)
+                         for d, rows in (got, want)), what)
 
 
 def _require_zero(v, what):
     """Raise CheckFailed saying what failed and the first nonzero index of
-    the vector v, unless v is zero."""
-    j = next((j for j, x in enumerate(v) if x), None)
+    the vector of the integer form v, unless v is zero."""
+    j = next((j for j, x in enumerate(v[0]) if x), None)
     if j is not None:
         raise CheckFailed(f"{_worded(what)}, first nonzero index {j}")
 
@@ -220,6 +245,7 @@ def _require_zero(v, what):
 # -- shared builds ----------------------------------------------------
 
 _TABLES = {}  # "module.function" -> the table of a memo function
+_UNBUILT = object()  # a memo table lookup's answer for a tuple not built
 
 
 def memo(fn):
@@ -231,9 +257,10 @@ def memo(fn):
 
     @functools.wraps(fn)
     def shared(*args):
-        if args not in table:
-            table[args] = fn(*args)
-        return table[args]
+        built = table.get(args, _UNBUILT)  # one hash of args per call
+        if built is _UNBUILT:
+            built = table[args] = fn(*args)
+        return built
 
     return shared
 
@@ -242,6 +269,13 @@ def clear_module_cache():
     """Forget every shared build: each memo table (and _PAIRS) is emptied."""
     for table in _TABLES.values():
         table.clear()
+
+
+@memo
+def _value_at(poly, q0):
+    """The Fraction poly(q0) of a LaurentPoly, evaluated once per (poly,
+    q0) for every module and check at q0."""
+    return poly.eval(q0)
 
 
 # -- shuffle operators ------------------------------------------------
@@ -353,9 +387,10 @@ class HeckeModule:
     row r of a matrix is the image of the basis vector e_r.  Whatever acts
     is built into (d, rows), the sparse integer rows of d times its matrix
     at q0 reduced by their gcd, d > 0: the generators at construction, each
-    HeckeElement once (in _elements, keyed by equality), a literal word per
-    matrix.  A vector action is linalg's row product between its boundary
-    pair, and a matrix the same rows made dense by linalg._dense.
+    HeckeElement once (in _elements, keyed by equality), a literal word on
+    each word_rows call.  A vector is a reduced form (num, den), and an
+    action is linalg's row product, reduced; a matrix is the same rows made
+    dense by linalg._dense.
     """
 
     def __init__(self, n, q0, dim, gen_rows):
@@ -366,16 +401,16 @@ class HeckeModule:
         self._elements = {}  # HeckeElement -> its built (d, rows) at q0
 
     def _act(self, v, built):
-        """v times the built (d, rows), over the integers in between."""
+        """The reduced form of the form v times the built (d, rows)."""
         d, rows = built
-        num, den = _ints(v)
-        return _fractions(_times(num, rows, self.dim), den * d)
+        num, den = v
+        return _reduce(_times(num, rows, self.dim), den * d)
 
     def _terms_at(self, elem):
         """[(reduced word of w, c_w(q0))] for a HeckeElement of the same n."""
         if elem.n != self.n:
             raise SizeMismatch("HeckeElement size != module n")
-        return [(w.reduced_word(), c.eval(self.q0))
+        return [(w.reduced_word(), _value_at(c, self.q0))
                 for w, c in elem.terms.items()]
 
     def _rows_of(self, terms):
@@ -418,37 +453,35 @@ class HeckeModule:
         return built
 
     def apply_gen(self, v, i):
+        """v . T_{s_i} for the form v."""
         return self._act(v, self._gens[i])
 
     def apply_hecke(self, v, elem):
-        """v . a for a HeckeElement a."""
+        """v . a for the form v and a HeckeElement a."""
         return self._act(v, self._built(elem))
 
     def apply_shifted_product(self, v, elem, roots):
-        """v . prod over the rational roots r, in order, of (elem - r): one
-        linalg._step per root on elem's built (d, rows), which with r = a/b
-        maps num / den to (b num rows - a d num) / (den d b)."""
+        """v . prod over the rational roots r, in order, of (elem - r), for
+        the form v: one linalg._step per root on elem's built (d, rows),
+        which with r = a/b maps num / den to (b num rows - a d num) /
+        (den d b)."""
         d, rows = self._built(elem)
-        num, den = _ints(v)
+        num, den = v
         for root in roots:
             a, b = root.numerator, root.denominator
             num, den = _step(num, den, rows, b, a * d, d * b)
-        return _fractions(num, den)
+        return num, den
 
-    def word_matrix(self, word):
-        """Matrix of T_{s_i1} T_{s_i2} ... applied generator by generator."""
-        d, rows = self._rows_of([(tuple(word), Fraction(1))])
-        return [_fractions(row, d) for row in _dense(rows, self.dim)]
+    def word_rows(self, word):
+        """The (d, rows) of T_{s_i1} T_{s_i2} ..., built generator by
+        generator and reduced by their gcd like every element's."""
+        return self._rows_of([(tuple(word), 1)])
 
     def _hecke_rows(self, elem):
         """(integer row, d) of e_r . elem for each basis vector e_r in
-        turn: the rows of hecke_matrix(elem) before they become Fractions."""
+        turn: elem's built rows made dense, one denominator for all."""
         d, rows = self._built(elem)
         return ((row, d) for row in _dense(rows, self.dim))
-
-    def hecke_matrix(self, elem):
-        """Matrix of right multiplication by elem."""
-        return [_fractions(*row) for row in self._hecke_rows(elem)]
 
 
 # -- identity checks --------------------------------------------------

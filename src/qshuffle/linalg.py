@@ -1,20 +1,29 @@
 """Exact rational dense linear algebra: elimination, kernels, products,
 char polys, and the dense polynomial arithmetic on char polys.
 
-This is also the one exact integer kernel.  A rational vector's integer
-form is (numerators, den), den > 0 the lcm of its denominators: only this
-module crosses that boundary (_ints, _fractions; _int_rows for sparse
-rows), multiplies an integer vector by sparse integer rows (_times),
-applies one factor (p M - r) / s of a product to an integer form (_step),
-makes sparse rows dense (_dense) and brings integer forms to, or sums them
-at, one lcm (_at_lcm, _lcm_sum).
-Matrices are lists of rows of Fractions, and every kernel takes and returns
-them (rank and charpoly also take ints, and int_mat_mul multiplies integer
-matrices), but works on the rows' integer forms and builds Fractions only
-on the way out.  RREF is Gauss-Jordan on primitive integer rows, rank
-forward elimination on them, and products are row products.  Pivoting is
-deterministic (first nonzero column, then the largest row index among
-nonzero entries), so kernel bases and echelon forms are reproducible.
+This is also the one exact integer kernel.  Every rational vector of the
+module engine and of the checks at q0 is its reduced integer form (num,
+den): den > 0, the entries of num are integers, and gcd(den, *num) = 1.
+The form is unique, num = L v with L the lcm of the entry denominators
+(for each prime p of L, the entry whose denominator carries p's full power
+has a numerator prime to p), so two vectors are equal exactly when their
+forms are, and the zero vector is ([0, ..., 0], 1).  Only this module
+crosses that boundary (_ints in, _fractions out; _int_rows for sparse
+rows), reduces a form (_reduce), scales one by a rational (_scale), takes
+a combination of forms (_combine) or reads one from entry ratios (_form),
+multiplies an integer vector by sparse integer rows (_times), applies one
+factor (p M - r) / s of a product to a form (_step), makes sparse rows
+dense (_dense) and brings integer forms to, or sums them at, one lcm
+(_at_lcm, _lcm_sum).  A vector becomes Fractions (_fractions) only where
+it leaves the program: the eigvectors JSON and simulate's walk.
+
+Elimination takes rows of Fractions or ints and works on the rows'
+integer forms: RREF is Gauss-Jordan on primitive integer rows and returns
+each reduced row as a form, rank is forward elimination on them, kernels
+and solutions are forms, and products are row products (int_mat_mul, and
+vec_mat for Fraction callers).  Pivoting is deterministic (first nonzero
+column, then the largest row index among nonzero entries), so kernel bases
+and echelon forms are reproducible.
 
 Char polys are computed modulo primes and lifted.  Each prime is a Proth
 prime k * 2^248 + 1, proven prime by Proth's theorem (F. Proth, C. R. Acad.
@@ -42,8 +51,9 @@ _ZERO = Fraction(0)  # one shared zero, so comparing outputs skips zeros
 
 
 def _ints(v):
-    """(numerators, den) of a rational vector: den > 0 is the lcm of the
-    entry denominators.  Where a vector enters the integers."""
+    """The reduced form (numerators, den) of a rational vector (Fractions or
+    ints): den > 0 is the lcm of the entry denominators.  Where a vector
+    enters the integers."""
     den = math.lcm(*(x.denominator for x in v if x))
     return [x.numerator * (den // x.denominator) if x else 0 for x in v], den
 
@@ -51,6 +61,44 @@ def _ints(v):
 def _fractions(num, den):
     """The Fraction vector num / den.  Where a vector leaves the integers."""
     return [Fraction(x, den) if x else _ZERO for x in num]
+
+
+def _reduce(num, den):
+    """The form num / den, den > 0, divided by gcd(den, *num): reduced."""
+    g = math.gcd(den, *num)
+    if g > 1:
+        return [x // g for x in num], den // g
+    return num, den
+
+
+def _scale(form, c):
+    """The reduced form of c times the form, c a Fraction or an int."""
+    num, den = form
+    a = c.numerator
+    return _reduce([a * x for x in num], den * c.denominator)
+
+
+def _combine(coeffs, forms):
+    """The reduced form of sum_i x_i v_i, for the coefficient form coeffs
+    = (x numerators, x den) and the forms v_i: each x_i v_i is brought to
+    the lcm of the v_i it uses."""
+    xs, xden = coeffs
+    used = [(x, form) for x, form in zip(xs, forms) if x]
+    den = math.lcm(*(d for _, (_, d) in used))
+    out = [0] * len(forms[0][0]) if forms else []
+    for x, (num, d) in used:
+        scale = x * (den // d)
+        for j, y in enumerate(num):
+            if y:
+                out[j] += scale * y
+    return _reduce(out, den * xden)
+
+
+def _form(ratios):
+    """The reduced form of the vector of entries a / b over the (a, b)
+    pairs of ints, b > 0, none of them a Fraction."""
+    den = math.lcm(*(b for a, b in ratios if a))
+    return _reduce([a * (den // b) if a else 0 for a, b in ratios], den)
 
 
 def _int_rows(rows):
@@ -101,12 +149,8 @@ def _step(num, den, rows, p, r, s):
     the sparse integer rows, reduced by the gcd of the new den and entries:
     the one row update, which takes each factor of an idempotent and of a
     product of shifts (M - root)."""
-    num = [p * x - r * y for x, y in zip(_times(num, rows, len(num)), num)]
-    den *= s
-    g = math.gcd(den, *num)
-    if g > 1:
-        return [x // g for x in num], den // g
-    return num, den
+    return _reduce([p * x - r * y for x, y in zip(_times(num, rows, len(num)),
+                                                  num)], den * s)
 
 
 def _dense(rows, dim):
@@ -177,61 +221,72 @@ def _eliminate(matrix, full):
 
 
 def rref(matrix):
-    """Reduced row echelon form; returns (rref rows, pivot column list).
+    """Reduced row echelon form; returns (rref rows, pivot column list),
+    each row a reduced form.
 
-    Gauss-Jordan over Z (_eliminate); the pivot rows are divided by their
-    pivots on the way out."""
+    Gauss-Jordan over Z (_eliminate); each pivot row over its pivot, the
+    sign moved up, is reduced on the way out.  The rows without a pivot
+    are zero."""
     if not matrix:
         return [], []
     m, pivots = _eliminate(matrix, full=True)
-    out = [_fractions(row, row[c]) for row, c in zip(m, pivots)]
-    out += [[_ZERO] * len(m[0]) for _ in range(len(m) - len(pivots))]
+    out = [_reduce([-x for x in row], -row[c]) if row[c] < 0
+           else _reduce(row, row[c]) for row, c in zip(m, pivots)]
+    out += [([0] * len(m[0]), 1) for _ in range(len(m) - len(pivots))]
     return out, pivots
 
 
 def rank(matrix):
     """The number of pivots of rref(matrix), by forward elimination only:
-    the same pivot rule, no back-substitution and no Fraction output.
+    the same pivot rule, no back-substitution and no form output.
     Entries may be Fractions or ints."""
     return len(_eliminate(matrix, full=False)[1])
 
 
 def kernel(matrix):
-    """Basis of the right kernel {v : M v = 0}, deterministic order."""
+    """Basis of the right kernel {v : M v = 0} as reduced forms,
+    deterministic order: for each free column f, v_f = 1 and v_p = -(entry
+    f of the rref row of pivot p)."""
     if not matrix:
         return []
     cols = len(matrix[0])
     reduced, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
+    for f in range(cols):
+        if f in pivots:
+            continue
+        ratios = [(0, 1)] * cols
+        ratios[f] = (1, 1)
+        for (num, den), p in zip(reduced, pivots):
+            ratios[p] = (-num[f], den)
+        basis.append(_form(ratios))
     return basis
 
 
 def left_kernel(matrix):
-    """Basis of {v : v M = 0} as row vectors."""
+    """Basis of {v : v M = 0} as reduced forms of row vectors."""
     transposed = [list(col) for col in zip(*matrix)]
     return kernel(transposed)
 
 
-def solve_in_span(rows, target):
-    """Coefficients x with sum x_i rows[i] = target, or None if unsolvable."""
-    if not rows:
-        return None if any(target) else []
-    aug = [list(col) + [t] for col, t in zip(zip(*rows), target)]
+def solve_in_span(forms, target):
+    """The reduced coefficient form x with sum_i x_i forms[i] = target, all
+    reduced forms, or None if there is none.  The target's numerators are
+    solved for y against the numerators of the forms, and then x_i = y_i
+    den_i / den_target."""
+    tnum, tden = target
+    if not forms:
+        return None if any(tnum) else ([], 1)
+    aug = [list(col) + [t]
+           for col, t in zip(zip(*(num for num, _ in forms)), tnum)]
     reduced, pivots = rref(aug)
-    ncoef = len(rows)
+    ncoef = len(forms)
     if ncoef in pivots:  # pivot in the augmented column: inconsistent
         return None
-    x = [Fraction(0)] * ncoef
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][ncoef]
-    return x
+    ratios = [(0, 1)] * ncoef
+    for (num, den), p in zip(reduced, pivots):
+        ratios[p] = (num[ncoef] * forms[p][1], den * tden)
+    return _form(ratios)
 
 
 # -- char polys: Hessenberg form modulo proven primes, joined by CRT ----

@@ -19,12 +19,19 @@ module S^lambda.
 
 Word modules ride the HeckeModule engine's one action path: J_m is the
 element q^-m (q^m J_m), built once per module into integer rows like any
-other, and each idempotent factor is one row update of a (numerators,
-den) vector with those rows (linalg._step).  The factor schedule of each
-tableau (its J_m index and integer constants, factor by factor) is built
-once per module and replayed for every vector.  The integer form is
-linalg's: its boundary, the row update, the rows of p_t brought to one
-denominator (_at_lcm) and the sums of images of p_t (_lcm_sum).
+other, and each idempotent factor is one row update of a vector's reduced
+form (num, den) with those rows (linalg._step).  The factor schedule of
+each tableau (its J_m index and integer constants, factor by factor) is
+built once per module and replayed for every vector.  Every vector here,
+the seminormal units and every image under T_i, J_m, p_t, p_lambda and
+Phi_t, is that reduced form, unique to its value (linalg), so equal
+vectors have equal forms.  The form is linalg's: the row update, the rows
+of p_t brought to one denominator (_at_lcm), the sums of images of p_t
+(_combine) and the coordinates of an image in the units
+(solve_in_span).  Fractions remain only as scalars: q0, the generator
+entries before they enter the integers, the values at q0 of Laurent
+polynomials (read once per (poly, q0) from hecke._value_at) and the
+Dipper-James coefficients.
 
 word_module and specht_module share one built module per (lambda, q0)
 through hecke.memo.  All arithmetic is exact at an admissible evaluation
@@ -37,8 +44,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .hecke import CheckFailed, HeckeModule, _jucys_murphy, memo
-from .linalg import _at_lcm, _fractions, _ints, _lcm_sum, _step
+from .hecke import CheckFailed, HeckeModule, _jucys_murphy, _value_at, memo
+from .linalg import _at_lcm, _combine, _step
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
 
@@ -53,7 +60,7 @@ def check_admissible(q0, n):
     if q0 == 0:
         raise InadmissibleQ("q0 = 0")
     for m in range(2, n + 1):
-        if qint(m).eval(q0) == 0:
+        if _value_at(qint(m), q0) == 0:
             raise InadmissibleQ(f"[{m}]_q vanishes at q0 = {q0}")
     return q0
 
@@ -99,9 +106,10 @@ class WordModuleRep(HeckeModule):
         self._schedules = {}
 
     def basis_vector(self, word):
-        v = [Fraction(0)] * self.dim
-        v[self.index[tuple(word)]] = Fraction(1)
-        return v
+        """The reduced form of the basis vector of word."""
+        num = [0] * self.dim
+        num[self.index[tuple(word)]] = 1
+        return num, 1
 
     def _jm(self, m):
         """The built (d_J, rows) of J_m = q^-m (q^m J_m) at q0."""
@@ -118,8 +126,8 @@ class WordModuleRep(HeckeModule):
         per (m, c, d)."""
         key = (m, c, d)
         if key not in self._factors:
-            d_val = qint(d).eval(self.q0)
-            denom = qint(c).eval(self.q0) - d_val
+            d_val = _value_at(qint(d), self.q0)
+            denom = _value_at(qint(c), self.q0) - d_val
             if denom == 0:
                 raise InadmissibleQ(
                     f"idempotent denominator vanishes at q0 = {self.q0}")
@@ -132,10 +140,10 @@ class WordModuleRep(HeckeModule):
         return self._factors[key]
 
     def _schedule(self, t):
-        """[(m, p, r, s)]: the factors of p_t in order, each with the
-        constants _factor gives it.  Entry m of t contributes one factor per
-        content d != c_t(m) of a cell addable to the running shape.  Built
-        on first use of t."""
+        """[(J, p, r, s)]: the factors of p_t in order, each with the
+        integer rows J of J_m and the constants _factor gives it.  Entry m
+        of t contributes one factor per content d != c_t(m) of a cell
+        addable to the running shape.  Built on first use of t."""
         steps = self._schedules.get(t)
         if steps is None:
             steps = []
@@ -144,7 +152,7 @@ class WordModuleRep(HeckeModule):
                 cm = t.content_of(m)
                 for d in Partition(shape).addable_contents():
                     if d != cm:
-                        steps.append((m, *self._factor(m, cm, d)))
+                        steps.append((self._jm(m)[1], *self._factor(m, cm, d)))
                 row = t.row_of(m)
                 if row > len(shape):
                     shape.append(0)
@@ -155,8 +163,8 @@ class WordModuleRep(HeckeModule):
     def _idempotent(self, num, den, t):
         """(num, den) . p_t over the integers: one linalg._step per factor
         of t's schedule."""
-        for m, p, r, s in self._schedule(t):
-            num, den = _step(num, den, self._jm(m)[1], p, r, s)
+        for rows, p, r, s in self._schedule(t):
+            num, den = _step(num, den, rows, p, r, s)
         return num, den
 
     def apply_idempotent(self, v, t):
@@ -167,8 +175,9 @@ class WordModuleRep(HeckeModule):
         the running shape mu + (cells of |mu|+1..m-1), so for a skew t the
         result is v . p_t only when v lies in the image of some p_s with
         shape(s) = mu (for example v = u . Phi_t, u in S^mu); for a
-        straight t (mu empty) it holds for every v."""
-        return _fractions(*self._idempotent(*_ints(v), t))
+        straight t (mu empty) it holds for every v.  v and the image are
+        reduced forms."""
+        return self._idempotent(*v, t)
 
     def apply_p_lambda(self, v, lam=None):
         """v . p_lambda = sum over t in SYT(lambda) of v . p_t."""
@@ -177,10 +186,8 @@ class WordModuleRep(HeckeModule):
     def apply_idempotent_sum(self, v, tableaux):
         """v . (sum of p_t over the straight tableaux t), the images summed
         over the integers at the lcm of their denominators."""
-        num, den = _ints(v)
-        images = [self._idempotent(num, den, t) for t in tableaux]
-        (out,), den = _lcm_sum([([img], d) for img, d in images])
-        return _fractions(out, den)
+        images = [self._idempotent(*v, t) for t in tableaux]
+        return _combine(([1] * len(images), 1), images)
 
     def idempotent_int_matrix(self, t):
         """(D, P) with P an integer matrix and p_t = P / D: row r of P is
@@ -206,9 +213,10 @@ class SpechtRep:
         self.dim = len(self.units)
 
     def hecke_action_matrix(self, elem):
-        """Matrix of elem on S^lambda in the seminormal unit basis; raises
-        CheckFailed naming lambda, q0, the unit's tableau and elem if the
-        image of a unit leaves the span of the units."""
+        """Matrix of elem on S^lambda in the seminormal unit basis, as the
+        reduced forms of its rows (row t: the coordinates of w_t . elem);
+        raises CheckFailed naming lambda, q0, the unit's tableau and elem if
+        the image of a unit leaves the span of the units."""
         rows = []
         for t, u in zip(self.tableaux, self.units):
             coords = linalg.solve_in_span(
@@ -238,7 +246,8 @@ def dipper_james_action(t, i, q0):
     """Expected w_t . T_{s_i} from the four-case seminormal formula.
 
     Returns a mapping tableau -> Fraction coefficient.  q = t . s_i,
-    rho = content(t, i) - content(q, i).
+    rho = content(t, i) - content(q, i).  The q-integers at q0 are read
+    from hecke._value_at.
     """
     q0 = Fraction(q0)
     ri, ci = t.cell_of(i)
@@ -249,13 +258,13 @@ def dipper_james_action(t, i, q0):
         return {t: Fraction(-1)}
     other = t.apply_gen_by_value(i)
     rho = t.content_of(i) - other.content_of(i)
-    rho_val = qint(rho).eval(q0)
+    rho_val = _value_at(qint(rho), q0)
     out = {t: Fraction(-1) / rho_val}
     if other.dominance_leq(t):
         out[other] = Fraction(1)
     else:
-        out[other] = (q0 * qint(rho + 1).eval(q0) * qint(rho - 1).eval(q0)
-                      / rho_val ** 2)
+        out[other] = (q0 * _value_at(qint(rho + 1), q0)
+                      * _value_at(qint(rho - 1), q0) / rho_val ** 2)
     return out
 
 
@@ -272,14 +281,17 @@ def phi_map(t_skew):
 
 
 def phi_apply(v_mu, rep_mu, rep_lam, t_skew):
-    """Image in W^lambda of a vector of W^mu under Phi_{t_skew}."""
+    """Image in W^lambda of a vector of W^mu under Phi_{t_skew}, both
+    reduced forms: Phi_t maps basis words to distinct basis words, so the
+    numerators move and the den stays."""
     if rep_mu.lam != t_skew.shape.inner:
         raise ShapeMismatch("inner shape != mu")
     if rep_lam.lam != t_skew.shape.outer:
         raise ShapeMismatch("outer shape != lambda")
     suffix = phi_map(t_skew)
-    out = [Fraction(0)] * rep_lam.dim
-    for idx, x in enumerate(v_mu):
+    num, den = v_mu
+    out = [0] * rep_lam.dim
+    for idx, x in enumerate(num):
         if x:
             out[rep_lam.index[rep_mu.basis[idx] + suffix]] += x
-    return out
+    return out, den

@@ -5,7 +5,10 @@ horizontal strips lambda/mu:
     E_{lambda/mu}(q) = q^n c_{lambda/mu}(q) + sum_{k=|mu|+1}^n q^{n-k} [k]_q,
 with multiplicity f^lambda d^mu.  This module computes the formula tables,
 builds the recursive eigenvector basis in each Specht module, and checks
-everything against characteristic polynomials of explicit matrices.
+everything against characteristic polynomials of explicit matrices.  Kernel
+and eigenvectors are reduced integer forms (num, den), like every vector of
+the module engine (linalg); an EigenvectorRecord's vector becomes Fractions
+only in its JSON.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .hecke import (CheckFailed, _require_equal, _require_zero, b2r_embedded,
-                    memo, r2r)
+from .hecke import (CheckFailed, _require_equal, _require_zero, _value_at,
+                    b2r_embedded, memo, r2r)
+from .linalg import _at_lcm, _combine, _fractions, _scale
 from .qpoly import LaurentPoly, qint
 from .symmetric import derangement_count
 from .seminormal import phi_apply, specht_module, word_module
@@ -126,7 +130,7 @@ def spectrum_at(factored, q0):
     eigenvalues can meet at q0 (at q0 = 1, [k]_q is k)."""
     mults = {}
     for e, m in factored:
-        value = e.eval(q0)
+        value = _value_at(e, q0)
         mults[value] = mults.get(value, 0) + m
     return mults
 
@@ -141,9 +145,14 @@ def bruteforce_charpoly(op, q0):
     integer rows d M of the regular module W^(1^n), over d^k.
     """
     rows = list(word_module(Partition((1,) * op.n), q0)._hecke_rows(op))
-    d = rows[0][1]
-    return [c / d ** k for k, c in enumerate(
-        linalg.charpoly([row for row, _ in rows]))]
+    return charpoly_over([row for row, _ in rows], rows[0][1])
+
+
+def charpoly_over(rows, d):
+    """Char poly of the matrix rows / d, for integer rows and d > 0, as
+    monic Fractions, highest degree first: coefficient k of the char poly
+    of the integer rows, over d^k."""
+    return [c / d ** k for k, c in enumerate(linalg.charpoly(rows))]
 
 
 @memo
@@ -151,14 +160,16 @@ def kernel_basis(lam, q0):
     """(S^lambda, kappa_lambda): the shared Specht module and a
     deterministic basis of ker(R_|lam| on S^lambda).
 
-    Vectors are returned in W^lambda coordinates; the count is d^lambda.
+    Vectors are returned as reduced forms in W^lambda coordinates, each the
+    combination of the units by a left-kernel vector of the unit-basis
+    matrix (its row forms brought to one lcm); the count is d^lambda.
     """
     rep = specht_module(lam, q0)
     if lam.size == 0:
-        return rep, [rep.units[0][:]]
-    mat = rep.hecke_action_matrix(r2r(lam.size))
-    return rep, [linalg.vec_mat(x, rep.units)
-                 for x in linalg.left_kernel(mat)]
+        num, den = rep.units[0]
+        return rep, [(num[:], den)]
+    rows, _ = _at_lcm(rep.hecke_action_matrix(r2r(lam.size)))
+    return rep, [_combine(x, rep.units) for x in linalg.left_kernel(rows)]
 
 
 class EigenvectorRecord:
@@ -175,11 +186,12 @@ class EigenvectorRecord:
         return {"lambda": self.lam.to_json(), "mu": self.mu.to_json(),
                 "source_index": self.source_index,
                 "eigenvalue": str(self.eigenvalue_at_q0),
-                "vector": [str(x) for x in self.vector]}
+                "vector": [str(x) for x in _fractions(*self.vector)]}
 
 
 def apply_c_op(rep, v, j):
-    """v . C_j^(n) = v . B_{j+1}(q0) ... B_n(q0) inside W^lambda."""
+    """v . C_j^(n) = v . B_{j+1}(q0) ... B_n(q0) inside W^lambda, for the
+    reduced form v."""
     for k in range(j + 1, rep.n + 1):
         v = rep.apply_hecke(v, b2r_embedded(k, rep.n))
     return v
@@ -213,17 +225,17 @@ def build_eigenbasis(lam, q0):
             v = phi_apply(u, rep_mu.word_module, rep_lam, t_skew)
             v = apply_c_op(rep_lam, v, mu.size)
             v = rep_lam.apply_p_lambda(v)
-            value = eigenvalue_formula(lam, mu).eval(q0)
-            if any(v):
+            value = _value_at(eigenvalue_formula(lam, mu), q0)
+            if any(v[0]):
                 # for n = 0 the shuffle element is an empty sum
                 _require_equal(
                     (rep_lam.apply_hecke(v, r_op) if r_op
-                     else [Fraction(0)] * len(v)), [value * x for x in v],
+                     else _scale(v, 0)), _scale(v, value),
                     lambda: f"not an R_{n}-eigenvector with eigenvalue "
                             f"{value}: lambda = {lam}, mu = {mu}, kernel "
                             f"vector {idx} of S^mu at q0 = {q0}")
             records.append(EigenvectorRecord(lam, mu, idx, v, value))
-    rank = linalg.rank([rec.vector for rec in records])
+    rank = linalg.rank([rec.vector[0] for rec in records])
     if rank != len(records) or rank != f_lambda(lam):
         raise CheckFailed(
             f"the eigenvectors of {lam} at q0 = {q0} are not a basis: "
@@ -248,7 +260,7 @@ def straightening_scalars(lam, mu, q0):
     refs = []  # (s, w_{t^max(s)} C_j, its first nonzero index or None)
     for s in enumerate_syt(mu):
         b = apply_c_op(rep.word_module, unit[extend(s, t_max)], mu.size)
-        refs.append((s, b, next((j for j, x in enumerate(b) if x), None)))
+        refs.append((s, b, next((j for j, x in enumerate(b[0]) if x), None)))
     out = {}
     for t in enumerate_syt(shape):
         alpha = None
@@ -262,8 +274,9 @@ def straightening_scalars(lam, mu, q0):
                 _require_zero(a, lambda: f"w_t(s) C_{mu.size} is nonzero over "
                                          f"a zero reference {where()}")
                 continue
-            ratio = a[pivot] / b[pivot]
-            _require_equal(a, [ratio * y for y in b],
+            (na, da), (nb, db) = a, b
+            ratio = Fraction(na[pivot] * db, da * nb[pivot])
+            _require_equal(a, _scale(b, ratio),
                            lambda: f"w_t(s) C_{mu.size} is not proportional "
                                    f"to its reference {where()}")
             if alpha is None:

@@ -5,7 +5,7 @@ with a witness of where it failed; the CLI runs them and assembles a
 report.  Every vector and matrix witness is worded by hecke._require_equal
 or _require_zero; spectra builds, and the loops that check live here.
 Symbolic checks certify identities for every q at once; matrix checks
-certify at the exact rational points supplied.
+certify at the exact rational points supplied, on reduced integer forms.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from functools import lru_cache
 
 from . import linalg, markov, spectra
 from .hecke import (CheckFailed, HeckeElement, _first_index, _require_equal,
-                    _require_same, _require_zero, annihilator_check, b2r,
-                    b2r_embedded, c_op, clear_module_cache,
-                    intermediate_recursion_check, jucys_murphy_scaled,
-                    m_alpha, r2b, r2b_embedded, r2r, recursion_check, x_alpha)
+                    _require_same, _require_same_rows, _require_zero,
+                    _value_at, annihilator_check, b2r, b2r_embedded, c_op,
+                    clear_module_cache, intermediate_recursion_check,
+                    jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
+                    recursion_check, x_alpha)
+from .linalg import _at_lcm, _combine, _ints, _scale
 from .qpoly import Q, ZERO, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
@@ -134,28 +136,23 @@ def check_jm_commute(n):
 
 def check_word_module_relations(n, q0):
     """The generator rows of every W^lambda satisfy the Hecke relations.
-    Each side of a relation is the module's matrix of a word (row r of
-    T_i T_j is e_r . T_i . T_j) or, for (q - 1) T_i + q, of an element.  A
-    failure raises CheckFailed naming lambda, the relation, the generator
-    indices, q0 and the first differing (row, col)."""
+    Each side of a relation is the module's built (d, rows) of a word (row
+    r of T_i T_j is e_r . T_i . T_j) or, for (q - 1) T_i + q, of an
+    element.  A failure raises CheckFailed naming lambda, the relation, the
+    generator indices, q0 and the first differing (row, col)."""
     one = HeckeElement.one(n)
     for lam in partitions_of(n):
         wm = word_module(lam, q0)
         for i in range(1, n):
             quad = HeckeElement.t_word([i], n).scale(Q - 1) + one.scale(Q)
-            _require_equal(wm.word_matrix((i, i)), wm.hecke_matrix(quad),
-                           lambda: f"quadratic relation for T_{i} fails "
-                                   f"{_on(wm)}")
+            _require_same_rows(wm, wm.word_rows((i, i)), wm._built(quad),
+                               lambda: f"quadratic relation for T_{i} fails "
+                                       f"{_on(wm)}")
             for j in range(i + 1, n):
-                if j > i + 1:
-                    _require_equal(wm.word_matrix((i, j)),
-                                   wm.word_matrix((j, i)),
-                                   lambda: f"commutation relation for T_{i}, "
-                                           f"T_{j} fails {_on(wm)}")
-                else:
-                    _require_equal(wm.word_matrix((i, j, i)),
-                                   wm.word_matrix((j, i, j)),
-                                   lambda: f"braid relation for T_{i}, T_{j} "
+                name, a, b = (("commutation", (i, j), (j, i)) if j > i + 1
+                              else ("braid", (i, j, i), (j, i, j)))
+                _require_same_rows(wm, wm.word_rows(a), wm.word_rows(b),
+                                   lambda: f"{name} relation for T_{i}, T_{j} "
                                            f"fails {_on(wm)}")
     return True
 
@@ -170,11 +167,11 @@ def check_seminormal_action(n, q0):
         wm = rep.word_module
         index = {t: k for k, t in enumerate(rep.tableaux)}
         for t, unit in zip(rep.tableaux, rep.units):
-            if not any(unit):
+            if not any(unit[0]):
                 raise CheckFailed(f"unit w_t is zero for t = {t} {_on(wm)}")
             for m in range(1, n + 1):
-                value = qint(t.content_of(m)).eval(q0)
-                _require_equal(wm.apply_jm(unit, m), [value * x for x in unit],
+                value = _value_at(qint(t.content_of(m)), q0)
+                _require_equal(wm.apply_jm(unit, m), _scale(unit, value),
                                lambda: f"w_t J_{m} = [{t.content_of(m)}]_q "
                                        f"w_t fails for t = {t} {_on(wm)}")
             for i in range(1, n):
@@ -182,7 +179,7 @@ def check_seminormal_action(n, q0):
                 for tt, c in dipper_james_action(t, i, q0).items():
                     coeffs[index[tt]] = c
                 _require_equal(wm.apply_gen(unit, i),
-                               linalg.vec_mat(coeffs, rep.units),
+                               _combine(_ints(coeffs), rep.units),
                                lambda: f"w_t T_{i} = the four-case formula "
                                        f"fails for t = {t} {_on(wm)}")
     return True
@@ -208,22 +205,22 @@ def check_idempotents(n, q0):
                 # p_a p_b = P_a P_b / (D_a D_b); p_a p_a = p_a iff
                 # P_a P_a = D_a P_a
                 prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
-                _require_equal(linalg.int_mat_mul(ma, mb),
-                               _scaled(db, ma) if a == b else zero,
+                _require_equal((linalg.int_mat_mul(ma, mb), 1),
+                               (_scaled(db, ma) if a == b else zero, 1),
                                lambda: f"{prop} fails for s = {a}, t = {b} "
                                        f"{_on(wm)}")
         # p_lambda = total / den
         total, den = linalg._lcm_sum([(m, d) for d, m in mats])
-        _require_equal(linalg.int_mat_mul(total, total), _scaled(den, total),
+        _require_equal((linalg.int_mat_mul(total, total), 1),
+                       (_scaled(den, total), 1),
                        lambda: f"p_lambda p_lambda = p_lambda fails {_on(wm)}")
         trace = Fraction(sum(total[i][i] for i in range(wm.dim)), den)
         if trace != f_lambda(lam):  # rank of an idempotent is its trace
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
                               f"= {f_lambda(lam)}, {_on(wm)}")
-        for t, unit in zip(rep.tableaux, rep.units):
-            num, _ = linalg._ints(unit)
-            _require_equal(linalg.int_mat_mul([num], total)[0],
-                           [den * x for x in num],
+        for t, (num, _) in zip(rep.tableaux, rep.units):
+            _require_equal((linalg.int_mat_mul([num], total)[0], 1),
+                           ([den * x for x in num], 1),
                            lambda: f"w_t p_lambda = w_t fails for t = {t} "
                                    f"{_on(wm)}")
     _require_complete(n, q0)
@@ -347,12 +344,12 @@ def check_one_step_recursion(n, q0):
                 v = phi_apply(rec.vector, rep_small, rep_lam, t_skew)
                 v = rep_lam.apply_hecke(v, b2r_embedded(n, n))
                 v = rep_lam.apply_p_lambda(v)
-                cell_content = spectra.q_content(
-                    SkewShape(lam, smaller)).eval(q0)
-                value = (q0 * rec.eigenvalue_at_q0 + qint(n).eval(q0)
+                cell_content = _value_at(spectra.q_content(
+                    SkewShape(lam, smaller)), q0)
+                value = (q0 * rec.eigenvalue_at_q0 + _value_at(qint(n), q0)
                          + q0 ** n * cell_content)
                 _require_equal(rep_lam.apply_hecke(v, r_op),
-                               [value * x for x in v],
+                               _scale(v, value),
                                lambda: f"u Phi B_{n} p_lambda is not an "
                                        f"R_{n}-eigenvector with eigenvalue "
                                        f"{value} for lambda = {lam}, lambda' "
@@ -440,16 +437,16 @@ def check_bstar_kernel_lift(n, q0):
     """u in ker B*_j gives a B*_n-eigenvector m_{(1^j, n-j)} u with
     eigenvalue [n-j]_{q0}, in the regular representation; a failure raises
     CheckFailed naming j, q0, the index of the kernel vector and the first
-    differing index.  Only ker B*_j is taken of a dense matrix."""
+    differing index.  Only ker B*_j is taken of a dense matrix, d B*_j."""
     reg = word_module(Partition((1,) * n), q0)
     for j in range(2, n):
         m_j = m_alpha(Composition([1] * j + [n - j]))
-        value = qint(n - j).eval(q0)
+        value = _value_at(qint(n - j), q0)
         for k, u in enumerate(linalg.left_kernel(
-                reg.hecke_matrix(r2b_embedded(j, n)))):
+                [row for row, _ in reg._hecke_rows(r2b_embedded(j, n))])):
             lifted = reg.apply_hecke(u, m_j)
             _require_equal(reg.apply_hecke(lifted, r2b(n)),
-                           [value * x for x in lifted],
+                           _scale(lifted, value),
                            lambda: f"the lift of kernel vector {k} of B*_{j} "
                                    f"is not a B*_{n}-eigenvector with "
                                    f"eigenvalue [{n - j}]_q for j = {j} at "
@@ -496,7 +493,7 @@ def _require_mallows_rows(n, q0):
                 raise CheckFailed(
                     f"entry ({i}, {j}) of the walk's transition matrix at "
                     f"q0 = {q0} is negative: M_ij = {Fraction(c, d)}")
-    norm = qint(n).eval(q0) ** 2
+    norm = _value_at(qint(n), q0) ** 2
     cols = linalg._times([1] * len(rows), rows, len(rows))
     j = _first_index([x * norm.denominator for x in cols],
                      [d * norm.numerator] * len(cols))
@@ -522,7 +519,7 @@ def check_walk_spectrum(n, q0):
     similar to M / c, so its char poly is sum_k m_k c^-k y^(N-k) for M's,
     sum_k m_k y^(N-k), the one r2r-charpoly computes.  A failure raises
     CheckFailed naming q0 and the first differing coefficient index."""
-    norm = qint(n).eval(q0) ** 2
+    norm = _value_at(qint(n), q0) ** 2
     walk = [c / norm ** k for k, c in enumerate(
         spectra.bruteforce_charpoly(r2r(n), q0))]
     expected = linalg.poly_from_roots(
@@ -541,7 +538,7 @@ def check_second_eigenvalue(n, q0):
     mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
     ordered = sorted(mults, reverse=True)
     second = ordered[1]
-    expect = (qint(n - 2) * qint(n + 1)).eval(q0)
+    expect = _value_at(qint(n - 2) * qint(n + 1), q0)
     if second != expect or mults[second] != n - 1:
         raise CheckFailed(
             f"the second-largest eigenvalue of r2r at n = {n}, q0 = {q0} is "
@@ -600,8 +597,8 @@ def _route_factors(op, n, q0, route):
     """(lam, char poly of op on S^lambda) for each lam |- n on the Specht
     route, else [(None, char poly of op on the regular representation)]."""
     if route == "specht":
-        return [(lam, linalg.charpoly(
-            specht_module(lam, q0).hecke_action_matrix(op)))
+        return [(lam, spectra.charpoly_over(*_at_lcm(
+            specht_module(lam, q0).hecke_action_matrix(op))))
             for lam in partitions_of(n)]
     return [(None, spectra.bruteforce_charpoly(op, q0))]
 

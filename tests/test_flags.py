@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import word_matrix
 from qshuffle import flags, linalg
 from qshuffle.flags import (FlagSpace, UnsupportedSize, flag_count, q_int_at,
                             span, subspace_vectors, verify_commutation,
@@ -43,7 +44,7 @@ def test_gen_matrices_satisfy_hecke_relations_at_p():
     for n, p in [(2, 2), (3, 2), (2, 3)]:
         space = FlagSpace(n, p)
         gens = {i: [[Fraction(x) for x in row]
-                    for row in space.word_matrix((i,))] for i in range(1, n)}
+                    for row in word_matrix(space, (i,))] for i in range(1, n)}
         for i, g in gens.items():
             quad = [[(p - 1) * x + (p if r == c else 0)
                      for c, x in enumerate(row)] for r, row in enumerate(g)]
@@ -190,7 +191,7 @@ def _assert_agrees(space, ref):
         for row, sparse in zip(dense, want):
             for j, c in sparse:
                 row[j] += c
-        assert space.word_matrix((i,)) == dense
+        assert word_matrix(space, (i,)) == dense
     assert space.x_matrix() == ref.x_matrix()
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pathlib
 
-from conftest import regular_matrix
+from conftest import hecke_matrix, regular_matrix
 from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import (HeckeElement, HeckeModule, SizeMismatch,
                             annihilator_check, b2r, b2r_embedded, c_op,
@@ -241,7 +241,7 @@ def test_regular_representation_is_the_word_module_of_one_line_words(n, q0):
     for a in (r2r(n), b2r(n), r2b(n),
               m_alpha(Composition([1] * (n // 2) + [n - n // 2])),
               m_alpha(Composition([n]))):
-        assert own.hecke_matrix(a) == regular_matrix(a, q0)
+        assert hecke_matrix(own, a) == regular_matrix(a, q0)
 
 
 @pytest.mark.parametrize("q0", [0, -1])
@@ -295,10 +295,11 @@ def test_full_sum_of_lengths():
 def test_bstar_kernel_lift_failure_names_j_and_kernel_vector(monkeypatch):
     original, last = linalg.left_kernel, []
 
-    def wrong(matrix):  # perturbs ker B*_2 in H_3 only
+    def wrong(matrix):  # perturbs ker B*_2 in H_3 only, by 1 at index 0
         basis = original(matrix)
         if len(matrix) == 6:
-            basis[-1][0] += 1
+            num, den = basis[-1]
+            num[0] += den
             last.append(len(basis) - 1)
         return basis
 
@@ -401,11 +402,14 @@ def test_jm_commute_failure_names_pair_and_coefficient(monkeypatch):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: hecke._require_equal([1, 2, 3], [1, 5, 3], "v"),
+    (lambda: hecke._require_equal(([1, 2, 3], 1), ([1, 5, 3], 1), "v"),
      "v, first difference at index 1"),
-    (lambda: hecke._require_equal([[1, 2], [3, 4]], [[1, 2], [3, 5]], "m"),
+    (lambda: hecke._require_equal(([[1, 2], [3, 4]], 1),
+                                  ([[1, 2], [3, 5]], 1), "m"),
      "m, first difference at (row, col) (1, 1)"),
-    (lambda: hecke._require_zero([0, 0, 7, 1], "z"),
+    (lambda: hecke._require_equal(([1, 2, 3], 2), ([2, 4, 5], 4), "v"),
+     "v, first difference at index 2"),
+    (lambda: hecke._require_zero(([0, 0, 7, 1], 3), "z"),
      "z, first nonzero index 2")])
 def test_vector_and_matrix_witnesses(call, message):
     with pytest.raises(hecke.CheckFailed) as err:
@@ -414,9 +418,9 @@ def test_vector_and_matrix_witnesses(call, message):
 
 
 def test_equal_vectors_and_zero_pass():
-    assert hecke._require_equal([1, 2], [1, 2], "v") is None
-    assert hecke._require_equal([[1], [2]], [[1], [2]], "m") is None
-    assert hecke._require_zero([0, Fraction(0)], "z") is None
+    assert hecke._require_equal(([1, 2], 3), ([1, 2], 3), "v") is None
+    assert hecke._require_equal(([[1], [2]], 1), ([[1], [2]], 1), "m") is None
+    assert hecke._require_zero(([0, 0], 1), "z") is None
 
 
 def test_callable_wording_is_called_only_on_failure():
@@ -427,14 +431,14 @@ def test_callable_wording_is_called_only_on_failure():
         return "v"
 
     one = HeckeElement.one(2)
-    assert hecke._require_equal([1, 2], [1, 2], what) is None
-    assert hecke._require_zero([0, 0], what) is None
+    assert hecke._require_equal(([1, 2], 1), ([1, 2], 1), what) is None
+    assert hecke._require_zero(([0, 0], 1), what) is None
     assert hecke._require_same(one, one, what) is True
     assert calls == []
     for call, message in (
-            (lambda: hecke._require_equal([1, 2], [1, 3], what),
+            (lambda: hecke._require_equal(([1, 2], 1), ([1, 3], 1), what),
              "v, first difference at index 1"),
-            (lambda: hecke._require_zero([0, 4], what),
+            (lambda: hecke._require_zero(([0, 4], 1), what),
              "v, first nonzero index 1"),
             (lambda: hecke._require_same(one, one.scale(Q), what),
              "v fails in H_2: the coefficient of T_w for w = [1,2] is 1 on "
@@ -542,3 +546,60 @@ def test_disagreeing_eigenvalue_forms_name_the_strip(monkeypatch):
         "CheckFailed: the two forms of E_lambda/mu disagree for lambda = (2), "
         "mu = (2): q^n c_lambda/mu(q) + sum_k q^(n-k) [k]_q = q^2, "
         "sum_k q^(n-k) [content_k + k]_q = 0")
+
+
+def fraction_require_equal(got, want, what):
+    """_require_equal as it was on Fraction vectors and matrices: the
+    oracle for the first index or (row, col) of the form-based one."""
+    if got != want:
+        where = (f"(row, col) {hecke._first_cell(got, want)}"
+                 if got and isinstance(got[0], list)
+                 else f"index {hecke._first_index(got, want)}")
+        raise hecke.CheckFailed(f"{what}, first difference at {where}")
+
+
+def fraction_require_zero(v, what):
+    j = next((j for j, x in enumerate(v) if x), None)
+    if j is not None:
+        raise hecke.CheckFailed(f"{what}, first nonzero index {j}")
+
+
+def raised(call):
+    try:
+        call()
+    except hecke.CheckFailed as exc:
+        return str(exc)
+    return None
+
+
+def matrix_form(rows):
+    """The reduced form (integer rows, den) of a Fraction matrix, read as
+    one vector."""
+    num, den = linalg._ints([x for row in rows for x in row])
+    width = len(rows[0])
+    return [num[i:i + width] for i in range(0, len(num), width)], den
+
+
+small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_form_witnesses_name_the_fraction_index(rows, cols, data):
+    # equal values give equal reduced forms, and a difference is named at
+    # the index, or (row, col), where the Fraction versions name it
+    a = data.draw(st.lists(small, min_size=rows * cols,
+                           max_size=rows * cols))
+    changed = data.draw(st.dictionaries(st.integers(0, rows * cols - 1),
+                                        small, max_size=2))
+    b = [changed.get(i, x) for i, x in enumerate(a)]
+    assert raised(lambda: hecke._require_equal(
+        linalg._ints(a), linalg._ints(b), "v")) == raised(
+        lambda: fraction_require_equal(a, b, "v"))
+    assert raised(lambda: hecke._require_zero(linalg._ints(a), "z")) \
+        == raised(lambda: fraction_require_zero(a, "z"))
+    ma = [a[i:i + cols] for i in range(0, len(a), cols)]
+    mb = [b[i:i + cols] for i in range(0, len(b), cols)]
+    assert raised(lambda: hecke._require_equal(
+        matrix_form(ma), matrix_form(mb), "m")) == raised(
+        lambda: fraction_require_equal(ma, mb, "m"))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qshuffle import linalg, markov, spectra
 from qshuffle.flags import FlagSpace
-from conftest import regular_matrix
+from conftest import regular_matrix, word_matrix
 from qshuffle.hecke import b2r, r2b, r2r
 from qshuffle.seminormal import word_module
 from qshuffle.tableaux import enumerate_syt, partitions_of
@@ -95,30 +95,40 @@ def test_rref_known():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     reduced, pivots = linalg.rref(m)
     assert pivots == [0, 1]
-    assert reduced[0] == [F(1), F(0), F(1)]
-    assert reduced[1] == [F(0), F(1), F(1)]
+    assert reduced[0] == ([1, 0, 1], 1)
+    assert reduced[1] == ([0, 1, 1], 1)
+    assert reduced[2] == ([0, 0, 0], 1)
+    thirds = [[Fraction(2, 3), Fraction(4, 3)]]
+    assert linalg.rref(thirds) == ([([1, 2], 1)], [0])
+    assert linalg.rref([[0, 6, -4]]) == ([([0, 3, -2], 3)], [1])
     assert linalg.rank(m) == 2
 
 
 @given(square_matrices(3, 3))
 def test_kernel_annihilates(m):
-    for k in linalg.kernel(m):
-        assert all(sum(m[i][j] * k[j] for j in range(3)) == 0
+    for num, den in linalg.kernel(m):
+        assert all(sum(m[i][j] * num[j] for j in range(3)) == 0
                    for i in range(3))
+        assert den > 0 and math.gcd(den, *num) == 1
     assert len(linalg.kernel(m)) == 3 - linalg.rank(m)
 
 
 @given(square_matrices(3, 3))
 def test_left_kernel_annihilates(m):
-    for k in linalg.left_kernel(m):
-        assert linalg.vec_mat(k, m) == [F(0)] * 3
-        assert any(k)
+    for num, den in linalg.left_kernel(m):
+        assert linalg.vec_mat(num, m) == [F(0)] * 3
+        assert any(num) and den > 0 and math.gcd(den, *num) == 1
 
 
 def test_solve_in_span():
-    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert linalg.solve_in_span(rows, [F(2), F(3), F(5)]) == [F(2), F(3)]
-    assert linalg.solve_in_span(rows, [F(0), F(0), F(1)]) is None
+    rows = [linalg._ints(r) for r in ([F(1), F(0), F(1)], [F(0), F(1), F(1)])]
+    assert linalg.solve_in_span(rows, ([2, 3, 5], 1)) == ([2, 3], 1)
+    assert linalg.solve_in_span(rows, ([0, 0, 1], 1)) is None
+    # x (1, 0, 1) / 2 + y (0, 1, 1) = (1, 3, 4) / 3: x = 2/3, y = 1
+    halves = [([1, 0, 1], 2), ([0, 1, 1], 1)]
+    assert linalg.solve_in_span(halves, ([1, 3, 4], 3)) == ([2, 3], 3)
+    assert linalg.solve_in_span([], ([0, 0], 1)) == ([], 1)
+    assert linalg.solve_in_span([], ([0, 1], 1)) is None
 
 
 def test_charpoly_known_2x2():
@@ -365,6 +375,31 @@ def test_vec_mat_matches_fraction_oracle(rows, cols, data):
         [Fraction(3, 2) * x for x in row] for row in m]
 
 
+@given(st.lists(entries, min_size=1, max_size=6), st.integers(1, 60),
+       st.data())
+def test_reduced_form_is_unique(v, k, data):
+    # (k num, k den) reduces to the form of v for every k > 0, two forms
+    # are equal exactly when their Fraction vectors are, and each form
+    # helper gives the reduced form of its Fraction result
+    form = linalg._ints(v)
+    num, den = form
+    assert all_reduced_forms([form]) and linalg._fractions(num, den) == v
+    assert linalg._reduce([k * x for x in num], k * den) == form
+    changed = data.draw(st.dictionaries(st.integers(0, len(v) - 1), entries,
+                                        max_size=2))
+    w = [changed.get(i, x) for i, x in enumerate(v)]
+    assert (linalg._ints(w) == form) == (w == v)
+    c, a, b = data.draw(st.tuples(entries, entries, entries))
+    scaled = linalg._scale(form, c)
+    assert all_reduced_forms([scaled])
+    assert scaled == linalg._ints([c * x for x in v])
+    both = linalg._combine(linalg._ints([a, b]), [form, linalg._ints(w)])
+    assert all_reduced_forms([both]) and both == linalg._ints(
+        [a * x + b * y for x, y in zip(v, w)])
+    ratios = [(k * x.numerator, k * x.denominator) for x in v]
+    assert linalg._form(ratios) == form
+
+
 roots = st.lists(st.tuples(st.one_of(st.integers(-5, 5), entries),
                            st.integers(1, 3)), max_size=4)
 
@@ -455,26 +490,44 @@ def all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
 
+def all_reduced_forms(forms):
+    """Each (num, den) has int entries, den > 0 and gcd(den, *num) = 1."""
+    return all(type(den) is int and den > 0 and math.gcd(den, *num) == 1
+               and all(type(x) is int for x in num) for num, den in forms)
+
+
+def form_rref(matrix):
+    """fraction_rref, on the entries as Fractions, with each reduced row
+    read as its reduced form: the oracle for linalg.rref, whose rows are
+    forms."""
+    reduced, pivots = fraction_rref([[Fraction(x) for x in row]
+                                     for row in matrix])
+    return [linalg._ints(row) for row in reduced], pivots
+
+
 def kernel_results(m):
     """Everything linalg derives from rref, on m and on two right-hand
-    sides: the sum of the rows (always solvable) and the last unit vector."""
+    sides: the sum of the rows (always solvable) and the last unit vector,
+    each solved against the rows' reduced forms."""
     cols = len(m[0])
     unit = [Fraction(0)] * (cols - 1) + [Fraction(1)]
     row_sum = [sum(col, Fraction(0)) for col in zip(*m)]
+    forms = [linalg._ints(row) for row in m]
     return (linalg.rref(m), linalg.rank(m), linalg.kernel(m),
-            linalg.left_kernel(m), linalg.solve_in_span(m, row_sum),
-            linalg.solve_in_span(m, unit))
+            linalg.left_kernel(m),
+            linalg.solve_in_span(forms, linalg._ints(row_sum)),
+            linalg.solve_in_span(forms, linalg._ints(unit)))
 
 
 def assert_rref_matches_oracle(m):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "rref", fraction_rref)
+        patch.setattr(linalg, "rref", form_rref)
         expect = kernel_results(m)
     got = kernel_results(m)
     assert got == expect
     (reduced, _), _, kern, left, in_span, unit = got
-    assert all_fractions(reduced + kern + left + [in_span]
-                         + ([unit] if unit is not None else []))
+    assert all_reduced_forms(reduced + kern + left + [in_span]
+                             + ([unit] if unit is not None else []))
 
 
 def assert_mat_mul_matches_oracle(a, b):
@@ -555,8 +608,8 @@ def test_rref_negative_pivots_and_mixed_denominators():
          [Fraction(-2, 3), Fraction(1, 2), F(0)],
          [Fraction(-4, 3), Fraction(-1, 2), Fraction(5, 3)]]
     reduced, pivots = linalg.rref(m)
-    assert (reduced, pivots) == fraction_rref(m)
-    assert pivots == [0, 1] and reduced[2] == [F(0)] * 3
+    assert (reduced, pivots) == form_rref(m)
+    assert pivots == [0, 1] and reduced[2] == ([0, 0, 0], 1)
     assert_rref_matches_oracle(m)
 
 
@@ -579,7 +632,7 @@ def test_integer_kernels_on_regular_rep(op, factored, q0):
 def test_integer_kernels_on_word_modules(q0):
     for lam in partitions_of(3):
         wm = word_module(lam, q0)
-        mats = [wm.word_matrix((i,)) for i in range(1, 3)]
+        mats = [word_matrix(wm, (i,)) for i in range(1, 3)]
         mats += [idempotent_matrix(wm, t) for t in enumerate_syt(lam)]
         for a in mats:
             assert_rref_matches_oracle(a)

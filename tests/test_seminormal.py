@@ -1,13 +1,14 @@
 import collections
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
-from qshuffle.linalg import _fractions, _ints, _times
-from qshuffle.qpoly import qint
+from qshuffle.linalg import _fractions, _ints, _scale, _times
+from qshuffle.qpoly import LaurentPoly, qint
 from qshuffle.symmetric import Composition
 from qshuffle.spectra import kernel_basis
 from qshuffle import seminormal
@@ -18,8 +19,10 @@ from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
 from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
                                horizontal_strips, partitions_of, superstandard)
 from qshuffle.verify import (CheckFailed, check_dominance_vanishing,
-                             check_idempotents, check_phi_morphism,
-                             check_projection_compat, check_seminormal_action,
+                             check_idempotents, check_one_step_recursion,
+                             check_phi_morphism, check_projection_compat,
+                             check_seminormal_action, check_straightening,
+                             check_strip_vanishing,
                              check_word_module_relations, run_suite,
                              sub_partitions)
 
@@ -57,14 +60,19 @@ def test_word_action_three_cases():
     q = Fraction(2)
     # equal letters: fixed up to scaling by q
     v = wm.basis_vector((1, 1, 2))
-    assert wm.apply_gen(v, 1) == [q * x for x in v]
+    assert v == ([1, 0, 0], 1)
+    assert wm.apply_gen(v, 1) == ([2, 0, 0], 1) == _scale(v, q)
     # increasing pair: plain swap
     assert wm.apply_gen(v, 2) == wm.basis_vector((1, 2, 1))
     # decreasing pair: q * swap + (q-1) * original
     w = wm.basis_vector((2, 1, 1))
     expect = [q * a + (q - 1) * b
-              for a, b in zip(wm.basis_vector((1, 2, 1)), w)]
-    assert wm.apply_gen(w, 1) == expect
+              for a, b in zip(_fractions(*wm.basis_vector((1, 2, 1))),
+                              _fractions(*w))]
+    assert wm.apply_gen(w, 1) == _ints(expect)
+    # at q = 1/2 the same swap is the reduced form of (1/2, 0, -1/2)
+    half = WordModuleRep(Partition((2, 1)), Fraction(1, 2))
+    assert half.apply_gen(w, 1) == ([0, 1, -1], 2)
 
 
 @pytest.mark.parametrize("q0", Q_VALUES)
@@ -112,8 +120,9 @@ def mat_mul(a, b):
 
 
 def matrix_of(wm, apply_fn):
-    """The dense matrix whose row r is apply_fn(e_r) on the word module."""
-    return [apply_fn(wm.basis_vector(word)) for word in wm.basis]
+    """The dense Fraction matrix whose row r is apply_fn(e_r) on the word
+    module, apply_fn mapping reduced forms to reduced forms."""
+    return [_fractions(*apply_fn(wm.basis_vector(word))) for word in wm.basis]
 
 
 def jm_matrix(wm, m):
@@ -156,7 +165,7 @@ def test_units_are_independent():
     for parts in [(2, 1), (2, 2), (3, 1), (2, 1, 1)]:
         rep = SpechtRep(Partition(parts), Fraction(2))
         assert rep.dim == f_lambda(rep.lam)
-        assert linalg.rank(rep.units) == rep.dim
+        assert linalg.rank([num for num, _ in rep.units]) == rep.dim
 
 
 def test_gen_matrices_satisfy_quadratic_relation():
@@ -164,7 +173,8 @@ def test_gen_matrices_satisfy_quadratic_relation():
     rep = SpechtRep(Partition((2, 2)), q0)
     eye = identity(rep.dim)
     for i in range(1, 4):
-        g = rep.hecke_action_matrix(HeckeElement.t_word([i], 4))
+        g = [_fractions(*row) for row in rep.hecke_action_matrix(
+            HeckeElement.t_word([i], 4))]
         assert mat_mul(g, g) == [
             [(q0 - 1) * x + q0 * e for x, e in zip(row, eye_row)]
             for row, eye_row in zip(g, eye)]
@@ -178,9 +188,9 @@ def test_kernel_vector_of_column_shape():
     v = [Fraction(0)] * wm.dim
     v[wm.index[(1, 2)]] = q0
     v[wm.index[(2, 1)]] = Fraction(-1)
-    assert wm.apply_hecke(v, r2r(2)) == [Fraction(0), Fraction(0)]
+    assert wm.apply_hecke(_ints(v), r2r(2)) == ([0, 0], 1)
     # and it is proportional to the seminormal unit
-    assert linalg.rank([v, rep.units[0]]) == 1
+    assert linalg.rank([v, rep.units[0][0]]) == 1
 
 
 def test_jm_diagonal_on_units():
@@ -189,8 +199,8 @@ def test_jm_diagonal_on_units():
     for t, unit in zip(rep.tableaux, rep.units):
         for m in range(1, 4):
             expect = qint(t.content_of(m)).eval(q0)
-            assert rep.word_module.apply_jm(unit, m) == [expect * x
-                                                         for x in unit]
+            assert _fractions(*rep.word_module.apply_jm(unit, m)) == [
+                expect * x for x in _fractions(*unit)]
 
 
 def test_phi_map_suffix():
@@ -227,13 +237,15 @@ def test_projection_compat(n, q0):
 def test_empty_shape_module():
     rep = SpechtRep(Partition(()), Fraction(2))
     assert rep.dim == 1
-    assert rep.units == [[Fraction(1)]]
+    assert rep.units == [([1], 1)]
 
 
 def full_product_idempotent(wm, v, t):
-    """v . p_t by the full interpolation product: entry m runs over every
-    content a cell holding m could have, 1-m..m-1 (0 dropped for m = 2, 3).
-    The reference for the restricted product of apply_idempotent."""
+    """v . p_t by the full interpolation product, in Fractions, for the
+    reduced form v: entry m runs over every content a cell holding m could
+    have, 1-m..m-1 (0 dropped for m = 2, 3).  The reference for the
+    restricted product of apply_idempotent; returns the reduced form."""
+    v = _fractions(*v)
     for m in range(t.shape.inner.size + 1, t.n + 1):
         cm = t.content_of(m)
         cm_val = qint(cm).eval(wm.q0)
@@ -241,10 +253,10 @@ def full_product_idempotent(wm, v, t):
             if d == cm or (d == 0 and m in (2, 3)):
                 continue
             d_val = qint(d).eval(wm.q0)
-            jv = wm.apply_jm(v, m)
+            jv = _fractions(*wm.apply_jm(_ints(v), m))
             v = [(jv[j] - d_val * v[j]) / (cm_val - d_val)
                  for j in range(wm.dim)]
-    return v
+    return _ints(v)
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])
@@ -323,8 +335,8 @@ def test_factor_schedules_match_the_per_vector_loop(n, q0):
             d = math.lcm(*(den for _, den in rows))
             assert wm.idempotent_int_matrix(t) == (
                 d, [[x * (d // den) for x in num] for num, den in rows])
-            want = _fractions(*per_vector_idempotent(wm, *_ints(mixed), t))
-            assert wm.apply_idempotent(mixed, t) == want, (lam, t)
+            want = per_vector_idempotent(wm, *_ints(mixed), t)
+            assert wm.apply_idempotent(_ints(mixed), t) == want, (lam, t)
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])
@@ -388,7 +400,7 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         fresh = WordModuleRep(lam, q0)
         assert wm.basis == fresh.basis
         for i in range(1, lam.size):
-            assert wm.word_matrix((i,)) == fresh.word_matrix((i,))
+            assert wm.word_rows((i,)) == fresh.word_rows((i,))
         for m in range(1, lam.size + 1):
             assert jm_matrix(wm, m) == jm_matrix(fresh, m)
     for (lam, q0), rep in memo_table(specht_module).items():
@@ -413,7 +425,7 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
         "qshuffle.hecke.jucys_murphy_scaled", "qshuffle.hecke._jucys_murphy",
-        "qshuffle.hecke._PAIRS",
+        "qshuffle.hecke._PAIRS", "qshuffle.hecke._value_at",
         "qshuffle.spectra.spectrum_table",
         "qshuffle.spectra.eigenvalue_formula"}
     assert [name for name, table in saved.items() if not table] == []
@@ -475,6 +487,52 @@ def test_each_element_is_built_once_per_module(monkeypatch):
     assert jm <= {elem for _, elem in builds}
 
 
+def test_each_coefficient_is_evaluated_once_per_q(monkeypatch):
+    # a warm run at n = 4 and four q evaluates each (polynomial, q0) pair
+    # once: every module and check reads its values from hecke._value_at
+    assert all(r.passed for r in run_suite(4, Q_VALUES))
+    calls = collections.Counter()
+    original = LaurentPoly.eval
+
+    def counted(self, q0):
+        calls[self, Fraction(q0)] += 1
+        return original(self, q0)
+
+    monkeypatch.setattr(LaurentPoly, "eval", counted)
+    assert all(r.passed for r in run_suite(4, Q_VALUES))
+    assert calls and max(calls.values()) == 1
+    assert len(calls) == len(memo_table(hecke._value_at))
+
+
+def test_form_checks_build_no_fraction_vector(monkeypatch):
+    # between a module action and its comparison every vector stays a
+    # reduced integer form: no linalg._fractions call, in any qshuffle
+    # namespace that binds it, once the shared modules are built, nor in a
+    # whole passing run
+    q0 = Fraction(7, 5)
+    assert all(r.passed for r in run_suite(3, [q0]))
+    calls, original = [], linalg._fractions
+
+    def counted(num, den):
+        calls.append(den)
+        return original(num, den)
+
+    bound = [name for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "qshuffle"
+             and vars(module).get("_fractions") is original]
+    assert {"qshuffle.linalg", "qshuffle.spectra"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "_fractions", counted)
+    for check in (check_seminormal_action, check_phi_morphism,
+                  check_dominance_vanishing, check_projection_compat,
+                  check_straightening, check_strip_vanishing,
+                  check_one_step_recursion):
+        assert check(3, q0) is True
+    assert calls == []
+    assert all(r.passed for r in run_suite(3, [q0]))
+    assert calls == []
+
+
 def test_idempotent_failure_names_shape_tableau_and_q(monkeypatch):
     lam, bad = Partition((2, 1)), superstandard(Partition((2, 1)))
     original = WordModuleRep.idempotent_int_matrix
@@ -531,7 +589,8 @@ def fraction_check_idempotents(n, q0):
         if trace != f_lambda(lam):
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
                               f"= {f_lambda(lam)}, {where}")
-        for t, unit in zip(rep.tableaux, rep.units):
+        for t, form in zip(rep.tableaux, rep.units):
+            unit = _fractions(*form)
             image = linalg.vec_mat(unit, total)
             if image != unit:
                 index = next(i for i, (x, y) in enumerate(zip(image, unit))
@@ -540,12 +599,13 @@ def fraction_check_idempotents(n, q0):
                     f"w_t p_lambda = w_t fails for t = {t} {where}, first "
                     f"difference at index {index}")
     reg = verify.word_module(Partition((1,) * n), q0)
-    unit = reg.basis_vector(reg.basis[0])
+    form = reg.basis_vector(reg.basis[0])
+    unit = _fractions(*form)
     total = [Fraction(0)] * reg.dim
     for mu in partitions_of(n):
         for t in enumerate_syt(mu):
-            total = [x + y for x, y in zip(total, reg.apply_idempotent(unit,
-                                                                       t))]
+            total = [x + y for x, y in zip(
+                total, _fractions(*reg.apply_idempotent(form, t)))]
     if total != unit:
         index = next(i for i, (x, y) in enumerate(zip(total, unit)) if x != y)
         raise CheckFailed(f"sum of p_t over all tableaux of size {n} = 1 fails "
@@ -696,11 +756,11 @@ def test_completeness_holds_at_n5(q0):
 def test_projection_compat_failure_names_strip_and_q(monkeypatch):
     original = WordModuleRep.apply_p_lambda
 
-    def wrong(self, v):
-        out = original(self, v)
+    def wrong(self, v):  # 1 added at index 1: den added to its numerator
+        num, den = original(self, v)
         if self.lam == Partition((2, 1)):
-            out[1] += 1
-        return out
+            num[1] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_p_lambda", wrong)
     with pytest.raises(CheckFailed) as err:
@@ -738,11 +798,11 @@ def test_seminormal_action_failure_names_tableau_index_and_q(monkeypatch,
     lam = Partition((2, 1))
     original = getattr(WordModuleRep, site)
 
-    def wrong(self, v, k):
-        out = original(self, v, k)
+    def wrong(self, v, k):  # 1 added at index 1: den added to its numerator
+        num, den = original(self, v, k)
         if self.lam == lam and k == (2 if site == "apply_jm" else 1):
-            out[1] += 1
-        return out
+            num[1] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, site, wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
@@ -756,11 +816,11 @@ def test_dominance_vanishing_failure_names_both_tableaux(monkeypatch):
     lam = Partition((2, 1))
     original = WordModuleRep.apply_idempotent
 
-    def wrong(self, v, t):
-        out = original(self, v, t)
+    def wrong(self, v, t):  # 1 added at index 2: den added to its numerator
+        num, den = original(self, v, t)
         if self.lam == lam:
-            out[2] += 1
-        return out
+            num[2] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
@@ -774,11 +834,11 @@ def test_dominance_vanishing_failure_names_both_tableaux(monkeypatch):
 def test_phi_morphism_failure_names_shapes_tableau_and_q(monkeypatch):
     lam, mu, original = Partition((2, 1)), Partition((1, 1)), verify.phi_apply
 
-    def wrong(v, rep_mu, rep_lam, t):  # Phi_t from W^(1,1) to W^(2,1) only
-        out = original(v, rep_mu, rep_lam, t)
+    def wrong(v, rep_mu, rep_lam, t):  # Phi_t from W^(1,1) to W^(2,1) only,
+        num, den = original(v, rep_mu, rep_lam, t)  # 1 added at index 0
         if rep_mu.lam == mu and rep_lam.lam == lam:
-            out[0] += 1
-        return out
+            num[0] += den
+        return num, den
 
     monkeypatch.setattr(verify, "phi_apply", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qshuffle import linalg, spectra
+from qshuffle.linalg import _fractions
 from conftest import regular_matrix
 from qshuffle.hecke import HeckeModule, b2r, clear_module_cache, r2b, r2r
 from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
@@ -156,7 +157,8 @@ def specht_spectrum(lam, q0):
     out = spectra.spectrum_at([(eigenvalue_formula(lam, mu), d_mu(mu))
                                for mu in horizontal_strips(lam) if d_mu(mu)],
                               q0)
-    mat = specht_module(lam, q0).hecke_action_matrix(r2r(lam.size))
+    mat = [_fractions(*row) for row in
+           specht_module(lam, q0).hecke_action_matrix(r2r(lam.size))]
     assert linalg.charpoly(mat) == linalg.poly_from_roots(out.items())
     return out
 
@@ -282,8 +284,8 @@ def _jordan_block(original):
             spectra.r2r_charpoly_factored(self.n), self.q0).items() if m > 1)
         shifted = [[x - value * (i == j) for j, x in enumerate(row)]
                    for i, row in enumerate(mat)]
-        x = linalg.kernel(shifted)[0]
-        y1, y2 = linalg.left_kernel(shifted)[:2]
+        x = _fractions(*linalg.kernel(shifted)[0])
+        y1, y2 = (_fractions(*y) for y in linalg.left_kernel(shifted)[:2])
         c1, c2 = (sum(a * b for a, b in zip(y, x)) for y in (y1, y2))
         y = y1 if c1 == 0 else [b - c2 / c1 * a for a, b in zip(y1, y2)]
         return linalg._int_rows([[(j, e + x[i] * y[j]) for j, e in
@@ -351,11 +353,11 @@ def test_diagonalizable_multiplicity_failure_names_q_and_coefficient(
 def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
     lam, original = P(2, 1), WordModuleRep.apply_p_lambda
 
-    def wrong(self, v, shape=None):  # only W^(2,1): the R_2 basis is intact
-        out = original(self, v, shape)
+    def wrong(self, v, shape=None):  # only W^(2,1): the R_2 basis is intact;
+        num, den = original(self, v, shape)  # 1 added at index 1
         if self.lam == lam:
-            out[1] += 1
-        return out
+            num[1] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_p_lambda", wrong)
     with pytest.raises(CheckFailed) as err:
@@ -370,11 +372,11 @@ def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
 def test_strip_vanishing_failure_names_strip_tableaux_and_q(monkeypatch):
     lam, original = P(1, 1, 1), spectra.apply_c_op
 
-    def wrong(rep, v, j):  # u Phi_t C_1 off the kernel of p_(1,1,1)
-        out = original(rep, v, j)
+    def wrong(rep, v, j):  # u Phi_t C_1 off the kernel of p_(1,1,1), by 1
+        num, den = original(rep, v, j)  # at index 0
         if rep.lam == lam and j == 1:
-            out[0] += 1
-        return out
+            num[0] += den
+        return num, den
 
     monkeypatch.setattr(spectra, "apply_c_op", wrong)
     with pytest.raises(CheckFailed) as err:
@@ -389,11 +391,11 @@ def test_strip_vanishing_failure_names_strip_tableaux_and_q(monkeypatch):
 def test_eigenbasis_failure_names_strip_vector_and_q(monkeypatch):
     lam, original = P(2, 1), WordModuleRep.apply_p_lambda
 
-    def wrong(self, v, shape=None):  # only W^(2,1) leaves its eigenspaces
-        out = original(self, v, shape)
+    def wrong(self, v, shape=None):  # only W^(2,1) leaves its eigenspaces,
+        num, den = original(self, v, shape)  # by 1 at index 1
         if self.lam == lam:
-            out[1] += 1
-        return out
+            num[1] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_p_lambda", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
@@ -425,11 +427,11 @@ def test_straightening_failure_names_shapes_tableaux_and_q(monkeypatch):
     bad = next(t for t in enumerate_syt(lam) if t != superstandard(lam))
     original = WordModuleRep.apply_idempotent
 
-    def wrong(self, v, t):  # p_t moved for one tableau of W^(2,1) only
-        out = original(self, v, t)
+    def wrong(self, v, t):  # p_t moved for one tableau of W^(2,1) only,
+        num, den = original(self, v, t)  # by 1 at index 0
         if self.lam == lam and t == bad:
-            out[0] += 1
-        return out
+            num[0] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
@@ -448,11 +450,11 @@ def test_unstable_unit_span_names_shape_q_and_tableau(monkeypatch):
     bad = next(t for t in enumerate_syt(lam) if t != superstandard(lam))
     original = WordModuleRep.apply_idempotent
 
-    def wrong(self, v, t):
-        out = original(self, v, t)
+    def wrong(self, v, t):  # 1 added at index 0
+        num, den = original(self, v, t)
         if self.lam == lam and t == bad:
-            out[0] += 1
-        return out
+            num[0] += den
+        return num, den
 
     monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
