@@ -5,6 +5,7 @@ Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage error.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -13,13 +14,15 @@ import sys
 import time
 from fractions import Fraction
 
-import click
-
 from . import __version__, flags as flags_mod, markov, spectra
 from .hecke import CheckFailed
 from .seminormal import InadmissibleQ, check_admissible
 from .tableaux import Partition
 from .verify import run_suite
+
+
+class UsageError(Exception):
+    """A command line or config the CLI refuses: one Error: line, exit 2."""
 
 
 # The largest numerator and denominator a q may have.  The exact values
@@ -39,10 +42,10 @@ def _parse_q(text):
         try:
             q0 = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise click.UsageError(f"bad rational {text!r}: {exc}")
+            raise UsageError(f"bad rational {text!r}: {exc}")
         if abs(q0.numerator) <= Q_MAX and q0.denominator <= Q_MAX:
             return q0
-    raise click.UsageError(
+    raise UsageError(
         f"q = {text} is out of range: its numerator and denominator must "
         f"each be at most {Q_MAX:,} in absolute value")
 
@@ -59,13 +62,13 @@ def _parse_q_list(text):
     Q_LIST_MAX of them."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if len(parts) > Q_LIST_MAX:
-        raise click.UsageError(f"{len(parts)} q values given; a run takes "
-                               f"at most {Q_LIST_MAX}")
+        raise UsageError(f"{len(parts)} q values given; a run takes "
+                         f"at most {Q_LIST_MAX}")
     values = {}
     for part in parts:
         q0 = _parse_q(part)
         if q0 in values:
-            raise click.UsageError(f"q = {part} repeats q = {values[q0]}")
+            raise UsageError(f"q = {part} repeats q = {values[q0]}")
         values[q0] = part
     return list(values)
 
@@ -75,11 +78,16 @@ def _parse_partition(text):
         parts = tuple(int(p) for p in text.strip("() ").split(",") if p.strip())
         return Partition(parts)
     except ValueError as exc:
-        raise click.UsageError(f"bad partition {text!r}: {exc}")
+        raise UsageError(f"bad partition {text!r}: {exc}")
 
 
 def _partition_str(p):
     return "(" + ",".join(str(x) for x in p.parts) + ")"
+
+
+# The keys a config file may set: verify's default --q list, and the
+# directory that relative --output and --csv paths are written under.
+_CONFIG_KEYS = ("q", "output_dir")
 
 
 def _load_config(path):
@@ -90,45 +98,35 @@ def _load_config(path):
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read config {path}: "
-                               f"{getattr(exc, 'strerror', None) or exc}")
+        raise UsageError(f"cannot read config {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}")
     for line in lines:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise click.UsageError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise UsageError(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r} in {path}; the "
+                             f"known keys are {', '.join(_CONFIG_KEYS)}")
+        out[key] = value
     return out
 
 
-def _emit(ctx, text, output):
+def _emit(config, text, output):
     if output:
-        prefix = ctx.obj.get("output_dir")
+        prefix = config.get("output_dir")
         if prefix and not output.startswith("/"):
             output = f"{prefix}/{output}"
         try:
             with open(output, "w") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise click.UsageError(
+            raise UsageError(
                 f"cannot write {output}: {exc.strerror or exc}")
     else:
-        click.echo(text, nl=False)
-
-
-@click.group()
-@click.version_option(__version__, prog_name="qshuffle")
-@click.option("--config", type=click.Path(exists=True), default=None,
-              help="Optional key=value file pinning defaults (q, output_dir).")
-@click.pass_context
-def main(ctx, config):
-    """Exact spectrum and verification tools for the q-random-to-random
-    shuffle on the Hecke algebra."""
-    # exact values may have more digits than int -> str allows by default
-    sys.set_int_max_str_digits(0)
-    ctx.obj = _load_config(config)
+        sys.stdout.write(text)
 
 
 # -- spectrum ----------------------------------------------------------
@@ -161,18 +159,10 @@ def spectrum_csv(n, all_rows):
     return buf.getvalue()
 
 
-@main.command()
-@click.option("--n", "n", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "md"]),
-              default="md", show_default=True)
-@click.option("--all-rows", is_flag=True,
-              help="Include multiplicity-0 strip rows (json/csv only).")
-@click.option("--output", default=None, help="Write to a file instead of stdout.")
-@click.pass_context
-def spectrum(ctx, n, fmt, all_rows, output):
+def spectrum(config, n, fmt, all_rows, output):
     """Closed-form eigenvalue table indexed by horizontal strips."""
     if n < 1 or n > 8:
-        raise click.UsageError("supported range: 1 <= n <= 8")
+        raise UsageError("supported range: 1 <= n <= 8")
     if fmt == "md":
         text = spectrum_markdown(n)
     elif fmt == "csv":
@@ -181,25 +171,15 @@ def spectrum(ctx, n, fmt, all_rows, output):
         rows = [r.to_json() for r in spectra.spectrum_table(n)
                 if all_rows or r.multiplicity]
         text = json.dumps({"n": n, "rows": rows}, indent=2) + "\n"
-    _emit(ctx, text, output)
+    _emit(config, text, output)
 
 
 # -- charpoly ----------------------------------------------------------
 
-@main.command()
-@click.option("--op", "op_name", type=click.Choice(["r2r", "b2r", "r2b"]),
-              default="r2r", show_default=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--q", "q_text", default=None,
-              help="Evaluate at an exact rational instead of symbolically.")
-@click.option("--bruteforce", is_flag=True,
-              help="Also compute the regular-representation char poly and "
-                   "compare (requires --q, n <= 5).")
-@click.pass_context
-def charpoly(ctx, op_name, n, q_text, bruteforce):
+def charpoly(config, op_name, n, q_text, bruteforce):
     """Factored characteristic polynomial of a shuffle element."""
     if n < 1 or n > 8:
-        raise click.UsageError("supported range: 1 <= n <= 8")
+        raise UsageError("supported range: 1 <= n <= 8")
     if op_name == "r2r":
         factored = spectra.r2r_charpoly_factored(n)
     else:
@@ -212,51 +192,42 @@ def charpoly(ctx, op_name, n, q_text, bruteforce):
         try:
             check_admissible(q0, n)
         except InadmissibleQ as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         report["q"] = str(q0)
         roots = spectra.spectrum_at(factored, q0)
         report["eigenvalues_at_q"] = {str(v): m for v, m in roots.items()}
     if bruteforce:
         if q_text is None:
-            raise click.UsageError("--bruteforce needs --q")
+            raise UsageError("--bruteforce needs --q")
         if n > 5:
-            raise click.UsageError("--bruteforce supports n <= 5")
+            raise UsageError("--bruteforce supports n <= 5")
         from .hecke import b2r, r2b, r2r
         op = {"r2r": r2r, "b2r": b2r, "r2b": r2b}[op_name](n)
         oracle = spectra.bruteforce_charpoly(op, q0)
         from . import linalg
         report["oracle_agrees"] = (
             oracle == linalg.poly_from_roots(roots.items()))
-    click.echo(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2))
     if bruteforce and not report["oracle_agrees"]:
         sys.exit(1)
 
 
 # -- verify ------------------------------------------------------------
 
-@main.command(name="verify")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--q", "q_text", default=None,
-              help="Comma-separated rationals (default 2,3,1/2,7/5).")
-@click.option("--route", type=click.Choice(["regular", "specht"]),
-              default=None,
-              help="Char-poly oracle route (default: regular for n <= 4, "
-                   "specht for n = 5).")
-@click.pass_context
-def verify_cmd(ctx, n, q_text, route):
+def verify_cmd(config, n, q_text, route):
     """Run every invariant check for one n; exit 0 iff all pass."""
     if n < 1 or n > 5:
-        raise click.UsageError("verification supports 1 <= n <= 5")
+        raise UsageError("verification supports 1 <= n <= 5")
     if q_text is None:
-        q_text = ctx.obj.get("q", "2,3,1/2,7/5")
+        q_text = config.get("q", "2,3,1/2,7/5")
     q_values = _parse_q_list(q_text)
     if not q_values:
-        raise click.UsageError("empty q list")
+        raise UsageError("empty q list")
     for q0 in q_values:
         try:
             check_admissible(q0, n)
         except InadmissibleQ as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
     if route is None:
         route = "specht" if n >= 5 else "regular"
     start = time.perf_counter()
@@ -272,61 +243,48 @@ def verify_cmd(ctx, n, q_text, route):
             "checks certify only the listed exact rational points and are "
             "not a proof of the general-q statements."),
     }
-    click.echo(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2))
     if not report["all_passed"]:
         sys.exit(1)
 
 
 # -- eigvectors --------------------------------------------------------
 
-@main.command()
-@click.option("--lam", "lam_text", required=True,
-              help='Partition, e.g. "3,1".')
-@click.option("--q", "q_text", default="2", show_default=True)
-@click.pass_context
-def eigvectors(ctx, lam_text, q_text):
+def eigvectors(config, lam_text, q_text):
     """Recursive eigenvector basis of one Specht module as JSON."""
     lam = _parse_partition(lam_text)
     if lam.size > 6:
-        raise click.UsageError("eigenvector construction supports |lambda| "
-                               "<= 6")
+        raise UsageError("eigenvector construction supports |lambda| <= 6")
     q0 = _parse_q(q_text)
     if q0 <= 0:
-        raise click.UsageError("eigenvector construction needs q > 0")
+        raise UsageError("eigenvector construction needs q > 0")
     try:
         check_admissible(q0, max(lam.size, 1))
         records = spectra.build_eigenbasis(lam, q0)
     except InadmissibleQ as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     out = {"lambda": lam.to_json(), "q": str(q0),
            "records": [rec.to_json() for rec in records]}
-    click.echo(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2))
 
 
 # -- simulate ----------------------------------------------------------
 
-@main.command()
-@click.option("--n", "n", type=int, required=True)
-@click.option("--q", "q_text", default="2", show_default=True)
-@click.option("--steps", type=int, default=10, show_default=True)
-@click.option("--csv", "csv_path", default=None,
-              help="Write the mixing curve as CSV to this path.")
-@click.pass_context
-def simulate(ctx, n, q_text, steps, csv_path):
+def simulate(config, n, q_text, steps, csv_path):
     """Exact total-variation mixing curve of the normalized walk."""
     if n < 1 or n > 5:
-        raise click.UsageError("simulation supports 1 <= n <= 5")
+        raise UsageError("simulation supports 1 <= n <= 5")
     if steps < 0:
-        raise click.UsageError("--steps must be >= 0")
+        raise UsageError("--steps must be >= 0")
     if steps > 200:  # the exact curve costs more than linearly in --steps
-        raise click.UsageError("--steps must be <= 200")
+        raise UsageError("--steps must be <= 200")
     q0 = _parse_q(q_text)
     try:
         curve = markov.tv_mixing_curve(n, q0, steps)
     except markov.SubunitQ as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     text = markov.mixing_csv(curve)
-    _emit(ctx, text, csv_path)
+    _emit(config, text, csv_path)
 
 
 # -- flags -------------------------------------------------------------
@@ -347,22 +305,15 @@ def _flag_case(name, check, space, **fields):
     return case
 
 
-@main.command(name="flags")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--check", "which",
-              type=click.Choice(["commutation", "spectrum", "all"]),
-              default="all", show_default=True)
-@click.pass_context
-def flags_cmd(ctx, n, p, which):
+def flags_cmd(config, n, p, which):
     """Line-insertion operator on complete flags over F_p."""
     try:
         flags_mod.check_size(n, p)
     except flags_mod.UnsupportedSize as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     count = flags_mod.flag_count(n, p)
     if which != "commutation" and count > flags_mod.SPECTRUM_MAX_FLAGS:
-        raise click.UsageError(
+        raise UsageError(
             f"the spectrum check at n = {n}, p = {p} needs the char poly of "
             f"a {count}x{count} matrix, which does not finish; use "
             f"--check commutation")
@@ -380,9 +331,115 @@ def flags_cmd(ctx, n, p, which):
                             else {str(k): v for k, v in mults.items()})))
     passed = all(case["passed"] for case in report["cases"])
     report["all_passed"] = passed
-    click.echo(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2))
     if not passed:
         sys.exit(1)
+
+
+# -- command line ------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with the rules of this CLI: every error is a UsageError,
+    options are spelled in full, only --help asks for help, and a token
+    that starts with one dash is a value, so --q -1/2 reads as a rational
+    (no option here has a one-dash name)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+_DEFAULT = "(default: %(default)s)"
+
+
+def _parser(prog):
+    parser = _Parser(prog=prog, description=(
+        "Exact spectrum and verification tools for the q-random-to-random "
+        "shuffle on the Hecke algebra."))
+    parser.add_argument("--version", action="version",
+                        version=f"qshuffle, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--config", help="Optional key=value file pinning "
+                                         "defaults (q, output_dir).")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = command("spectrum", spectrum)
+    option("--n", type=int, required=True)
+    option("--format", dest="fmt", choices=["json", "csv", "md"],
+           default="md", help=_DEFAULT)
+    option("--all-rows", action="store_true",
+           help="Include multiplicity-0 strip rows (json/csv only).")
+    option("--output", help="Write to a file instead of stdout.")
+
+    option = command("charpoly", charpoly)
+    option("--op", dest="op_name", choices=["r2r", "b2r", "r2b"],
+           default="r2r", help=_DEFAULT)
+    option("--n", type=int, required=True)
+    option("--q", dest="q_text", metavar="Q",
+           help="Evaluate at an exact rational instead of symbolically.")
+    option("--bruteforce", action="store_true",
+           help="Also compute the regular-representation char poly and "
+                "compare (requires --q, n <= 5).")
+
+    option = command("verify", verify_cmd)
+    option("--n", type=int, required=True)
+    option("--q", dest="q_text", metavar="Q",
+           help="Comma-separated rationals (default 2,3,1/2,7/5).")
+    option("--route", choices=["regular", "specht"],
+           help="Char-poly oracle route (default: regular for n <= 4, "
+                "specht for n = 5).")
+
+    option = command("eigvectors", eigvectors)
+    option("--lam", dest="lam_text", metavar="LAM", required=True,
+           help='Partition, e.g. "3,1".')
+    option("--q", dest="q_text", metavar="Q", default="2", help=_DEFAULT)
+
+    option = command("simulate", simulate)
+    option("--n", type=int, required=True)
+    option("--q", dest="q_text", metavar="Q", default="2", help=_DEFAULT)
+    option("--steps", type=int, default=10, help=_DEFAULT)
+    option("--csv", dest="csv_path", metavar="PATH",
+           help="Write the mixing curve as CSV to this path.")
+
+    option = command("flags", flags_cmd)
+    option("--n", type=int, required=True)
+    option("--p", type=int, required=True)
+    option("--check", dest="which",
+           choices=["commutation", "spectrum", "all"], default="all",
+           help=_DEFAULT)
+    return parser
+
+
+def main(args=None, prog_name="qshuffle", standalone_mode=True):
+    """Run one command line, sys.argv[1:] by default, and exit 1 if a check
+    failed.  A usage error prints one Error: line on stderr and exits 2,
+    or is raised when standalone_mode is false."""
+    # exact values may have more digits than int -> str allows by default
+    sys.set_int_max_str_digits(0)
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        run = options.pop("run")
+        run(_load_config(options.pop("config")), **options)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+# the call form of a click command, which perfbench/run.py uses
+main.main = main
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
-from click.testing import CliRunner
 
 from qshuffle.cli import Q_LIST_MAX, main
 
@@ -13,9 +15,25 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
+class Runner:
+    """Runs one command line in process."""
+
+    @staticmethod
+    def invoke(cli, args):
+        """The exit code and the text of stdout and stderr together."""
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            try:
+                cli.main(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+        return types.SimpleNamespace(exit_code=code, output=buf.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -176,19 +194,40 @@ def test_config_pins_q_default(runner, tmp_path):
     assert json.loads(result.output)["q_values"] == ["2"]
 
 
-@pytest.mark.parametrize("content", [None, b"\xffq = 2\n"])
+@pytest.mark.parametrize("content", [None, b"\xffq = 2\n", "missing"])
 def test_unreadable_config_is_a_usage_error(runner, tmp_path, content):
-    # a directory, and a file that is not UTF-8
+    # a directory, a file that is not UTF-8, and no file at all
     cfg = tmp_path / "conf"
     if content is None:
         cfg.mkdir()
-    else:
+    elif content != "missing":
         cfg.write_bytes(content)
     result = runner.invoke(main, ["--config", str(cfg), "spectrum", "--n",
                                   "3"])
     assert result.exit_code == 2
     assert f"cannot read config {cfg}" in result.output
     assert "Traceback" not in result.output
+
+
+def test_unknown_config_key_is_a_usage_error(runner, tmp_path):
+    # a typo would otherwise leave verify on its four default q
+    cfg = tmp_path / "conf"
+    cfg.write_text("qq = 2\n")
+    result = runner.invoke(main, ["--config", str(cfg), "verify", "--n", "2"])
+    assert result.exit_code == 2
+    assert result.output == (f"Error: unknown config key 'qq' in {cfg}; "
+                             f"the known keys are q, output_dir\n")
+
+
+@pytest.mark.parametrize("args, q", [
+    (["verify", "--n", "2", "--q", "-1/2"], "-1/2"),
+    (["charpoly", "--n", "3", "--q", "-2/3"], "-2/3"),
+])
+def test_negative_q_is_read_as_a_value(runner, args, q):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report.get("q_values", [report.get("q")]) == [q]
 
 
 @pytest.mark.parametrize("args", [
@@ -303,13 +342,37 @@ def test_version(runner):
     assert "qshuffle" in result.output
 
 
+# Makes importing click or sympy fail, then runs sys.argv[1:]: a Python
+# statement after "-c", or a module after "-m".
+WITHOUT_DEPENDENCIES = """
+import importlib.abc, runpy, sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] in ("click", "sympy"):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, Refuse())
+flag, target, *sys.argv[1:] = sys.argv[1:]
+if flag == "-c":
+    exec(target)
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
+
+
 def test_cli_import_does_not_load_sympy():
+    # neither sympy nor click is needed to import the CLI or to run it
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = ("import sys, qshuffle.cli; "
-            "assert 'sympy' not in sys.modules, 'sympy was imported'")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    for argv in (["-c", "import sys, qshuffle.cli; "
+                        "assert 'sympy' not in sys.modules, "
+                        "'sympy was imported'"],
+                 ["-m", "qshuffle.cli", "verify", "--n", "2"],
+                 ["-m", "qshuffle.cli", "flags", "--n", "2", "--p", "2"]):
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_DEPENDENCIES] + argv, env=env,
+            capture_output=True, text=True)
+        assert result.returncode == 0, (argv, result.stderr)
 
 
 def test_eigvectors_refuses_partitions_of_more_than_six(runner):
@@ -342,3 +405,52 @@ def test_unwritable_output_path_is_refused(runner, tmp_path, command):
     assert f"Error: cannot write {path}: No such file or directory" in (
         result.output)
     assert "Traceback" not in result.output
+
+
+# Every option of each command, as its --help must name them, and a
+# command line each command accepts.
+COMMANDS = {
+    "spectrum": (["--n", "--format", "--all-rows", "--output"],
+                 ["--n", "2"]),
+    "charpoly": (["--op", "--n", "--q", "--bruteforce"], ["--n", "2"]),
+    "verify": (["--n", "--q", "--route"], ["--n", "1"]),
+    "eigvectors": (["--lam", "--q"], ["--lam", "1"]),
+    "simulate": (["--n", "--q", "--steps", "--csv"], ["--n", "2"]),
+    "flags": (["--n", "--p", "--check"], ["--n", "2", "--p", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_help_names_its_options(runner, command):
+    options, args = COMMANDS[command]
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    named = {word.strip("[],") for word in result.output.split()
+             if word.startswith(("--", "[--"))}
+    assert named == set(options) | {"--help"}
+    assert runner.invoke(main, [command] + args).exit_code == 0
+
+
+def _usage_error(result):
+    """The one Error: line of a refused command line."""
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_refuses_bad_options(runner, command):
+    args = COMMANDS[command][1]
+    # no prefix abbreviations: --rou is not --route
+    assert "--rou" in _usage_error(
+        runner.invoke(main, [command] + args + ["--rou", "specht"]))
+    assert "--n" in _usage_error(
+        runner.invoke(main, [command] + args + ["--n", "x"]))
+
+
+@pytest.mark.parametrize("args", [[], ["shuffle", "--n", "2"], ["-h"]])
+def test_no_or_unknown_command_is_a_usage_error(runner, args):
+    _usage_error(runner.invoke(main, args))

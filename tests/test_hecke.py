@@ -514,9 +514,7 @@ def _names(node):
 
 def test_every_public_name_is_used_in_the_package():
     """No dead helpers: every public top-level def or class of a package
-    module is named in some package module outside its own definition.
-    Only click commands are exempt: the CLI group registers them by their
-    decorator, and no code names them."""
+    module is named in some package module outside its own definition."""
     package = pathlib.Path(hecke.__file__).parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
@@ -526,10 +524,6 @@ def test_every_public_name_is_used_in_the_package():
               for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
-              and not any(isinstance(d, ast.Call)
-                          and isinstance(d.func, ast.Attribute)
-                          and d.func.attr == "command"
-                          for d in node.decorator_list)
               and named[node.name] == _names(node)[node.name]]
     assert unused == []
 
