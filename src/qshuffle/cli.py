@@ -389,16 +389,19 @@ def _parser(prog):
     option("--q", dest="q_text", metavar="Q",
            help="Evaluate at an exact rational instead of symbolically.")
     option("--bruteforce", action="store_true",
-           help="Also compute the regular-representation char poly and "
-                "compare (requires --q, n <= 5).")
+           help="Also compute the char poly of the regular-representation "
+                "matrix, the dense oracle, and compare (requires --q, "
+                "n <= 5).")
 
     option = command("verify", verify_cmd)
     option("--n", type=int, required=True)
     option("--q", dest="q_text", metavar="Q",
            help="Comma-separated rationals (default 2,3,1/2,7/5).")
     option("--route", choices=["regular", "specht"],
-           help="Char-poly oracle route (default: regular for n <= 4, "
-                "specht for n = 5).")
+           help="Spectrum route: regular (annihilation and power traces on "
+                "the regular representation) or specht (the char polys of "
+                "the Specht modules); default regular for n <= 4, specht "
+                "for n = 5.")
 
     option = command("eigvectors", eigvectors)
     option("--lam", dest="lam_text", metavar="LAM", required=True,

@@ -22,8 +22,9 @@ cross-multiply only on a failure.
 Every build shared across one verify run (the shuffle elements, the
 Jucys-Murphy elements, scaled and not, the value of each Laurent
 coefficient at each q0, and in others the spectrum tables, the eigenvalue
-formulas, the word and Specht modules, the kernel bases, the eigenbases and
-the regular-route char polys) is a memo function;
+formulas, the word and Specht modules, the kernel bases, the eigenbases,
+the regular trace forms and the regular-route spectrum witnesses) is a memo
+function;
 clear_module_cache forgets them all.  Pure partition and tableau
 combinatorics outside the traced layers (tableaux, verify._sub_partitions)
 is kept instead with functools.lru_cache for the life of the process.

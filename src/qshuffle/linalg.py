@@ -1,5 +1,5 @@
-"""Exact rational dense linear algebra: elimination, kernels, products,
-char polys, and the dense polynomial arithmetic on char polys.
+"""Exact rational dense linear algebra: elimination, kernels, the vector
+product, char polys, and the dense polynomial arithmetic on char polys.
 
 This is also the one exact integer kernel.  Every rational vector of the
 module engine and of the checks at q0 is its reduced integer form (num,
@@ -13,17 +13,17 @@ rows), reduces a form (_reduce), scales one by a rational (_scale), takes
 a combination of forms (_combine) or reads one from entry ratios (_form),
 multiplies an integer vector by sparse integer rows (_times), applies one
 factor (p M - r) / s of a product to a form (_step), makes sparse rows
-dense (_dense) and brings integer forms to, or sums them at, one lcm
-(_at_lcm, _lcm_sum).  A vector becomes Fractions (_fractions) only where
-it leaves the program: the eigvectors JSON and simulate's walk.
+dense (_dense) and brings integer forms to one lcm (_at_lcm).  A vector
+becomes Fractions (_fractions) only where it leaves the program: the
+eigvectors JSON and simulate's walk.
 
 Elimination takes rows of Fractions or ints and works on the rows'
 integer forms: RREF is Gauss-Jordan on primitive integer rows and returns
 each reduced row as a form, rank is forward elimination on them, kernels
-and solutions are forms, and products are row products (int_mat_mul, and
-vec_mat for Fraction callers).  Pivoting is deterministic (first nonzero
-column, then the largest row index among nonzero entries), so kernel bases
-and echelon forms are reproducible.
+and solutions are forms, and the one vector-matrix product for Fraction
+callers (vec_mat) is a row product.  Pivoting is deterministic (first
+nonzero column, then the largest row index among nonzero entries), so
+kernel bases and echelon forms are reproducible.
 
 Char polys are computed modulo primes and lifted.  Each prime is a Proth
 prime k * 2^248 + 1, proven prime by Proth's theorem (F. Proth, C. R. Acad.
@@ -117,21 +117,6 @@ def _at_lcm(forms):
     return [[x * (den // d) for x in num] for num, d in forms], den
 
 
-def _lcm_sum(forms):
-    """(S, L): S / L is the sum of the M / d over the (M, d) in forms, each
-    M an integer matrix as a list of rows (a vector is one row), and L > 0
-    the lcm of the d."""
-    den = math.lcm(*(d for _, d in forms))
-    total = [[0] * len(row) for row in forms[0][0]]
-    for mat, d in forms:
-        scale = den // d
-        for out, row in zip(total, mat):
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += scale * x
-    return total, den
-
-
 def _times(num, rows, dim):
     """The integer vector num times the sparse integer rows, each a sequence
     of (column, integer) pairs, as a dense integer vector of length dim: the
@@ -161,13 +146,6 @@ def _dense(rows, dim):
         for j, x in row:
             dense[j] = x
         yield dense
-
-
-def int_mat_mul(a, b):
-    """Product of integer matrices: each row of a times the sparse rows of
-    b, by the row product."""
-    rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    return [_times(row, rows, len(b[0])) for row in a]
 
 
 def vec_mat(v, m):

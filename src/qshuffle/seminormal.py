@@ -22,10 +22,11 @@ element q^-m (q^m J_m), built once per module into integer rows like any
 other, and each idempotent factor is one row update of a vector's reduced
 form (num, den) with those rows (linalg._step).  The factor schedule of
 each tableau (its J_m index and integer constants, factor by factor) is
-built once per module and replayed for every vector.  Every vector here,
-the seminormal units and every image under T_i, J_m, p_t, p_lambda and
-Phi_t, is that reduced form, unique to its value (linalg), so equal
-vectors have equal forms.  The form is linalg's: the row update, the rows
+built once per module and replayed once per (vector, tableau): the image
+is kept in the module's image table and shared by every later caller.
+Every vector here, the seminormal units and every image under T_i, J_m,
+p_t, p_lambda and Phi_t, is that reduced form, unique to its value
+(linalg), so equal vectors have equal forms.  The form is linalg's: the row update, the rows
 of p_t brought to one denominator (_at_lcm), the sums of images of p_t
 (_combine) and the coordinates of an image in the units
 (solve_in_span).  Fractions remain only as scalars: q0, the generator
@@ -104,6 +105,7 @@ class WordModuleRep(HeckeModule):
                          word_gen_rows(self.basis, q0))
         self._factors = {}
         self._schedules = {}
+        self._images = {}  # (tuple(num), den, t) -> (num, den) . p_t
 
     def basis_vector(self, word):
         """The reduced form of the basis vector of word."""
@@ -162,10 +164,15 @@ class WordModuleRep(HeckeModule):
 
     def _idempotent(self, num, den, t):
         """(num, den) . p_t over the integers: one linalg._step per factor
-        of t's schedule."""
-        for rows, p, r, s in self._schedule(t):
-            num, den = _step(num, den, rows, p, r, s)
-        return num, den
+        of t's schedule, replayed once per (vector, tableau) and module.
+        The image is shared: callers must not change it."""
+        key = (tuple(num), den, t)
+        image = self._images.get(key)
+        if image is None:
+            for rows, p, r, s in self._schedule(t):
+                num, den = _step(num, den, rows, p, r, s)
+            image = self._images[key] = (num, den)
+        return image
 
     def apply_idempotent(self, v, t):
         """v . p_t for a standard tableau t of shape lambda/mu (entries
@@ -176,7 +183,8 @@ class WordModuleRep(HeckeModule):
         result is v . p_t only when v lies in the image of some p_s with
         shape(s) = mu (for example v = u . Phi_t, u in S^mu); for a
         straight t (mu empty) it holds for every v.  v and the image are
-        reduced forms."""
+        reduced forms; the image is shared, and callers must not change
+        it."""
         return self._idempotent(*v, t)
 
     def apply_p_lambda(self, v, lam=None):

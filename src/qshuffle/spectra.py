@@ -4,8 +4,10 @@ The eigenvalues of the q-random-to-random element R_n(q) are indexed by
 horizontal strips lambda/mu:
     E_{lambda/mu}(q) = q^n c_{lambda/mu}(q) + sum_{k=|mu|+1}^n q^{n-k} [k]_q,
 with multiplicity f^lambda d^mu.  This module computes the formula tables,
-builds the recursive eigenvector basis in each Specht module, and checks
-everything against characteristic polynomials of explicit matrices.  Kernel
+builds the recursive eigenvector basis in each Specht module, and
+certifies the spectrum on the regular representation by annihilation and
+power traces (certify_spectrum), with the characteristic polynomial of the
+explicit matrix kept as the oracle (bruteforce_charpoly).  Kernel
 and eigenvectors are reduced integer forms (num, den), like every vector of
 the module engine (linalg); an EigenvectorRecord's vector becomes Fractions
 only in its JSON.
@@ -15,13 +17,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .hecke import (CheckFailed, _require_equal, _require_zero, _value_at,
                     b2r_embedded, memo, r2r)
-from .linalg import _at_lcm, _combine, _fractions, _scale
+from .linalg import _at_lcm, _combine, _form, _fractions, _ints, _scale
 from .qpoly import LaurentPoly, qint
-from .symmetric import derangement_count
+from .symmetric import Permutation, derangement_count
 from .seminormal import phi_apply, specht_module, word_module
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of, q_content,
@@ -140,9 +143,11 @@ def bruteforce_charpoly(op, q0):
     """Char poly of the regular-representation matrix of op at q0.
 
     Independent oracle: no spectral theory, just exact elimination on the
-    n! x n! matrix.  Returns monic coefficients, highest degree first,
-    shared: callers must not change them.  Coefficient k is that of the
-    integer rows d M of the regular module W^(1^n), over d^k.
+    n! x n! matrix, for `charpoly --bruteforce` and the tests; verify
+    certifies the regular route by certify_spectrum instead.  Returns monic
+    coefficients, highest degree first, shared: callers must not change
+    them.  Coefficient k is that of the integer rows d M of the regular
+    module W^(1^n), over d^k.
     """
     rows = list(word_module(Partition((1,) * op.n), q0)._hecke_rows(op))
     return charpoly_over([row for row, _ in rows], rows[0][1])
@@ -153,6 +158,106 @@ def charpoly_over(rows, d):
     monic Fractions, highest degree first: coefficient k of the char poly
     of the integer rows, over d^k."""
     return [c / d ** k for k, c in enumerate(linalg.charpoly(rows))]
+
+
+def _inverse(w):
+    """The one-line word of the inverse of the one-line word w."""
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+@memo
+def regular_trace_form(n, q0):
+    """The reduced form (c, d) of the regular trace at q0: tr_reg(h) =
+    sum_w c_w h_w / d, the h_w the entries of T_1 . h on the shared regular
+    module W^(1^n), whose basis word of w is its one-line notation.
+
+    tau(T_w) = delta_{w,1} is a symmetrizing trace on H_n(q0), with
+    tau(T_u T_{v^-1}) = delta_uv q^l(v), so the coefficient of T_w in x is
+    tau(x q^-l(w) T_{w^-1}), and tr_reg(h) = tau(h z) for the Casimir
+    element z = sum_v q^-l(v) T_{v^-1} T_v (M. Geck and G. Pfeiffer,
+    Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, OUP
+    2000, ch. 8).  So c_w = q^l(w) z_{w^-1}, with z read from T_1 .
+    T_{v^-1} . T_v, one pass along v's reduced word per v.  Built once per
+    (n, q0) and shared; raises CheckFailed naming n and q0 unless
+    tr_reg(1) = n!."""
+    reg = word_module(Partition((1,) * n), q0)
+    images, weights, lengths = [], [], []
+    for w in reg.basis:
+        word = Permutation(w).reduced_word()
+        v = reg.basis_vector(_inverse(w))
+        for i in word:
+            v = reg.apply_gen(v, i)
+        images.append(v)
+        weights.append(reg.q0 ** -len(word))
+        lengths.append(len(word))
+    z, den = _combine(_ints(weights), images)  # T_1 . z
+    a, b = reg.q0.numerator, reg.q0.denominator
+    c, d = _form([(a ** k * z[reg.index[_inverse(w)]], b ** k * den)
+                  for w, k in zip(reg.basis, lengths)])
+    if c[0] != math.factorial(n) * d:
+        raise CheckFailed(
+            f"the regular trace of 1 at n = {n}, q0 = {reg.q0} is "
+            f"{Fraction(c[0], d)}, not n! = {math.factorial(n)}")
+    return c, d
+
+
+def regular_trace(v, n, q0):
+    """tr_reg(h) as a Fraction, for the reduced form v = T_1 . h on the
+    regular module W^(1^n) at q0."""
+    c, d = regular_trace_form(n, q0)
+    num, den = v
+    return Fraction(sum(map(mul, num, c)), den * d)
+
+
+def certify_spectrum(module, op, mults, route, name, scale=1):
+    """Certify that op / scale, acting on the shared regular module
+    W^(1^n) at q0, has char poly prod (y - E)^m_E over the {E: m_E} of
+    mults, E distinct: the formula's spectrum from spectrum_at, over scale.
+
+    Lemma (characteristic 0): if prod_E (X - E) = 0 over distinct E, then X
+    is diagonalizable with eigenvalues among the E, and its multiplicities
+    are the one solution of sum_E m_E E^k = tr(X^k), k < |S| (Vandermonde),
+    so two checks prove the char poly:
+    - annihilation: T_1 . prod_E (op - scale E) = 0, since T_1 . h = 0 only
+      when h = 0 in H_n(q0) (apply_shifted_product);
+    - power traces: tr_reg(op^k) / scale^k = sum_E m_E E^k for k < |S|.
+    Both come from _regular_witness, shared by every certificate of op at
+    q0.  A failure raises CheckFailed naming the operator, q0 and the
+    route, with the first nonzero index of T_1 . prod_E (op - scale E), or
+    the first k whose traces differ and both traces."""
+    annihilated, traces = _regular_witness(
+        module, op, tuple(scale * e for e in mults))
+    _require_zero(annihilated,
+                  lambda: f"T_1 . prod ({name} - E) = 0 over the "
+                          f"{len(mults)} distinct formula eigenvalues E fails "
+                          f"at q0 = {module.q0}, route {route}")
+    # sum_E m_E E^k = sum_E m_E A_E^k / L^k, A_E = L E for L the lcm of
+    # the denominators of the E: integer power sums, one Fraction per k
+    lcm = math.lcm(*(e.denominator for e in mults))
+    bases = [e.numerator * (lcm // e.denominator) for e in mults]
+    terms = list(mults.values())  # m_E A_E^k, from k = 0
+    for k, trace in enumerate(traces):
+        got, want = trace / Fraction(scale) ** k, Fraction(sum(terms),
+                                                            lcm ** k)
+        if got != want:
+            raise CheckFailed(
+                f"tr(({name})^{k}) at q0 = {module.q0}, route {route}, is "
+                f"{got}, not the formula's sum of m_E E^{k} = {want}")
+        terms = list(map(mul, terms, bases))
+
+
+@memo
+def _regular_witness(module, op, roots):
+    """(T_1 . prod over roots r of (op - r), [tr_reg(op^k) for k below the
+    number of roots]) on the regular module W^(1^n), each op^k read from
+    T_1 . op^k: one vector pass per root and per power, shared."""
+    t1 = module.basis_vector(module.basis[0])
+    traces, v = [], t1
+    for k in range(len(roots)):
+        if k:
+            v = module.apply_hecke(v, op)
+        traces.append(regular_trace(v, module.n, module.q0))
+    return module.apply_shifted_product(t1, op, roots), traces
 
 
 @memo

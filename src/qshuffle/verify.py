@@ -6,6 +6,10 @@ report.  Every vector and matrix witness is worded by hecke._require_equal
 or _require_zero; spectra builds, and the loops that check live here.
 Symbolic checks certify identities for every q at once; matrix checks
 certify at the exact rational points supplied, on reduced integer forms.
+On the regular route no check takes a char poly: an identity in H_n(q0)
+is checked on T_1 of W^(1^n), H_n(q0) acting on itself, and a spectrum by
+spectra.certify_spectrum (annihilation on T_1 and power traces); the
+Specht route multiplies the char polys of the irreducibles.
 """
 
 from __future__ import annotations
@@ -186,41 +190,43 @@ def check_seminormal_action(n, q0):
 
 
 def check_idempotents(n, q0):
-    """Shape-lambda idempotents on W^lambda: orthogonal, idempotent, and
-    their sum projects onto the Specht component (rank f^lambda, fixes
-    every unit).  Every comparison on W^lambda is over the integers: p_t =
-    P_t / D_t, each sum is taken at the lcm of its denominators, and each
-    side of an equation is scaled by the same integer, so each differs
-    where the rational sides do.  Then completeness, sum of p_t over all
-    tableaux of size n = 1, is checked in the algebra, by _require_complete.
-    A failure raises CheckFailed naming lambda, the tableaux, q0 and the
-    first differing entry."""
+    """Shape-lambda idempotents: orthogonal and idempotent in H_n(q0), and
+    their sum projects each W^lambda onto its Specht component (trace
+    f^lambda, fixes every unit).
+
+    W^(1^n) is H_n(q0) acting on itself, with T_1 its first basis vector,
+    so h = 0 exactly when T_1 . h = 0.  With u_t = T_1 . p_t, the identities
+    u_s . p_t = delta_st u_s for s, t in SYT(lambda) say T_1 . (p_s p_t -
+    delta_st p_s) = 0, so p_s p_t = delta_st p_t holds in the algebra and on
+    every module, and p_lambda^2 = p_lambda by summing.  On W^lambda the
+    trace of p_lambda, the sum of the diagonals of the P_t / D_t, must be
+    f^lambda (the rank of an idempotent is its trace), and w_t . p_lambda =
+    w_t for every unit.  Then completeness, the sum of p_t over all
+    tableaux of size n equal to 1, is checked on the same u_t by
+    _require_complete.  A failure raises CheckFailed naming lambda, the
+    tableaux, the module, q0 and the first differing or nonzero index, or
+    the trace."""
+    reg = _regular(n, q0)
+    t1 = reg.basis_vector(reg.basis[0])
+    zero = ([0] * reg.dim, 1)
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
-        mats = [wm.idempotent_int_matrix(t) for t in rep.tableaux]
-        zero = [[0] * wm.dim for _ in range(wm.dim)]
-        for a, (_, ma) in zip(rep.tableaux, mats):
-            for b, (db, mb) in zip(rep.tableaux, mats):
-                # p_a p_b = P_a P_b / (D_a D_b); p_a p_a = p_a iff
-                # P_a P_a = D_a P_a
-                prop = "p_t p_t = p_t" if a == b else "p_s p_t = 0"
-                _require_equal((linalg.int_mat_mul(ma, mb), 1),
-                               (_scaled(db, ma) if a == b else zero, 1),
-                               lambda: f"{prop} fails for s = {a}, t = {b} "
-                                       f"{_on(wm)}")
-        # p_lambda = total / den
-        total, den = linalg._lcm_sum([(m, d) for d, m in mats])
-        _require_equal((linalg.int_mat_mul(total, total), 1),
-                       (_scaled(den, total), 1),
-                       lambda: f"p_lambda p_lambda = p_lambda fails {_on(wm)}")
-        trace = Fraction(sum(total[i][i] for i in range(wm.dim)), den)
-        if trace != f_lambda(lam):  # rank of an idempotent is its trace
+        for s in rep.tableaux:
+            u = reg.apply_idempotent(t1, s)
+            for t in rep.tableaux:
+                prop = "p_t p_t = p_t" if s == t else "p_s p_t = 0"
+                _require_equal(reg.apply_idempotent(u, t),
+                               u if s == t else zero,
+                               lambda: f"{prop} fails in H_{n} for s = {s}, "
+                                       f"t = {t}: T_1 . p_s p_t {_on(reg)}")
+        trace = sum(Fraction(sum(row[r] for r, row in enumerate(mat)), d)
+                    for d, mat in map(wm.idempotent_int_matrix, rep.tableaux))
+        if trace != f_lambda(lam):
             raise CheckFailed(f"trace of p_lambda is {trace}, not f^lambda "
                               f"= {f_lambda(lam)}, {_on(wm)}")
-        for t, (num, _) in zip(rep.tableaux, rep.units):
-            _require_equal((linalg.int_mat_mul([num], total)[0], 1),
-                           ([den * x for x in num], 1),
+        for t, unit in zip(rep.tableaux, rep.units):
+            _require_equal(wm.apply_p_lambda(unit), unit,
                            lambda: f"w_t p_lambda = w_t fails for t = {t} "
                                    f"{_on(wm)}")
     _require_complete(n, q0)
@@ -230,11 +236,12 @@ def check_idempotents(n, q0):
 def _require_complete(n, q0):
     """The sum of p_t over every standard tableau t of size n is 1 in
     H_n(q0).  W^(1^n) is H_n(q0) acting on itself, with T_1 its first basis
-    vector, so an element h is 0 exactly when T_1 . h is: one vector pass
-    per tableau decides the identity, which then holds on every module.  A
-    failure raises CheckFailed naming n, W^(1^n), q0 and the first index at
-    which T_1 . sum p_t differs from T_1."""
-    reg = word_module(Partition((1,) * n), q0)
+    vector, so an element h is 0 exactly when T_1 . h is: the images T_1 .
+    p_t, shared with check_idempotents through the module's image table,
+    decide the identity, which then holds on every module.  A failure
+    raises CheckFailed naming n, W^(1^n), q0 and the first index at which
+    T_1 . sum p_t differs from T_1."""
+    reg = _regular(n, q0)
     unit = reg.basis_vector(reg.basis[0])
     _require_equal(reg.apply_idempotent_sum(unit, [
         t for mu in partitions_of(n) for t in enumerate_syt(mu)]), unit,
@@ -246,8 +253,9 @@ def _on(wm):
     return f"on W^{wm.lam} at q0 = {wm.q0}"
 
 
-def _scaled(c, matrix):
-    return [[c * x for x in row] for row in matrix]
+def _regular(n, q0):
+    """The shared regular module W^(1^n) at q0."""
+    return word_module(Partition((1,) * n), q0)
 
 
 def check_phi_morphism(n, q0):
@@ -417,19 +425,20 @@ def check_strip_vanishing(n, q0):
 
 
 def check_r2r_charpoly(n, q0, route="regular"):
-    expected = linalg.poly_from_roots(
-        spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0).items())
-    _charpoly_agrees("r2r", q0, route, _route_factors(r2r(n), n, q0, route),
-                     expected)
+    """The char poly of R_n(q0) is prod (y - E)^m over the formula spectrum:
+    certify_spectrum on the regular route, the char polys of the Specht
+    modules on the Specht route."""
+    _spectrum_agrees("r2r", r2r(n), n, q0, route,
+                     spectra.r2r_charpoly_factored(n))
     return True
 
 
 def check_b_charpoly(n, q0, route="regular"):
-    expected = linalg.poly_from_roots(
-        spectra.spectrum_at(spectra.b_charpoly_factored(n), q0).items())
+    """The char polys of B_n(q0) and B*_n(q0) are prod (y - [n-j]_q0)^m over
+    b_charpoly_factored, by the route's test as for r2r-charpoly."""
+    factored = spectra.b_charpoly_factored(n)
     for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))):
-        _charpoly_agrees(name, q0, route, _route_factors(op, n, q0, route),
-                         expected)
+        _spectrum_agrees(name, op, n, q0, route, factored)
     return True
 
 
@@ -438,7 +447,7 @@ def check_bstar_kernel_lift(n, q0):
     eigenvalue [n-j]_{q0}, in the regular representation; a failure raises
     CheckFailed naming j, q0, the index of the kernel vector and the first
     differing index.  Only ker B*_j is taken of a dense matrix, d B*_j."""
-    reg = word_module(Partition((1,) * n), q0)
+    reg = _regular(n, q0)
     for j in range(2, n):
         m_j = m_alpha(Composition([1] * j + [n - j]))
         value = _value_at(qint(n - j), q0)
@@ -486,7 +495,7 @@ def _require_mallows_rows(n, q0):
     = markov._weights: every entry >= 0, each column sums to d c, and
     sum_j rows_ij w_j = d c w_i; else CheckFailed naming q0 and the first
     negative entry, or the first column or row that fails, both sides."""
-    d, rows = word_module(Partition((1,) * n), q0)._built(r2r(n))
+    d, rows = _regular(n, q0)._built(r2r(n))
     for i, row in enumerate(rows):
         for j, c in row:
             if c < 0:
@@ -513,20 +522,19 @@ def _require_mallows_rows(n, q0):
 
 
 def check_walk_spectrum(n, q0):
-    """Char poly of the walk equals the formula spectrum over ([n]_q)^2.
+    """The walk's spectrum is the formula spectrum over [n]_q^2.
 
     The walk D^-1 M D / c (M the regular matrix of R_n, c = [n]_q^2) is
-    similar to M / c, so its char poly is sum_k m_k c^-k y^(N-k) for M's,
-    sum_k m_k y^(N-k), the one r2r-charpoly computes.  A failure raises
-    CheckFailed naming q0 and the first differing coefficient index."""
+    similar to M / c, so spectra.certify_spectrum on R_n / c, with the
+    formula values over c, proves its char poly: T_1 . prod (R_n - E) = 0,
+    and tr_reg(R_n^k) / c^k = sum m (E / c)^k for k below the number of
+    values.  A failure raises CheckFailed naming the walk, q0, the route
+    and the first nonzero index or the first k, with both traces."""
     norm = _value_at(qint(n), q0) ** 2
-    walk = [c / norm ** k for k, c in enumerate(
-        spectra.bruteforce_charpoly(r2r(n), q0))]
-    expected = linalg.poly_from_roots(
-        (value / norm, m) for value, m in spectra.spectrum_at(
-            spectra.r2r_charpoly_factored(n), q0).items())
-    _charpoly_agrees("the Mallows walk", q0, "transition matrix",
-                     [(None, walk)], expected)
+    mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
+    spectra.certify_spectrum(
+        _regular(n, q0), r2r(n), {e / norm: m for e, m in mults.items()},
+        "regular", "the Mallows walk", norm)
     return True
 
 
@@ -574,49 +582,48 @@ def check_diagonalizable(n, q0):
     the distinct formula values E at q0: R_n(q0) acts on W^(1^n), H_n(q0)
     acting on itself, whose first basis vector is T_1, so the product is 0
     exactly when T_1 . prod_E (R_n - E) is.  R_n(q0) is then diagonalizable
-    with eigenvalues among the E, so each geometric multiplicity is the
-    algebraic one, read from the char poly r2r-charpoly shares
-    (spectra.bruteforce_charpoly) against the formula's.  A failure raises
-    CheckFailed naming q0 and the first nonzero index of T_1 . prod_E
-    (R_n - E), or the first differing char-poly coefficient."""
-    q0 = Fraction(q0)
-    reg = word_module(Partition((1,) * n), q0)
-    mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
-    _require_zero(reg.apply_shifted_product(reg.basis_vector(reg.basis[0]),
-                                            r2r(n), mults),
-                  lambda: f"T_1 . prod (r2r - E) = 0 over the {len(mults)} "
-                          f"distinct formula eigenvalues E fails at q0 = "
-                          f"{q0}")
-    _charpoly_agrees("r2r", q0, "regular",
-                     [(None, spectra.bruteforce_charpoly(r2r(n), q0))],
-                     linalg.poly_from_roots(mults.items()))
+    with eigenvalues among the E, and the power traces tr_reg(R_n^k) =
+    sum_E m_E E^k, k below the number of values, fix each multiplicity, so
+    each geometric multiplicity is the formula's: spectra.certify_spectrum.
+    A failure raises CheckFailed naming q0, the route and the first nonzero
+    index of T_1 . prod_E (R_n - E), or the first k whose traces differ,
+    with both traces."""
+    spectra.certify_spectrum(
+        _regular(n, q0), r2r(n),
+        spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0),
+        "regular", "r2r")
     return True
 
 
-def _route_factors(op, n, q0, route):
-    """(lam, char poly of op on S^lambda) for each lam |- n on the Specht
-    route, else [(None, char poly of op on the regular representation)]."""
+def _spectrum_agrees(name, op, n, q0, route, factored):
+    """The char poly of op at q0 is prod (y - e(q0))^m over the factored
+    (e, m): spectra.certify_spectrum on the regular route; on the Specht
+    route, the product of the char polys of op on each S^lambda, taken
+    f^lambda times, against the formula's (_charpoly_agrees)."""
+    mults = spectra.spectrum_at(factored, q0)
     if route == "specht":
-        return [(lam, spectra.charpoly_over(*_at_lcm(
-            specht_module(lam, q0).hecke_action_matrix(op))))
-            for lam in partitions_of(n)]
-    return [(None, spectra.bruteforce_charpoly(op, q0))]
+        _charpoly_agrees(name, q0, route, [
+            (lam, spectra.charpoly_over(*_at_lcm(
+                specht_module(lam, q0).hecke_action_matrix(op))))
+            for lam in partitions_of(n)],
+            linalg.poly_from_roots(mults.items()))
+    else:
+        spectra.certify_spectrum(_regular(n, q0), op, mults, route, name)
 
 
 def _charpoly_agrees(op, q0, route, factors, expected):
     """Raise CheckFailed unless the product of factor^(f^lam) over the
-    (lam, factor) pairs (lam None: taken once) equals expected, naming op,
-    q0, the route, the first lam after whose factors the product stops
-    dividing expected, and the first differing coefficient index."""
+    (lam, factor) pairs equals expected, naming op, q0, the route, the
+    first lam after whose factors the product stops dividing expected, and
+    the first differing coefficient index."""
     product, prefixes = [Fraction(1)], []
     for lam, factor in factors:
-        for _ in range(1 if lam is None else f_lambda(lam)):
+        for _ in range(f_lambda(lam)):
             product = linalg.poly_mul(product, factor)
         prefixes.append((lam, product))
     if product != expected:
         culprit = next((f" on S^{lam}" for lam, prefix in prefixes
-                        if lam is not None
-                        and any(linalg.poly_divmod(expected, prefix)[1])), "")
+                        if any(linalg.poly_divmod(expected, prefix)[1])), "")
         raise CheckFailed(
             f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, route "
             f"{route}, differs from the formula at coefficient index "
@@ -681,13 +688,13 @@ def run_suite(n, q_values, route="regular"):
         if route == "regular" and n >= 3:
             run(f"bstar-kernel-lift[{tag}]",
                 lambda q=q0: check_bstar_kernel_lift(n, q))
-        if route == "regular" and n <= 4:
+        if route == "regular":
             run(f"diagonalizable[{tag}]",
                 lambda q=q0: check_diagonalizable(n, q))
         if Fraction(q0) >= 1:
             run(f"mallows-stationarity[{tag}]",
                 lambda q=q0: check_mallows_stationarity(n, q))
-            if route == "regular" and n <= 4:
+            if route == "regular":
                 run(f"walk-spectrum[{tag}]",
                     lambda q=q0: check_walk_spectrum(n, q))
             if n >= 3:

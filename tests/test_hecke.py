@@ -1,5 +1,6 @@
 import ast
 import collections
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import pathlib
 
-from conftest import hecke_matrix, regular_matrix
-from qshuffle import hecke, linalg, spectra, verify
+from conftest import hecke_matrix, regular_matrix, swapped_word_gen_rows
+from qshuffle import hecke, linalg, seminormal, spectra, verify
 from qshuffle.hecke import (HeckeElement, HeckeModule, SizeMismatch,
                             annihilator_check, b2r, b2r_embedded, c_op,
                             intermediate_recursion_check, jucys_murphy_scaled,
@@ -263,6 +264,72 @@ def test_regular_rep_rows_are_symbolic_products(n, q0):
             for u, c in (HeckeElement.t_perm(w) * a).terms.items():
                 expect[u.lehmer_rank()] = c.eval(q0)
             assert row == expect
+
+
+def card_moves(n, moves):
+    """The matrix on the one-line words of S_n, in lex (= Lehmer) order, of
+    the sum over the moves (j, i): take the card at position j out of the
+    deck and put it back at position i.  Slicing words, no Hecke code."""
+    words = sorted(itertools.permutations(range(1, n + 1)))
+    index = {w: k for k, w in enumerate(words)}
+    rows = []
+    for w in words:
+        row = [0] * len(words)
+        for j, i in moves:
+            rest = list(w[:j - 1] + w[j:])
+            rest.insert(i - 1, w[j - 1])
+            row[index[tuple(rest)]] += 1
+        rows.append(row)
+    return rows
+
+
+def card_shuffle_mismatches(n):
+    """Where W^(1^n) fails to carry the card shuffles the paper deforms.
+
+    The basis word of w must be T_1 . T_w, its one-line notation (checked
+    at q0 = 2, one pass along each reduced word), and at q0 = 1, where H_n
+    is the group algebra of S_n, the built rows of B_n, B*_n and R_n must
+    be the card-slicing matrices: B_n moves the card at position n to each
+    position i, B*_n the card at each position j to position n, and R_n =
+    B*_n B_n is n^2 times random-to-random, every (j, i).  At q0 = 1 both
+    unequal-letter cases of word_gen_rows give w s_i, so only the first
+    part sees which case carries q."""
+    out = []
+    reg = word_module(Partition((1,) * n), 2)
+    for w in reg.basis:
+        v = reg.basis_vector(reg.basis[0])
+        for i in Permutation(w).reduced_word():
+            v = reg.apply_gen(v, i)
+        if v != reg.basis_vector(w):
+            out.append(f"T_1 . T_w for w = {w}")
+    reg = word_module(Partition((1,) * n), 1)
+    span = range(1, n + 1)
+    for name, op, moves in (
+            ("B_n", hecke.b2r(n), [(n, i) for i in span]),
+            ("B*_n", hecke.r2b(n), [(j, n) for j in span]),
+            ("R_n", hecke.r2r(n), [(j, i) for j in span for i in span])):
+        if hecke_matrix(reg, op) != card_moves(n, moves):
+            out.append(name)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shuffle_elements_at_q1_are_the_card_shuffles(n):
+    assert card_shuffle_mismatches(n) == []
+
+
+@pytest.mark.parametrize("fault", ["word_gen_rows", "b2r"])
+def test_card_shuffle_test_sees_a_swapped_convention(monkeypatch, fault):
+    hecke.clear_module_cache()
+    if fault == "word_gen_rows":
+        monkeypatch.setattr(seminormal, "word_gen_rows",
+                            swapped_word_gen_rows)
+        want = [f"T_1 . T_w for w = {w.one_line}"
+                for w in all_permutations(3)[1:]]
+    else:  # B_n with its generators in reverse order, which is B*_n
+        monkeypatch.setattr(hecke, "b2r", r2b)
+        want = ["B_n", "R_n"]
+    assert card_shuffle_mismatches(3) == want
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qshuffle import linalg, markov, spectra
 from qshuffle.flags import FlagSpace
-from conftest import regular_matrix, word_matrix
+from conftest import int_mat_mul, lcm_sum, regular_matrix, word_matrix
 from qshuffle.hecke import b2r, r2b, r2r
 from qshuffle.seminormal import word_module
 from qshuffle.tableaux import enumerate_syt, partitions_of
@@ -338,7 +338,7 @@ def test_poly_divmod_by_monic(a, tail):
 
 def test_mat_helpers():
     m = [[F(1), F(2)], [F(3), F(4)]]
-    assert linalg.int_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) \
+    assert int_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) \
         == [[2, 1], [4, 3]]
     assert linalg.vec_mat([F(1), F(1)], m) == [F(4), F(6)]
 
@@ -366,11 +366,11 @@ def test_vec_mat_matches_fraction_oracle(rows, cols, data):
     # the lcm sum of the rows' integer forms is their Fraction sum, and of
     # m over one denominator and m / 2 is 3/2 m
     forms = [linalg._ints(row) for row in m]
-    (total,), den = linalg._lcm_sum([([num], d) for num, d in forms])
+    (total,), den = lcm_sum([([num], d) for num, d in forms])
     assert linalg._fractions(total, den) == [
         sum((F(row[j]) for row in m), F(0)) for j in range(cols)]
     rows, d = linalg._at_lcm(forms)
-    both, den = linalg._lcm_sum([(rows, d), (rows, 2 * d)])
+    both, den = lcm_sum([(rows, d), (rows, 2 * d)])
     assert [linalg._fractions(row, den) for row in both] == [
         [Fraction(3, 2) * x for x in row] for row in m]
 
@@ -458,12 +458,12 @@ def fraction_rref(matrix):
 
 
 def mat_mul(a, b):
-    """Product of Fraction matrices over Z, by linalg.int_mat_mul: each
+    """Product of Fraction matrices over Z, by conftest.int_mat_mul: each
     operand is scaled by the lcm of its denominators, and each entry x of
     the integer product leaves as Fraction(x, d_a * d_b)."""
     d_a = math.lcm(*(x.denominator for row in a for x in row))
     d_b = math.lcm(*(x.denominator for row in b for x in row))
-    ints = linalg.int_mat_mul(
+    ints = int_mat_mul(
         [[int(x * d_a) for x in row] for row in a],
         [[int(x * d_b) for x in row] for row in b])
     return [[Fraction(x, d_a * d_b) for x in row] for row in ints]

@@ -281,16 +281,20 @@ def test_walk_spectrum_agrees_with_the_char_poly_of_the_walk(q0):
 
 
 def test_walk_spectrum_failure_names_the_coefficient(monkeypatch):
-    original = spectra.bruteforce_charpoly
+    original = spectra._regular_witness
 
-    def wrong(op, q0):  # coefficient 2 of R_n's char poly moves
-        coeffs = list(original(op, q0))  # the shared list stays intact
-        coeffs[2] += 1
-        return coeffs
+    def wrong(module, op, roots):  # tr(R_3^2) moves by 1
+        annihilated, traces = original(module, op, roots)
+        traces = list(traces)  # the shared list stays intact
+        traces[2] += 1
+        return annihilated, traces
 
-    monkeypatch.setattr(spectra, "bruteforce_charpoly", wrong)
+    monkeypatch.setattr(spectra, "_regular_witness", wrong)
     with pytest.raises(CheckFailed) as err:
         check_walk_spectrum(3, Fraction(2))
+    norm = qint(3).eval(2) ** 2
+    want = sum(m * (e / norm) ** 2 for e, m in spectra.spectrum_at(
+        spectra.r2r_charpoly_factored(3), Fraction(2)).items())
     assert str(err.value) == (
-        "char poly of the Mallows walk at q0 = 2, route transition matrix, "
-        "differs from the formula at coefficient index 2")
+        f"tr((the Mallows walk)^2) at q0 = 2, route regular, is "
+        f"{want + 1 / norm ** 2}, not the formula's sum of m_E E^2 = {want}")

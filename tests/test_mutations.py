@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import swapped_word_gen_rows
 from qshuffle import hecke, seminormal, spectra
 from qshuffle.hecke import HeckeElement, transposition_word
 from qshuffle.qpoly import LaurentPoly
@@ -30,28 +31,8 @@ def _rebind(monkeypatch, old, new):
                     monkeypatch.setattr(module, attr, new)
 
 
-def _swapped_word_gen_rows(words, q0):
-    """word_gen_rows with its two unequal-letter cases swapped: w_i < w_{i+1}
-    takes q (w s_i) + (q-1) w and w_i > w_{i+1} takes w s_i."""
-    q0 = Fraction(q0)
-    index = {w: k for k, w in enumerate(words)}
-    gen_rows = {}
-    for i in range(1, len(words[0])):
-        rows = []
-        for k, w in enumerate(words):
-            a, b = w[i - 1], w[i]
-            if a == b:
-                rows.append([(k, q0)])
-                continue
-            j = index[w[:i - 1] + (b, a) + w[i + 1:]]
-            rows.append([(j, q0), (k, q0 - 1)] if a < b
-                        else [(j, Fraction(1))])
-        gen_rows[i] = rows
-    return gen_rows
-
-
 def _word_rule_swapped(monkeypatch):
-    monkeypatch.setattr(seminormal, "word_gen_rows", _swapped_word_gen_rows)
+    monkeypatch.setattr(seminormal, "word_gen_rows", swapped_word_gen_rows)
 
 
 def _bn_bstar_order(monkeypatch):
@@ -91,7 +72,9 @@ def _jm_power_off_by_one(monkeypatch):
 
 
 @pytest.mark.parametrize("fault, families", [
-    (_word_rule_swapped, {"mallows-stationarity", "seminormal-action"}),
+    (_word_rule_swapped, {"mallows-stationarity", "seminormal-action",
+                          "r2r-charpoly", "b-charpoly", "diagonalizable",
+                          "walk-spectrum"}),
     (_bn_bstar_order, {"recursion", "eigenbasis", "one-step-recursion"}),
     (_strip_values_swapped, {"eigenbasis", "positivity-degree"}),
     (_jm_power_off_by_one, {

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from qshuffle import linalg, spectra
+from qshuffle import linalg, seminormal, spectra
 from qshuffle.linalg import _fractions
-from conftest import regular_matrix
-from qshuffle.hecke import HeckeModule, b2r, clear_module_cache, r2b, r2r
+from conftest import regular_matrix, swapped_word_gen_rows
+from qshuffle.hecke import (HeckeElement, HeckeModule, b2r, clear_module_cache,
+                            r2b, r2r)
 from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
@@ -84,26 +86,119 @@ def test_b_charpoly_oracle(q0):
         assert check_b_charpoly(n, q0, "regular")
 
 
+def trace_moved(monkeypatch, k):
+    """spectra._regular_witness with 1 added to the trace of op^k, the
+    shared list left intact: the annihilation holds and tr(op^j) is right
+    for j < k, so a certificate fails at the k-th power trace."""
+    original = spectra._regular_witness
+
+    def moved(module, op, roots):
+        annihilated, traces = original(module, op, roots)
+        traces = list(traces)
+        traces[k] += 1
+        return annihilated, traces
+
+    monkeypatch.setattr(spectra, "_regular_witness", moved)
+
+
+def formula_power_sum(factored, q0, k, scale=1):
+    """sum_E m_E (E / scale)^k over the formula spectrum at q0."""
+    return sum(m * (e / scale) ** k
+               for e, m in spectra.spectrum_at(factored, q0).items())
+
+
 def test_charpoly_failures_name_operator_and_q(monkeypatch):
-    original = linalg.charpoly
+    q0 = Fraction(7, 5)
+    trace_moved(monkeypatch, 1)
+    report = {r.check_id: r for r in run_suite(3, [q0])}
+    norm = qint(3).eval(q0) ** 2
+    r2r_sum = formula_power_sum(spectra.r2r_charpoly_factored(3), q0, 1)
+    b_sum = formula_power_sum(spectra.b_charpoly_factored(3), q0, 1)
+    walk_sum = formula_power_sum(spectra.r2r_charpoly_factored(3), q0, 1,
+                                 norm)
+    expect = {"r2r-charpoly[q=7/5,regular]": ("r2r", r2r_sum, 1),
+              "b-charpoly[q=7/5,regular]": ("b2r", b_sum, 1),
+              "diagonalizable[q=7/5]": ("r2r", r2r_sum, 1),
+              "walk-spectrum[q=7/5]": ("the Mallows walk", walk_sum, norm)}
+    assert {k for k, r in report.items() if not r.passed} == set(expect)
+    for check_id, (name, want, scale) in expect.items():
+        assert report[check_id].detail == (
+            f"CheckFailed: tr(({name})^1) at q0 = 7/5, route regular, is "
+            f"{want + Fraction(1) / scale}, not the formula's sum of m_E E^1 = {want}")
 
-    def wrong(matrix):
-        coeffs = original(matrix)
-        coeffs[-1] += 1
-        return coeffs
 
-    monkeypatch.setattr(linalg, "charpoly", wrong)
-    report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
-    expect = {"r2r-charpoly[q=7/5,regular]": ["char poly of r2r at"],
-              "b-charpoly[q=7/5,regular]": ["char poly of b2r at"],
-              "walk-spectrum[q=7/5]": ["char poly of the Mallows walk at",
-                                       "route transition matrix"]}
-    for check_id, names in expect.items():
-        detail = report[check_id].detail
-        assert not report[check_id].passed
-        assert detail.startswith("CheckFailed: ")
-        for name in names + ["q0 = 7/5", "coefficient index 6"]:
-            assert name in detail
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(7, 5), Fraction(1),
+                                Fraction(1, 2), Fraction(-3, 2)])
+def test_regular_trace_is_the_diagonal_sum_of_built_rows(q0):
+    # tr_reg(T_w) from T_1 . T_w and the Casimir form, against the diagonal
+    # of T_w's built rows on W^(1^n), for every w; tr_reg(1) = n!
+    for n in range(1, 5):
+        reg = word_module(P(*(1,) * n), q0)
+        t1 = reg.basis_vector(reg.basis[0])
+        assert spectra.regular_trace(t1, n, q0) == math.factorial(n)
+        for w in all_permutations(n):
+            elem = HeckeElement.t_perm(w)
+            d, rows = reg._built(elem)
+            diagonal = Fraction(sum(dict(row).get(r, 0)
+                                    for r, row in enumerate(rows)), d)
+            assert spectra.regular_trace(reg.apply_hecke(t1, elem), n, q0) \
+                == diagonal, (n, w)
+
+
+def test_regular_trace_form_requires_the_trace_of_one(monkeypatch):
+    # with the unequal-letter cases of the word rule swapped, the basis word
+    # of w is no longer T_1 . T_w, and the Casimir form misreads z
+    clear_module_cache()
+    monkeypatch.setattr(seminormal, "word_gen_rows", swapped_word_gen_rows)
+    with pytest.raises(CheckFailed) as err:
+        spectra.regular_trace_form(4, Fraction(2))
+    assert str(err.value) == (
+        "the regular trace of 1 at n = 4, q0 = 2 is 315/64, not n! = 24")
+
+
+def _verdicts(n, q0, moved):
+    """(certificate, char poly oracle) verdicts for R_n, B_n and B*_n at
+    q0, each against the formula spectrum, or against it with one unit of
+    multiplicity moved from its first value to its last."""
+    out = []
+    for op, factored in ((r2r(n), spectra.r2r_charpoly_factored(n)),
+                         (b2r(n), spectra.b_charpoly_factored(n)),
+                         (r2b(n), spectra.b_charpoly_factored(n))):
+        mults = dict(spectra.spectrum_at(factored, q0))
+        if moved:
+            first, *_, last = mults
+            mults[first] -= 1
+            mults[last] += 1
+        try:
+            spectra.certify_spectrum(word_module(P(*(1,) * n), q0), op,
+                                     mults, "regular", "op")
+            certified = True
+        except CheckFailed:
+            certified = False
+        oracle = spectra.bruteforce_charpoly(op, q0) == \
+            linalg.poly_from_roots(mults.items())
+        out.append((certified, oracle))
+    return out
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("q0, top", [
+    (Fraction(2), 5), (Fraction(3), 5), (Fraction(1, 2), 5), (Fraction(1), 5),
+    (Fraction(7, 5), 4), (Fraction(9973, 9967), 4)])
+def test_certificate_agrees_with_the_char_poly_oracle(q0, top, moved):
+    # the n = 5 char polys at 7/5 and 9973/9967 take about 30 s; that
+    # agreement is recorded in CHANGES.md, not run here
+    for n in range(2, top + 1):
+        for certified, oracle in _verdicts(n, q0, moved):
+            assert certified == oracle == (not moved), (n, q0)
+
+
+def test_regular_route_runs_no_char_poly(monkeypatch):
+    def refused(matrix):
+        raise AssertionError("linalg.charpoly called")
+
+    monkeypatch.setattr(linalg, "charpoly", refused)
+    assert all(r.passed for r in run_suite(4, Q_VALUES, "regular"))
 
 
 def test_specht_charpoly_failure_names_the_shape(monkeypatch):
@@ -320,8 +415,10 @@ def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
 
     monkeypatch.setattr(HeckeModule, "apply_shifted_product", dropped)
     report = {r.check_id: r for r in run_suite(3, [q0])}
-    assert [k for k, r in report.items() if not r.passed] \
-        == ["diagonalizable[q=7/5]"]
+    # every regular-route certificate reads the same annihilation
+    assert [k for k, r in report.items() if not r.passed] == [
+        "r2r-charpoly[q=7/5,regular]", "b-charpoly[q=7/5,regular]",
+        "diagonalizable[q=7/5]", "walk-spectrum[q=7/5]"]
     values = list(spectra.spectrum_at(spectra.r2r_charpoly_factored(3), q0))
     mat = regular_matrix(r2r(3), q0)
     v = [Fraction(int(i == 0)) for i in range(6)]  # T_1
@@ -330,24 +427,20 @@ def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
     first = next(i for i, x in enumerate(v) if x)
     assert report["diagonalizable[q=7/5]"].detail == (
         f"CheckFailed: T_1 . prod (r2r - E) = 0 over the {len(values)} "
-        f"distinct formula eigenvalues E fails at q0 = 7/5, first nonzero "
-        f"index {first}")
+        f"distinct formula eigenvalues E fails at q0 = 7/5, route regular, "
+        f"first nonzero index {first}")
 
 
 def test_diagonalizable_multiplicity_failure_names_q_and_coefficient(
         monkeypatch):
-    original = spectra.bruteforce_charpoly
-
-    def wrong(op, q0):  # coefficient 2 of the char poly moved by 1
-        out = list(original(op, q0))
-        out[2] += 1
-        return out
-
-    monkeypatch.setattr(spectra, "bruteforce_charpoly", wrong)
+    q0 = Fraction(7, 5)
+    trace_moved(monkeypatch, 2)  # tr(R_3^2) moved by 1
+    want = formula_power_sum(spectra.r2r_charpoly_factored(3), q0, 2)
     with pytest.raises(CheckFailed) as err:
-        check_diagonalizable(3, Fraction(7, 5))
-    assert str(err.value) == ("char poly of r2r at q0 = 7/5, route regular, "
-                              "differs from the formula at coefficient index 2")
+        check_diagonalizable(3, q0)
+    assert str(err.value) == (
+        f"tr((r2r)^2) at q0 = 7/5, route regular, is {want + 1}, not the "
+        f"formula's sum of m_E E^2 = {want}")
 
 
 def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
@@ -430,6 +523,7 @@ def test_straightening_failure_names_shapes_tableaux_and_q(monkeypatch):
     def wrong(self, v, t):  # p_t moved for one tableau of W^(2,1) only,
         num, den = original(self, v, t)  # by 1 at index 0
         if self.lam == lam and t == bad:
+            num = num[:]  # a copy: the image is shared
             num[0] += den
         return num, den
 
@@ -453,6 +547,7 @@ def test_unstable_unit_span_names_shape_q_and_tableau(monkeypatch):
     def wrong(self, v, t):  # 1 added at index 0
         num, den = original(self, v, t)
         if self.lam == lam and t == bad:
+            num = num[:]  # a copy: the image is shared
             num[0] += den
         return num, den
 
