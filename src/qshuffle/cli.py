@@ -1,5 +1,9 @@
 """Command-line surface: tables, reports, and verification orchestration.
 
+Importing this module loads the flag engine (flags, hecke, linalg, qpoly,
+symmetric), which every command needs; each command loads the other layers
+it runs when it runs, so a launch compiles only what it uses.
+
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage error.
 """
 
@@ -14,11 +18,16 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, flags as flags_mod, markov, spectra
-from .hecke import CheckFailed
-from .seminormal import InadmissibleQ, check_admissible
-from .tableaux import Partition
-from .verify import run_suite
+from . import __version__, flags as flags_mod, linalg
+from .hecke import CheckFailed, b2r, r2b, r2r
+
+
+def __getattr__(name):
+    """cli.run_suite is verify.run_suite; reading it loads the verify layer."""
+    if name == "run_suite":
+        from .verify import run_suite
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -74,6 +83,7 @@ def _parse_q_list(text):
 
 
 def _parse_partition(text):
+    from .tableaux import Partition
     try:
         parts = tuple(int(p) for p in text.strip("() ").split(",") if p.strip())
         return Partition(parts)
@@ -131,8 +141,8 @@ def _emit(config, text, output):
 
 # -- spectrum ----------------------------------------------------------
 
-def spectrum_markdown(n):
-    rows = [r for r in spectra.spectrum_table(n) if r.multiplicity]
+def spectrum_markdown(n, table):
+    rows = [r for r in table if r.multiplicity]
     lines = [f"# Spectrum of the q-random-to-random shuffle, n = {n}", ""]
     lines.append("| lambda | mu | eigenvalue | mult in S^lambda |"
                  " mult in H_n(q) |")
@@ -145,12 +155,12 @@ def spectrum_markdown(n):
     return "\n".join(lines)
 
 
-def spectrum_csv(n, all_rows):
+def spectrum_csv(table, all_rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["lambda", "mu", "eigenvalue", "d_mu", "f_lambda",
                      "multiplicity"])
-    for row in spectra.spectrum_table(n):
+    for row in table:
         if not all_rows and not row.multiplicity:
             continue
         writer.writerow([_partition_str(row.lam), _partition_str(row.mu),
@@ -161,15 +171,16 @@ def spectrum_csv(n, all_rows):
 
 def spectrum(config, n, fmt, all_rows, output):
     """Closed-form eigenvalue table indexed by horizontal strips."""
+    from . import spectra
     if n < 1 or n > 8:
         raise UsageError("supported range: 1 <= n <= 8")
+    table = spectra.spectrum_table(n)
     if fmt == "md":
-        text = spectrum_markdown(n)
+        text = spectrum_markdown(n, table)
     elif fmt == "csv":
-        text = spectrum_csv(n, all_rows)
+        text = spectrum_csv(table, all_rows)
     else:
-        rows = [r.to_json() for r in spectra.spectrum_table(n)
-                if all_rows or r.multiplicity]
+        rows = [r.to_json() for r in table if all_rows or r.multiplicity]
         text = json.dumps({"n": n, "rows": rows}, indent=2) + "\n"
     _emit(config, text, output)
 
@@ -178,6 +189,8 @@ def spectrum(config, n, fmt, all_rows, output):
 
 def charpoly(config, op_name, n, q_text, bruteforce):
     """Factored characteristic polynomial of a shuffle element."""
+    from . import spectra
+    from .seminormal import InadmissibleQ, check_admissible
     if n < 1 or n > 8:
         raise UsageError("supported range: 1 <= n <= 8")
     if op_name == "r2r":
@@ -201,10 +214,8 @@ def charpoly(config, op_name, n, q_text, bruteforce):
             raise UsageError("--bruteforce needs --q")
         if n > 5:
             raise UsageError("--bruteforce supports n <= 5")
-        from .hecke import b2r, r2b, r2r
         op = {"r2r": r2r, "b2r": b2r, "r2b": r2b}[op_name](n)
         oracle = spectra.bruteforce_charpoly(op, q0)
-        from . import linalg
         report["oracle_agrees"] = (
             oracle == linalg.poly_from_roots(roots.items()))
     print(json.dumps(report, indent=2))
@@ -216,6 +227,8 @@ def charpoly(config, op_name, n, q_text, bruteforce):
 
 def verify_cmd(config, n, q_text, route):
     """Run every invariant check for one n; exit 0 iff all pass."""
+    from .seminormal import InadmissibleQ, check_admissible
+    from .verify import run_suite
     if n < 1 or n > 5:
         raise UsageError("verification supports 1 <= n <= 5")
     if q_text is None:
@@ -252,6 +265,8 @@ def verify_cmd(config, n, q_text, route):
 
 def eigvectors(config, lam_text, q_text):
     """Recursive eigenvector basis of one Specht module as JSON."""
+    from . import spectra
+    from .seminormal import InadmissibleQ, check_admissible
     lam = _parse_partition(lam_text)
     if lam.size > 6:
         raise UsageError("eigenvector construction supports |lambda| <= 6")
@@ -272,6 +287,7 @@ def eigvectors(config, lam_text, q_text):
 
 def simulate(config, n, q_text, steps, csv_path):
     """Exact total-variation mixing curve of the normalized walk."""
+    from . import markov
     if n < 1 or n > 5:
         raise UsageError("simulation supports 1 <= n <= 5")
     if steps < 0:

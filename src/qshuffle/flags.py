@@ -217,12 +217,14 @@ def _where(space):
 def verify_commutation(space):
     """Line insertion equals right action by the q-random-to-top element;
     a failure raises CheckFailed naming (n, p) and the first differing
-    (row, col) with both entries.  Each row of T* comes from the integer
-    engine (denominator 1 on flags) and is compared with the integer row of
-    x, one row at a time."""
+    (row, col) with both entries.  The rows of T* come from the integer
+    engine (denominator 1 on flags) and are compared with the integer rows
+    of x, one row at a time; they are read once, so they are built here and
+    not kept on the space."""
     _, tstar = top_ops(space.n)
     x = space.x_matrix()
-    for r, (num, den) in enumerate(space._hecke_rows(tstar)):
+    den, rows = space._rows_of(space._terms_at(tstar))
+    for r, num in enumerate(linalg._dense(rows, space.dim)):
         if den == 1 and num == x[r]:
             continue
         c = next((c for c, (u, w) in enumerate(zip(x[r], num))

@@ -454,3 +454,70 @@ def test_each_command_refuses_bad_options(runner, command):
 @pytest.mark.parametrize("args", [[], ["shuffle", "--n", "2"], ["-h"]])
 def test_no_or_unknown_command_is_a_usage_error(runner, args):
     _usage_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("command", [None] + list(COMMANDS))
+def test_help_matches_golden(runner, monkeypatch, command):
+    # argparse wraps help at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    result = runner.invoke(main, [command, "--help"] if command
+                           else ["--help"])
+    assert result.exit_code == 0
+    name = f"help_{command}.txt" if command else "help.txt"
+    assert result.output == (GOLDEN / name).read_text()
+
+
+# Runs sys.argv[1:] as one command line, if any, then prints the qshuffle
+# modules loaded.
+LOADED_MODULES = """
+import contextlib, io, sys
+import qshuffle.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            qshuffle.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qshuffle"))))
+"""
+
+ENGINE = {"qshuffle", "qshuffle.cli", "qshuffle.flags", "qshuffle.hecke",
+          "qshuffle.linalg", "qshuffle.qpoly", "qshuffle.symmetric"}
+SPECTRA = ENGINE | {"qshuffle.seminormal", "qshuffle.spectra",
+                    "qshuffle.tableaux"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ([], set()),
+    (["flags", "--n", "2", "--p", "2"], set()),
+    (["--help"], set()),
+    (["--version"], set()),
+    (["spectrum", "--n", "2"], SPECTRA),
+    (["charpoly", "--n", "2", "--q", "2", "--bruteforce"], SPECTRA),
+    (["eigvectors", "--lam", "2,1"], SPECTRA),
+    (["simulate", "--n", "2"],
+     {"qshuffle.markov", "qshuffle.seminormal", "qshuffle.tableaux"}),
+    (["verify", "--n", "1"], SPECTRA | {"qshuffle.markov", "qshuffle.verify"}),
+], ids=["import", "flags", "help", "version", "spectrum", "charpoly",
+        "eigvectors", "simulate", "verify"])
+def test_each_command_loads_only_its_layers(argv, extra):
+    # importing the CLI loads the flag engine only; each command loads the
+    # layers it runs, in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", LOADED_MODULES] + argv,
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == ENGINE | extra
+
+
+def test_cli_run_suite_is_verify_run_suite():
+    code = ("import sys, qshuffle.cli as cli\n"
+            "assert 'qshuffle.verify' not in sys.modules\n"
+            "run_suite = cli.run_suite\n"
+            "from qshuffle import verify\n"
+            "assert run_suite is verify.run_suite\n"
+            "assert not hasattr(cli, 'no_such_name')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

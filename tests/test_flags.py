@@ -63,7 +63,9 @@ def test_x_example_smallest_case():
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_commutation(n, p):
-    assert verify_commutation(FlagSpace(n, p))
+    space = FlagSpace(n, p)
+    assert verify_commutation(space)
+    assert not space._elements  # T*'s rows are read once and not kept
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3)])

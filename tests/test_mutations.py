@@ -14,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import swapped_word_gen_rows
-from qshuffle import hecke, seminormal, spectra
+from qshuffle import hecke, markov, seminormal, spectra, tableaux
 from qshuffle.hecke import HeckeElement, transposition_word
 from qshuffle.qpoly import LaurentPoly
+from qshuffle.symmetric import all_permutations
 from qshuffle.tableaux import Partition
 from qshuffle.verify import run_suite
 
@@ -71,6 +72,56 @@ def _jm_power_off_by_one(monkeypatch):
     _rebind(monkeypatch, hecke.jucys_murphy_scaled, scaled)
 
 
+def _d_mu_off_by_one(monkeypatch):
+    """d^(2,1) = 2 in place of 1: one shape's desarrangement count."""
+    original = tableaux.d_mu
+    _rebind(monkeypatch, original,
+            lambda mu: original(mu) + (mu == Partition((2, 1))))
+
+
+def _mallows_weight_exponent(monkeypatch):
+    """The Mallows weight of the longest permutation w0 taken at
+    q0^(l(w0) - 1) in place of q0^l(w0)."""
+    def weights(n, q0):
+        q0 = Fraction(q0)
+        lengths = [w.length() for w in all_permutations(n)]
+        top = max(lengths)
+        lengths[lengths.index(top)] -= 1
+        return [q0.numerator ** k * q0.denominator ** (top - k)
+                for k in lengths]
+
+    _rebind(monkeypatch, markov._weights, weights)
+
+
+def _dipper_james_q_dropped(monkeypatch):
+    """The coefficient q [rho + 1] [rho - 1] / [rho]^2 of w_(t s_i), taken
+    when t s_i is not below t in dominance, without its factor q."""
+    original = seminormal.dipper_james_action
+
+    def dropped(t, i, q0):
+        out = original(t, i, q0)
+        if len(out) == 2:  # i and i + 1 in neither one row nor one column
+            other = t.apply_gen_by_value(i)
+            if not other.dominance_leq(t):
+                out[other] /= Fraction(q0)
+        return out
+
+    _rebind(monkeypatch, original, dropped)
+
+
+def _b2r_order_reversed(monkeypatch):
+    """B_n with the generators of each word in reverse order,
+    T_(s_i) T_(s_(i+1)) ... T_(s_(n-1)) in place of
+    T_(s_(n-1)) ... T_(s_i)."""
+    def reversed_b2r(n):
+        total = HeckeElement.zero(n)
+        for i in range(1, n + 1):
+            total = total + HeckeElement.t_word(range(i, n), n)
+        return total
+
+    _rebind(monkeypatch, hecke.b2r, reversed_b2r)
+
+
 @pytest.mark.parametrize("fault, families", [
     (_word_rule_swapped, {"mallows-stationarity", "seminormal-action",
                           "r2r-charpoly", "b-charpoly", "diagonalizable",
@@ -82,6 +133,13 @@ def _jm_power_off_by_one(monkeypatch):
         "idempotents", "phi-morphism", "dominance-vanishing",
         "projection-compat", "straightening", "strip-vanishing",
         "eigenbasis", "one-step-recursion"}),
+    (_d_mu_off_by_one, {"r2r-charpoly", "diagonalizable", "walk-spectrum"}),
+    (_mallows_weight_exponent, {"mallows-stationarity"}),
+    (_dipper_james_q_dropped, {"seminormal-action"}),
+    # B_n reversed is B*_n, whose char poly is B_n's: b-charpoly holds
+    (_b2r_order_reversed, {"recursion", "push-through-lemma", "r2r-charpoly",
+                           "diagonalizable", "walk-spectrum", "eigenbasis",
+                           "one-step-recursion"}),
 ])
 def test_each_fault_fails_its_pinned_check_families(monkeypatch, fault,
                                                     families):
