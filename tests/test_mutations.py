@@ -17,7 +17,6 @@ from conftest import swapped_word_gen_rows
 from qshuffle import hecke, markov, seminormal, spectra, tableaux
 from qshuffle.hecke import HeckeElement, transposition_word
 from qshuffle.qpoly import LaurentPoly
-from qshuffle.symmetric import all_permutations
 from qshuffle.tableaux import Partition
 from qshuffle.verify import run_suite
 
@@ -81,16 +80,17 @@ def _d_mu_off_by_one(monkeypatch):
 
 def _mallows_weight_exponent(monkeypatch):
     """The Mallows weight of the longest permutation w0 taken at
-    q0^(l(w0) - 1) in place of q0^l(w0)."""
+    q0^(l(w0) - 1) in place of q0^l(w0): its integer a^L b^0 becomes
+    a^(L - 1) b^1 for q0 = a/b.  w0 is last in Lehmer-rank order."""
+    original = markov._weights
+
     def weights(n, q0):
         q0 = Fraction(q0)
-        lengths = [w.length() for w in all_permutations(n)]
-        top = max(lengths)
-        lengths[lengths.index(top)] -= 1
-        return [q0.numerator ** k * q0.denominator ** (top - k)
-                for k in lengths]
+        out = original(n, q0)
+        out[-1] = out[-1] // q0.numerator * q0.denominator
+        return out
 
-    _rebind(monkeypatch, markov._weights, weights)
+    _rebind(monkeypatch, original, weights)
 
 
 def _dipper_james_q_dropped(monkeypatch):
