@@ -60,9 +60,10 @@ def _parse_q(text):
 
 
 # The most q values one verify run takes: each q runs every matrix check
-# again.  verify --n 5 takes 17 s of CPU with the 16 values 2, ..., 11,
-# 1/2, 3/2, ..., 11/2 and 27 s with 16 values near the size bound,
-# 9999/9998, 9997/9996, ... (2-CPU machine, Python 3.11).
+# again.  verify --n 5 takes 5.0 s of CPU with the 16 values 2, ..., 11,
+# 1/2, 3/2, ..., 11/2 and 8.0 s with 16 values near the size bound,
+# 9999/9998, 9997/9996, ... (medians of ten launches, 2-CPU machine,
+# Python 3.11; BENCH_one_route.json).
 Q_LIST_MAX = 16
 
 
@@ -225,7 +226,7 @@ def charpoly(config, op_name, n, q_text, bruteforce):
 
 # -- verify ------------------------------------------------------------
 
-def verify_cmd(config, n, q_text, route):
+def verify_cmd(config, n, q_text):
     """Run every invariant check for one n; exit 0 iff all pass."""
     from .seminormal import InadmissibleQ, check_admissible
     from .verify import run_suite
@@ -241,13 +242,12 @@ def verify_cmd(config, n, q_text, route):
             check_admissible(q0, n)
         except InadmissibleQ as exc:
             raise UsageError(str(exc))
-    if route is None:
-        route = "specht" if n >= 5 else "regular"
     start = time.perf_counter()
-    results = run_suite(n, q_values, route)
+    results = run_suite(n, q_values)
     report = {
         "tool": "qshuffle", "version": __version__,
-        "n": n, "q_values": [str(q) for q in q_values], "route": route,
+        "n": n, "q_values": [str(q) for q in q_values],
+        "route": "regular",  # the one route, kept as a report field
         "checks": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 1),
@@ -413,11 +413,6 @@ def _parser(prog):
     option("--n", type=int, required=True)
     option("--q", dest="q_text", metavar="Q",
            help="Comma-separated rationals (default 2,3,1/2,7/5).")
-    option("--route", choices=["regular", "specht"],
-           help="Spectrum route: regular (annihilation and power traces on "
-                "the regular representation) or specht (the char polys of "
-                "the Specht modules); default regular for n <= 4, specht "
-                "for n = 5.")
 
     option = command("eigvectors", eigvectors)
     option("--lam", dest="lam_text", metavar="LAM", required=True,

@@ -23,7 +23,7 @@ Every build shared across one verify run (the shuffle elements, the
 Jucys-Murphy elements, scaled and not, the value of each Laurent
 coefficient at each q0, and in others the spectrum tables, the eigenvalue
 formulas, the word and Specht modules, the kernel bases, the eigenbases,
-the regular trace forms and the regular-route spectrum witnesses) is a memo
+the regular trace forms and the spectrum witnesses) is a memo
 function;
 clear_module_cache forgets them all.  Pure partition and tableau
 combinatorics outside the traced layers (tableaux, verify._sub_partitions)

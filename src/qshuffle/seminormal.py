@@ -7,7 +7,8 @@ lambda_i times); the right action of a generator on a word w is
     w . T_{s_i} = q (w s_i) + (q-1) w      if w_i > w_{i+1}  (word_gen_rows).
 The words of content (1^n) are the one-line permutations in Lehmer-rank
 order, so W^(1^n) is the regular representation: H_n(q0) acting on itself,
-and the one module every regular-route check acts through.
+and the one module every spectrum certificate and algebra identity of
+verify acts through.
 
 Young idempotents are Murphy's restricted Lagrange interpolation products
 in the Jucys-Murphy elements, applied to vectors factor by factor: entry m

@@ -6,8 +6,9 @@ horizontal strips lambda/mu:
 with multiplicity f^lambda d^mu.  This module computes the formula tables,
 builds the recursive eigenvector basis in each Specht module, and
 certifies the spectrum on the regular representation by annihilation and
-power traces (certify_spectrum), with the characteristic polynomial of the
-explicit matrix kept as the oracle (bruteforce_charpoly).  Kernel
+power traces (certify_spectrum), the one way verify proves a spectrum at
+any n, with the characteristic polynomial of the explicit matrix kept as
+the oracle (bruteforce_charpoly).  Kernel
 and eigenvectors are reduced integer forms (num, den), like every vector of
 the module engine (linalg); an EigenvectorRecord's vector becomes Fractions
 only in its JSON.
@@ -144,20 +145,15 @@ def bruteforce_charpoly(op, q0):
 
     Independent oracle: no spectral theory, just exact elimination on the
     n! x n! matrix, for `charpoly --bruteforce` and the tests; verify
-    certifies the regular route by certify_spectrum instead.  Returns monic
+    certifies each spectrum by certify_spectrum instead.  Returns monic
     coefficients, highest degree first, shared: callers must not change
     them.  Coefficient k is that of the integer rows d M of the regular
     module W^(1^n), over d^k.
     """
     rows = list(word_module(Partition((1,) * op.n), q0)._hecke_rows(op))
-    return charpoly_over([row for row, _ in rows], rows[0][1])
-
-
-def charpoly_over(rows, d):
-    """Char poly of the matrix rows / d, for integer rows and d > 0, as
-    monic Fractions, highest degree first: coefficient k of the char poly
-    of the integer rows, over d^k."""
-    return [c / d ** k for k, c in enumerate(linalg.charpoly(rows))]
+    d = rows[0][1]
+    return [c / d ** k for k, c in
+            enumerate(linalg.charpoly([row for row, _ in rows]))]
 
 
 def _inverse(w):
@@ -209,7 +205,7 @@ def regular_trace(v, n, q0):
     return Fraction(sum(map(mul, num, c)), den * d)
 
 
-def certify_spectrum(module, op, mults, route, name, scale=1):
+def certify_spectrum(module, op, mults, name, scale=1):
     """Certify that op / scale, acting on the shared regular module
     W^(1^n) at q0, has char poly prod (y - E)^m_E over the {E: m_E} of
     mults, E distinct: the formula's spectrum from spectrum_at, over scale.
@@ -222,15 +218,15 @@ def certify_spectrum(module, op, mults, route, name, scale=1):
       when h = 0 in H_n(q0) (apply_shifted_product);
     - power traces: tr_reg(op^k) / scale^k = sum_E m_E E^k for k < |S|.
     Both come from _regular_witness, shared by every certificate of op at
-    q0.  A failure raises CheckFailed naming the operator, q0 and the
-    route, with the first nonzero index of T_1 . prod_E (op - scale E), or
-    the first k whose traces differ and both traces."""
+    q0.  A failure raises CheckFailed naming the operator and q0, with the
+    first nonzero index of T_1 . prod_E (op - scale E), or the first k
+    whose traces differ and both traces."""
     annihilated, traces = _regular_witness(
         module, op, tuple(scale * e for e in mults))
     _require_zero(annihilated,
                   lambda: f"T_1 . prod ({name} - E) = 0 over the "
                           f"{len(mults)} distinct formula eigenvalues E fails "
-                          f"at q0 = {module.q0}, route {route}")
+                          f"at q0 = {module.q0}")
     # sum_E m_E E^k = sum_E m_E A_E^k / L^k, A_E = L E for L the lcm of
     # the denominators of the E: integer power sums, one Fraction per k
     lcm = math.lcm(*(e.denominator for e in mults))
@@ -241,7 +237,7 @@ def certify_spectrum(module, op, mults, route, name, scale=1):
                                                             lcm ** k)
         if got != want:
             raise CheckFailed(
-                f"tr(({name})^{k}) at q0 = {module.q0}, route {route}, is "
+                f"tr(({name})^{k}) at q0 = {module.q0} is "
                 f"{got}, not the formula's sum of m_E E^{k} = {want}")
         terms = list(map(mul, terms, bases))
 

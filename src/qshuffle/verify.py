@@ -6,10 +6,9 @@ report.  Every vector and matrix witness is worded by hecke._require_equal
 or _require_zero; spectra builds, and the loops that check live here.
 Symbolic checks certify identities for every q at once; matrix checks
 certify at the exact rational points supplied, on reduced integer forms.
-On the regular route no check takes a char poly: an identity in H_n(q0)
-is checked on T_1 of W^(1^n), H_n(q0) acting on itself, and a spectrum by
-spectra.certify_spectrum (annihilation on T_1 and power traces); the
-Specht route multiplies the char polys of the irreducibles.
+No check takes a char poly: an identity in H_n(q0) is checked on T_1 of
+W^(1^n), H_n(q0) acting on itself, and a spectrum by
+spectra.certify_spectrum (annihilation on T_1 and power traces).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .hecke import (CheckFailed, HeckeElement, _first_index, _require_equal,
                     clear_module_cache, intermediate_recursion_check,
                     jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
                     recursion_check, x_alpha)
-from .linalg import _at_lcm, _combine, _ints, _scale
+from .linalg import _combine, _ints, _scale
 from .qpoly import Q, ZERO, qint
 from .seminormal import (dipper_james_action, phi_apply, specht_module,
                          word_module)
@@ -424,21 +423,32 @@ def check_strip_vanishing(n, q0):
     return True
 
 
-def check_r2r_charpoly(n, q0, route="regular"):
-    """The char poly of R_n(q0) is prod (y - E)^m over the formula spectrum:
-    certify_spectrum on the regular route, the char polys of the Specht
-    modules on the Specht route."""
-    _spectrum_agrees("r2r", r2r(n), n, q0, route,
-                     spectra.r2r_charpoly_factored(n))
+def check_r2r_charpoly(n, q0):
+    """R_n(q0) on the regular representation is diagonalizable with the
+    formula spectrum, so its char poly is prod (y - E)^m over it.  Its
+    minimal polynomial divides prod_E (y - E) over the distinct formula
+    values E at q0: R_n(q0) acts on W^(1^n), H_n(q0) acting on itself,
+    whose first basis vector is T_1, so the product is 0 exactly when
+    T_1 . prod_E (R_n - E) is.  R_n(q0) is then diagonalizable with
+    eigenvalues among the E, and the power traces tr_reg(R_n^k) =
+    sum_E m_E E^k, k below the number of values, fix each multiplicity, so
+    each geometric multiplicity is the formula's: spectra.certify_spectrum.
+    A failure raises CheckFailed naming q0 and the first nonzero index of
+    T_1 . prod_E (R_n - E), or the first k whose traces differ, with both
+    traces."""
+    spectra.certify_spectrum(
+        _regular(n, q0), r2r(n),
+        spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0), "r2r")
     return True
 
 
-def check_b_charpoly(n, q0, route="regular"):
+def check_b_charpoly(n, q0):
     """The char polys of B_n(q0) and B*_n(q0) are prod (y - [n-j]_q0)^m over
-    b_charpoly_factored, by the route's test as for r2r-charpoly."""
-    factored = spectra.b_charpoly_factored(n)
+    b_charpoly_factored, each by spectra.certify_spectrum as for
+    r2r-charpoly."""
+    mults = spectra.spectrum_at(spectra.b_charpoly_factored(n), q0)
     for name, op in (("b2r", b2r(n)), ("r2b", r2b(n))):
-        _spectrum_agrees(name, op, n, q0, route, factored)
+        spectra.certify_spectrum(_regular(n, q0), op, mults, name)
     return True
 
 
@@ -528,13 +538,13 @@ def check_walk_spectrum(n, q0):
     similar to M / c, so spectra.certify_spectrum on R_n / c, with the
     formula values over c, proves its char poly: T_1 . prod (R_n - E) = 0,
     and tr_reg(R_n^k) / c^k = sum m (E / c)^k for k below the number of
-    values.  A failure raises CheckFailed naming the walk, q0, the route
-    and the first nonzero index or the first k, with both traces."""
+    values.  A failure raises CheckFailed naming the walk, q0 and the
+    first nonzero index or the first k, with both traces."""
     norm = _value_at(qint(n), q0) ** 2
     mults = spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0)
     spectra.certify_spectrum(
         _regular(n, q0), r2r(n), {e / norm: m for e, m in mults.items()},
-        "regular", "the Mallows walk", norm)
+        "the Mallows walk", norm)
     return True
 
 
@@ -576,63 +586,9 @@ def _of(row):
             f"{row.eigenvalue}")
 
 
-def check_diagonalizable(n, q0):
-    """R_n(q0) on the regular representation is diagonalizable with the
-    formula spectrum.  Its minimal polynomial divides prod_E (y - E) over
-    the distinct formula values E at q0: R_n(q0) acts on W^(1^n), H_n(q0)
-    acting on itself, whose first basis vector is T_1, so the product is 0
-    exactly when T_1 . prod_E (R_n - E) is.  R_n(q0) is then diagonalizable
-    with eigenvalues among the E, and the power traces tr_reg(R_n^k) =
-    sum_E m_E E^k, k below the number of values, fix each multiplicity, so
-    each geometric multiplicity is the formula's: spectra.certify_spectrum.
-    A failure raises CheckFailed naming q0, the route and the first nonzero
-    index of T_1 . prod_E (R_n - E), or the first k whose traces differ,
-    with both traces."""
-    spectra.certify_spectrum(
-        _regular(n, q0), r2r(n),
-        spectra.spectrum_at(spectra.r2r_charpoly_factored(n), q0),
-        "regular", "r2r")
-    return True
-
-
-def _spectrum_agrees(name, op, n, q0, route, factored):
-    """The char poly of op at q0 is prod (y - e(q0))^m over the factored
-    (e, m): spectra.certify_spectrum on the regular route; on the Specht
-    route, the product of the char polys of op on each S^lambda, taken
-    f^lambda times, against the formula's (_charpoly_agrees)."""
-    mults = spectra.spectrum_at(factored, q0)
-    if route == "specht":
-        _charpoly_agrees(name, q0, route, [
-            (lam, spectra.charpoly_over(*_at_lcm(
-                specht_module(lam, q0).hecke_action_matrix(op))))
-            for lam in partitions_of(n)],
-            linalg.poly_from_roots(mults.items()))
-    else:
-        spectra.certify_spectrum(_regular(n, q0), op, mults, route, name)
-
-
-def _charpoly_agrees(op, q0, route, factors, expected):
-    """Raise CheckFailed unless the product of factor^(f^lam) over the
-    (lam, factor) pairs equals expected, naming op, q0, the route, the
-    first lam after whose factors the product stops dividing expected, and
-    the first differing coefficient index."""
-    product, prefixes = [Fraction(1)], []
-    for lam, factor in factors:
-        for _ in range(f_lambda(lam)):
-            product = linalg.poly_mul(product, factor)
-        prefixes.append((lam, product))
-    if product != expected:
-        culprit = next((f" on S^{lam}" for lam, prefix in prefixes
-                        if any(linalg.poly_divmod(expected, prefix)[1])), "")
-        raise CheckFailed(
-            f"char poly of {op}{culprit} at q0 = {Fraction(q0)}, route "
-            f"{route}, differs from the formula at coefficient index "
-            f"{_first_index(product, expected)}")
-
-
 # -- suite runner ------------------------------------------------------
 
-def run_suite(n, q_values, route="regular"):
+def run_suite(n, q_values):
     """Run every check for one n; returns a list of CheckResult.
 
     Starts from an empty module cache, so each run builds its own word and
@@ -681,22 +637,21 @@ def run_suite(n, q_values, route="regular"):
             if n >= 2:
                 run(f"one-step-recursion[{tag}]",
                     lambda q=q0: check_one_step_recursion(n, q))
-        run(f"r2r-charpoly[{tag},{route}]",
-            lambda q=q0: check_r2r_charpoly(n, q, route))
-        run(f"b-charpoly[{tag},{route}]",
-            lambda q=q0: check_b_charpoly(n, q, route))
-        if route == "regular" and n >= 3:
+        # the ",regular" tag and the diagonalizable ID (r2r-charpoly's check
+        # again) keep the check IDs that goldens and pinned verdicts key on
+        run(f"r2r-charpoly[{tag},regular]",
+            lambda q=q0: check_r2r_charpoly(n, q))
+        run(f"b-charpoly[{tag},regular]",
+            lambda q=q0: check_b_charpoly(n, q))
+        if n >= 3:
             run(f"bstar-kernel-lift[{tag}]",
                 lambda q=q0: check_bstar_kernel_lift(n, q))
-        if route == "regular":
-            run(f"diagonalizable[{tag}]",
-                lambda q=q0: check_diagonalizable(n, q))
+        run(f"diagonalizable[{tag}]", lambda q=q0: check_r2r_charpoly(n, q))
         if Fraction(q0) >= 1:
             run(f"mallows-stationarity[{tag}]",
                 lambda q=q0: check_mallows_stationarity(n, q))
-            if route == "regular":
-                run(f"walk-spectrum[{tag}]",
-                    lambda q=q0: check_walk_spectrum(n, q))
+            run(f"walk-spectrum[{tag}]",
+                lambda q=q0: check_walk_spectrum(n, q))
             if n >= 3:
                 run(f"second-eigenvalue[{tag}]",
                     lambda q=q0: check_second_eigenvalue(n, q))

@@ -110,17 +110,17 @@ def test_criterion_1_appendix_tables():
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(1, 2)])
 def test_criterion_2_r2r_charpoly_oracle(q0):
     for n in range(1, 5):
-        assert check_r2r_charpoly(n, q0, "regular")
+        assert check_r2r_charpoly(n, q0)
 
 
-def test_criterion_2_r2r_charpoly_n5_specht():
-    assert check_r2r_charpoly(5, Fraction(2), "specht")
+def test_criterion_2_r2r_charpoly_n5():
+    assert check_r2r_charpoly(5, Fraction(2))
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3)])
 def test_criterion_3_b_charpoly_oracle(q0):
     for n in range(1, 5):
-        assert check_b_charpoly(n, q0, "regular")
+        assert check_b_charpoly(n, q0)
         assert sum(m for _, m in spectra.b_charpoly_factored(n)) \
             == math.factorial(n)
 

@@ -58,7 +58,7 @@ def without_elapsed(text):
 
 @pytest.mark.parametrize("args, golden", [
     (["verify", "--n", "4"], "verify_n4.json"),
-    (["verify", "--n", "3", "--route", "specht"], "verify_n3_specht.json"),
+    (["verify", "--n", "3"], "verify_n3.json"),
     (["eigvectors", "--lam", "3,1", "--q", "7/5"], "eigvectors_3_1_q7_5.json"),
     (["verify", "--n", "5", "--q", "2"], "verify_n5_q2.json"),
 ])
@@ -413,7 +413,7 @@ COMMANDS = {
     "spectrum": (["--n", "--format", "--all-rows", "--output"],
                  ["--n", "2"]),
     "charpoly": (["--op", "--n", "--q", "--bruteforce"], ["--n", "2"]),
-    "verify": (["--n", "--q", "--route"], ["--n", "1"]),
+    "verify": (["--n", "--q"], ["--n", "1"]),
     "eigvectors": (["--lam", "--q"], ["--lam", "1"]),
     "simulate": (["--n", "--q", "--steps", "--csv"], ["--n", "2"]),
     "flags": (["--n", "--p", "--check"], ["--n", "2", "--p", "2"]),
@@ -444,11 +444,17 @@ def _usage_error(result):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_each_command_refuses_bad_options(runner, command):
     args = COMMANDS[command][1]
-    # no prefix abbreviations: --rou is not --route
-    assert "--rou" in _usage_error(
-        runner.invoke(main, [command] + args + ["--rou", "specht"]))
+    # no prefix abbreviations: --form is not --format
+    assert "--form" in _usage_error(
+        runner.invoke(main, [command] + args + ["--form", "json"]))
     assert "--n" in _usage_error(
         runner.invoke(main, [command] + args + ["--n", "x"]))
+
+
+def test_verify_has_no_route_option(runner):
+    # every n certifies its spectra one way, on the regular representation
+    assert "--route" in _usage_error(
+        runner.invoke(main, ["verify", "--n", "4", "--route", "regular"]))
 
 
 @pytest.mark.parametrize("args", [[], ["shuffle", "--n", "2"], ["-h"]])

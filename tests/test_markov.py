@@ -296,5 +296,5 @@ def test_walk_spectrum_failure_names_the_coefficient(monkeypatch):
     want = sum(m * (e / norm) ** 2 for e, m in spectra.spectrum_at(
         spectra.r2r_charpoly_factored(3), Fraction(2)).items())
     assert str(err.value) == (
-        f"tr((the Mallows walk)^2) at q0 = 2, route regular, is "
+        f"tr((the Mallows walk)^2) at q0 = 2 is "
         f"{want + 1 / norm ** 2}, not the formula's sum of m_E E^2 = {want}")

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from qshuffle.seminormal import WordModuleRep, specht_module, word_module
 from qshuffle.tableaux import (Partition, SkewShape, d_mu, enumerate_syt,
                                f_lambda, horizontal_strips, partitions_of,
                                superstandard)
-from qshuffle.verify import (CheckFailed, check_b_charpoly,
-                             check_diagonalizable, check_eigenbasis,
+from qshuffle.cli import main
+from qshuffle.verify import (CheckFailed, check_b_charpoly, check_eigenbasis,
                              check_one_step_recursion, check_positivity_degree,
                              check_r2r_charpoly, check_straightening,
                              check_strip_vanishing, run_suite)
@@ -73,17 +74,17 @@ def test_positivity_and_degree_up_to_8():
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3), Fraction(1, 2)])
 def test_r2r_charpoly_regular_oracle(q0):
     for n in range(1, 5):
-        assert check_r2r_charpoly(n, q0, "regular")
+        assert check_r2r_charpoly(n, q0)
 
 
-def test_r2r_charpoly_specht_route_n5():
-    assert check_r2r_charpoly(5, Fraction(2), "specht")
+def test_r2r_charpoly_n5():
+    assert check_r2r_charpoly(5, Fraction(2))
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3)])
 def test_b_charpoly_oracle(q0):
     for n in range(1, 5):
-        assert check_b_charpoly(n, q0, "regular")
+        assert check_b_charpoly(n, q0)
 
 
 def trace_moved(monkeypatch, k):
@@ -123,7 +124,7 @@ def test_charpoly_failures_name_operator_and_q(monkeypatch):
     assert {k for k, r in report.items() if not r.passed} == set(expect)
     for check_id, (name, want, scale) in expect.items():
         assert report[check_id].detail == (
-            f"CheckFailed: tr(({name})^1) at q0 = 7/5, route regular, is "
+            f"CheckFailed: tr(({name})^1) at q0 = 7/5 is "
             f"{want + Fraction(1) / scale}, not the formula's sum of m_E E^1 = {want}")
 
 
@@ -171,7 +172,7 @@ def _verdicts(n, q0, moved):
             mults[last] += 1
         try:
             spectra.certify_spectrum(word_module(P(*(1,) * n), q0), op,
-                                     mults, "regular", "op")
+                                     mults, "op")
             certified = True
         except CheckFailed:
             certified = False
@@ -193,30 +194,14 @@ def test_certificate_agrees_with_the_char_poly_oracle(q0, top, moved):
             assert certified == oracle == (not moved), (n, q0)
 
 
-def test_regular_route_runs_no_char_poly(monkeypatch):
+def test_regular_route_runs_no_char_poly(monkeypatch, capsys):
     def refused(matrix):
         raise AssertionError("linalg.charpoly called")
 
     monkeypatch.setattr(linalg, "charpoly", refused)
-    assert all(r.passed for r in run_suite(4, Q_VALUES, "regular"))
-
-
-def test_specht_charpoly_failure_names_the_shape(monkeypatch):
-    original = linalg.charpoly
-
-    def wrong(matrix):  # only S^(2,1) has dimension 2 at n = 3
-        coeffs = original(matrix)
-        if len(matrix) == 2:
-            coeffs[1] += 1
-        return coeffs
-
-    monkeypatch.setattr(linalg, "charpoly", wrong)
-    for check in (check_r2r_charpoly, check_b_charpoly):
-        with pytest.raises(CheckFailed) as err:
-            check(3, Fraction(2), "specht")
-        message = str(err.value)
-        assert " on S^(2,1) at q0 = 2, route specht" in message
-        assert "coefficient index 1" in message
+    assert all(r.passed for r in run_suite(4, Q_VALUES))
+    main(["verify", "--n", "5", "--q", "2"])  # exits 1 if a check fails
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
 
 
 def test_b_charpoly_exponents_sum():
@@ -245,6 +230,12 @@ def test_spectrum_at_sums_values_that_meet_in_first_appearance_order():
     assert list(at_one) == list(dict.fromkeys(e.eval(1) for e, _ in factored))
 
 
+def specht_charpoly(op, lam, q0):
+    """Char poly of op(q0) in the unit basis of S^lambda."""
+    return linalg.charpoly([_fractions(*row) for row in
+                            specht_module(lam, q0).hecke_action_matrix(op)])
+
+
 def specht_spectrum(lam, q0):
     """{eigenvalue: multiplicity} of R_n(q0) on S^lambda from the strip
     formula, once the char poly of its matrix in the unit basis equals
@@ -252,9 +243,8 @@ def specht_spectrum(lam, q0):
     out = spectra.spectrum_at([(eigenvalue_formula(lam, mu), d_mu(mu))
                                for mu in horizontal_strips(lam) if d_mu(mu)],
                               q0)
-    mat = [_fractions(*row) for row in
-           specht_module(lam, q0).hecke_action_matrix(r2r(lam.size))]
-    assert linalg.charpoly(mat) == linalg.poly_from_roots(out.items())
+    assert specht_charpoly(r2r(lam.size), lam, q0) == \
+        linalg.poly_from_roots(out.items()), (lam, q0)
     return out
 
 
@@ -263,6 +253,23 @@ def test_specht_spectrum():
     assert got == {Fraction(0): 1, Fraction(15): 1}
     got = specht_spectrum(P(1, 1, 1), Fraction(2))
     assert got == {Fraction(1): 1}
+    # the per-irreducible char polys, an oracle independent of the
+    # certificates on the regular representation: R_n on every S^lambda,
+    # and for B_n and B*_n the product over lambda of (char poly on
+    # S^lambda)^(f^lambda) against b_charpoly_factored
+    for q0 in (Fraction(2), Fraction(7, 5)):
+        for n in range(2, 6):
+            for lam in partitions_of(n):
+                specht_spectrum(lam, q0)
+            want = linalg.poly_from_roots(spectra.spectrum_at(
+                spectra.b_charpoly_factored(n), q0).items())
+            for op in (b2r(n), r2b(n)):
+                product = [Fraction(1)]
+                for lam in partitions_of(n):
+                    factor = specht_charpoly(op, lam, q0)
+                    for _ in range(f_lambda(lam)):
+                        product = linalg.poly_mul(product, factor)
+                assert product == want, (op, q0)
 
 
 def test_kernel_dimensions_match_d_mu():
@@ -311,8 +318,11 @@ def test_strip_vanishing():
 
 
 def test_diagonalizable():
+    # the ID stays at every n, beside r2r-charpoly, whose check it runs
     for n in range(1, 5):
-        assert check_diagonalizable(n, Fraction(2))
+        report = {r.check_id: r.passed for r in run_suite(n, [Fraction(2)])}
+        assert report["diagonalizable[q=2]"] is True
+        assert report["r2r-charpoly[q=2,regular]"] is True
 
 
 def test_eigenbasis_requires_positive_q():
@@ -324,8 +334,9 @@ Q_VALUES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(7, 5)]
 
 
 def rank_check_diagonalizable(n, q0):
-    """check_diagonalizable as it was before it moved onto T_1: for each
-    distinct formula eigenvalue E = a/b at q0, the geometric multiplicity
+    """Diagonalizability as check_r2r_charpoly's certificate proves it, by
+    ranks as it was checked before it moved onto T_1: for each distinct
+    formula eigenvalue E = a/b at q0, the geometric multiplicity
     n! - rank(b dM - a d I), dM / d the regular matrix of R_n, equals the
     formula's.  The oracle for its verdicts."""
     rows = list(word_module(P(*(1,) * n), q0)._hecke_rows(r2r(n)))
@@ -404,7 +415,7 @@ def test_diagonalizable_agrees_with_rank_oracle(monkeypatch, q0, perturb,
         clear_module_cache()
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "rank", None)  # it makes no rank call
-            assert _verdict(check_diagonalizable, n, q0) is want, (n, q0)
+            assert _verdict(check_r2r_charpoly, n, q0) is want, (n, q0)
 
 
 def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
@@ -427,8 +438,8 @@ def test_diagonalizable_failure_names_q_and_first_nonzero_index(monkeypatch):
     first = next(i for i, x in enumerate(v) if x)
     assert report["diagonalizable[q=7/5]"].detail == (
         f"CheckFailed: T_1 . prod (r2r - E) = 0 over the {len(values)} "
-        f"distinct formula eigenvalues E fails at q0 = 7/5, route regular, "
-        f"first nonzero index {first}")
+        f"distinct formula eigenvalues E fails at q0 = 7/5, first nonzero "
+        f"index {first}")
 
 
 def test_diagonalizable_multiplicity_failure_names_q_and_coefficient(
@@ -437,10 +448,10 @@ def test_diagonalizable_multiplicity_failure_names_q_and_coefficient(
     trace_moved(monkeypatch, 2)  # tr(R_3^2) moved by 1
     want = formula_power_sum(spectra.r2r_charpoly_factored(3), q0, 2)
     with pytest.raises(CheckFailed) as err:
-        check_diagonalizable(3, q0)
+        check_r2r_charpoly(3, q0)
     assert str(err.value) == (
-        f"tr((r2r)^2) at q0 = 7/5, route regular, is {want + 1}, not the "
-        f"formula's sum of m_E E^2 = {want}")
+        f"tr((r2r)^2) at q0 = 7/5 is {want + 1}, not the formula's sum of "
+        f"m_E E^2 = {want}")
 
 
 def test_one_step_recursion_failure_names_shapes_tableau_and_q(monkeypatch):
