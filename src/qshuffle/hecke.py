@@ -9,23 +9,23 @@ and general products iterate this along reduced words.  Identity checks on
 these symbolic elements certify statements for all q at once.
 
 At a rational point q0 every module of H_n(q0) used here (seminormal's
-word modules, among them the regular representation W^(1^n), and flags)
-is a HeckeModule with one action path: each generator and element is
-built once per module into sparse integer rows with one denominator, and
-every action is one row product over the integers.  A vector is its
-reduced integer form (num, den), den > 0 and gcd(den, *num) = 1, which is
-unique (linalg), so the checks compare forms with ==; that form, the row
-product and the reduction are linalg's.  _require_equal and _require_zero
-word the witness of every vector and matrix comparison, and
-cross-multiply only on a failure.
+word modules, among them the regular representation W^(1^n), its Specht
+modules in Young's seminormal form, and flags) is a HeckeModule with one
+action path: each generator and element is built once per module into
+sparse integer rows with one denominator, and every action is one row
+product over the integers.  A vector is its reduced integer form (num,
+den), den > 0 and gcd(den, *num) = 1, which is unique (linalg), so the
+checks compare forms with ==; that form, the row product and the
+reduction are linalg's.  _require_equal and _require_zero word the
+witness of every vector and matrix comparison, and cross-multiply only on
+a failure.
 
 Every build shared across one verify run (the shuffle elements, the
 Jucys-Murphy elements, scaled and not, the value of each Laurent
 coefficient at each q0, and in others the spectrum tables, the eigenvalue
-formulas, the word and Specht modules, the kernel bases, the eigenbases,
-the regular trace forms and the spectrum witnesses) is a memo
-function;
-clear_module_cache forgets them all.  Pure partition and tableau
+formulas, the word, Specht and seminormal modules, the kernel bases, the
+eigenbases, the regular trace forms and the spectrum witnesses) is a memo
+function; clear_module_cache forgets them all.  Pure partition and tableau
 combinatorics outside the traced layers (tableaux, verify._sub_partitions)
 is kept instead with functools.lru_cache for the life of the process.
 """

@@ -19,11 +19,11 @@ eigvectors JSON and simulate's walk.
 
 Elimination takes rows of Fractions or ints and works on the rows'
 integer forms: RREF is Gauss-Jordan on primitive integer rows and returns
-each reduced row as a form, rank is forward elimination on them, kernels
-and solutions are forms, and the one vector-matrix product for Fraction
-callers (vec_mat) is a row product.  Pivoting is deterministic (first
-nonzero column, then the largest row index among nonzero entries), so
-kernel bases and echelon forms are reproducible.
+each reduced row as a form, rank is forward elimination on them, kernel
+vectors are forms, and the one vector-matrix product for Fraction callers
+(vec_mat) is a row product.  Pivoting is deterministic (first nonzero
+column, then the largest row index among nonzero entries), so kernel
+bases and echelon forms are reproducible.
 
 Char polys are computed modulo primes and lifted.  Each prime is a Proth
 prime k * 2^248 + 1, proven prime by Proth's theorem (F. Proth, C. R. Acad.
@@ -245,26 +245,6 @@ def left_kernel(matrix):
     """Basis of {v : v M = 0} as reduced forms of row vectors."""
     transposed = [list(col) for col in zip(*matrix)]
     return kernel(transposed)
-
-
-def solve_in_span(forms, target):
-    """The reduced coefficient form x with sum_i x_i forms[i] = target, all
-    reduced forms, or None if there is none.  The target's numerators are
-    solved for y against the numerators of the forms, and then x_i = y_i
-    den_i / den_target."""
-    tnum, tden = target
-    if not forms:
-        return None if any(tnum) else ([], 1)
-    aug = [list(col) + [t]
-           for col, t in zip(zip(*(num for num, _ in forms)), tnum)]
-    reduced, pivots = rref(aug)
-    ncoef = len(forms)
-    if ncoef in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    ratios = [(0, 1)] * ncoef
-    for (num, den), p in zip(reduced, pivots):
-        ratios[p] = (num[ncoef] * forms[p][1], den * tden)
-    return _form(ratios)
 
 
 # -- char polys: Hessenberg form modulo proven primes, joined by CRT ----

@@ -27,17 +27,26 @@ built once per module and replayed once per (vector, tableau): the image
 is kept in the module's image table and shared by every later caller.
 Every vector here, the seminormal units and every image under T_i, J_m,
 p_t, p_lambda and Phi_t, is that reduced form, unique to its value
-(linalg), so equal vectors have equal forms.  The form is linalg's: the row update, the rows
-of p_t brought to one denominator (_at_lcm), the sums of images of p_t
-(_combine) and the coordinates of an image in the units
-(solve_in_span).  Fractions remain only as scalars: q0, the generator
-entries before they enter the integers, the values at q0 of Laurent
-polynomials (read once per (poly, q0) from hecke._value_at) and the
-Dipper-James coefficients.
+(linalg), so equal vectors have equal forms.  The form is linalg's: the
+row update, the rows of p_t brought to one denominator (_at_lcm) and the
+sums of images of p_t (_combine).  Fractions remain only as scalars: q0,
+the generator entries before they enter the integers, the values at q0 of
+Laurent polynomials (read once per (poly, q0) from hecke._value_at) and
+the Dipper-James coefficients.
 
-word_module and specht_module share one built module per (lambda, q0)
-through hecke.memo.  All arithmetic is exact at an admissible evaluation
-point q0.
+Young's seminormal form rides the same engine: seminormal_module is a
+plain HeckeModule of dimension f^lambda on SYT(lambda), in enumerate_syt
+order (that of SpechtRep.tableaux), whose generator rows are the
+Dipper-James coefficients of dipper_james_action (P. N. Hoefsmit, thesis,
+Univ. of British Columbia, 1974; A. Ram, Proc. LMS 75 (1997) 99-133).
+Every element acts on it by its built rows, so the matrix of R_n on
+S^lambda in the unit basis is an ordinary build.  verify's
+seminormal-action proves, unit by unit, that these rows are the action of
+the units w_t inside W^lambda.
+
+word_module, specht_module and seminormal_module share one built module
+per (lambda, q0) through hecke.memo.  All arithmetic is exact at an
+admissible evaluation point q0.
 """
 
 from __future__ import annotations
@@ -45,8 +54,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import linalg
-from .hecke import CheckFailed, HeckeModule, _jucys_murphy, _value_at, memo
+from .hecke import HeckeModule, _jucys_murphy, _value_at, memo
 from .linalg import _at_lcm, _combine, _step
 from .qpoly import qint
 from .tableaux import Partition, ShapeMismatch, enumerate_syt
@@ -221,23 +229,6 @@ class SpechtRep:
             self.units.append(self.word_module.apply_idempotent(v, t))
         self.dim = len(self.units)
 
-    def hecke_action_matrix(self, elem):
-        """Matrix of elem on S^lambda in the seminormal unit basis, as the
-        reduced forms of its rows (row t: the coordinates of w_t . elem);
-        raises CheckFailed naming lambda, q0, the unit's tableau and elem if
-        the image of a unit leaves the span of the units."""
-        rows = []
-        for t, u in zip(self.tableaux, self.units):
-            coords = linalg.solve_in_span(
-                self.units, self.word_module.apply_hecke(u, elem))
-            if coords is None:
-                raise CheckFailed(
-                    f"the units of S^{self.lam} at q0 = {self.q0} do not span "
-                    f"a submodule: w_t . a leaves their span for t = {t}, "
-                    f"a = {elem!r}")
-            rows.append(coords)
-        return rows
-
 
 @memo
 def word_module(lam, q0):
@@ -251,12 +242,28 @@ def specht_module(lam, q0):
     return SpechtRep(lam, q0)
 
 
+@memo
+def seminormal_module(lam, q0):
+    """S^lambda at q0 in Young's seminormal form, shared: the HeckeModule
+    of dimension f^lambda on enumerate_syt(lam), whose generator row of t
+    for T_{s_i} is dipper_james_action(t, i, q0)."""
+    q0 = check_admissible(q0, lam.size)
+    tableaux = enumerate_syt(lam)
+    index = {t: k for k, t in enumerate(tableaux)}
+    return HeckeModule(lam.size, q0, len(tableaux), {
+        i: [[(index[s], c) for s, c in dipper_james_action(t, i, q0).items()]
+            for t in tableaux]
+        for i in range(1, lam.size)})
+
+
 def dipper_james_action(t, i, q0):
     """Expected w_t . T_{s_i} from the four-case seminormal formula.
 
     Returns a mapping tableau -> Fraction coefficient.  q = t . s_i,
-    rho = content(t, i) - content(q, i).  The q-integers at q0 are read
-    from hecke._value_at.
+    rho = content(t, i) - content(q, i).  q is below t in dominance
+    exactly when i lies in a higher row of t than i + 1: t|_i and q|_i
+    differ by one cell, in row r_t(i) against r_t(i + 1).  The q-integers
+    at q0 are read from hecke._value_at.
     """
     q0 = Fraction(q0)
     ri, ci = t.cell_of(i)
@@ -269,7 +276,7 @@ def dipper_james_action(t, i, q0):
     rho = t.content_of(i) - other.content_of(i)
     rho_val = _value_at(qint(rho), q0)
     out = {t: Fraction(-1) / rho_val}
-    if other.dominance_leq(t):
+    if ri < rj:
         out[other] = Fraction(1)
     else:
         out[other] = (q0 * _value_at(qint(rho + 1), q0)

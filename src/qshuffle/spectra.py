@@ -23,10 +23,11 @@ from operator import mul
 from . import linalg
 from .hecke import (CheckFailed, _require_equal, _require_zero, _value_at,
                     b2r_embedded, memo, r2r)
-from .linalg import _at_lcm, _combine, _form, _fractions, _ints, _scale
+from .linalg import _combine, _form, _fractions, _ints, _scale
 from .qpoly import LaurentPoly, qint
 from .symmetric import Permutation, derangement_count
-from .seminormal import phi_apply, specht_module, word_module
+from .seminormal import (phi_apply, seminormal_module, specht_module,
+                         word_module)
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
                        f_lambda, horizontal_strips, partitions_of, q_content,
                        superstandard)
@@ -261,16 +262,26 @@ def kernel_basis(lam, q0):
     """(S^lambda, kappa_lambda): the shared Specht module and a
     deterministic basis of ker(R_|lam| on S^lambda).
 
-    Vectors are returned as reduced forms in W^lambda coordinates, each the
-    combination of the units by a left-kernel vector of the unit-basis
-    matrix (its row forms brought to one lcm); the count is d^lambda.
+    Each vector combines the units by a left-kernel vector of R's built
+    rows on seminormal_module(lam, q0), whose basis is the units'
+    tableaux, and is a reduced form in W^lambda coordinates; the count is
+    d^lambda.  Each is proved on W^lambda: unless v . R = 0, CheckFailed
+    names lambda, q0, the kernel vector's index and the first nonzero
+    index.
     """
     rep = specht_module(lam, q0)
     if lam.size == 0:
         num, den = rep.units[0]
         return rep, [(num[:], den)]
-    rows, _ = _at_lcm(rep.hecke_action_matrix(r2r(lam.size)))
-    return rep, [_combine(x, rep.units) for x in linalg.left_kernel(rows)]
+    op = r2r(lam.size)
+    rows = [row for row, _ in seminormal_module(lam, q0)._hecke_rows(op)]
+    vectors = [_combine(x, rep.units) for x in linalg.left_kernel(rows)]
+    for idx, v in enumerate(vectors):
+        _require_zero(rep.word_module.apply_hecke(v, op),
+                      lambda: f"kernel vector {idx} of R_{lam.size} on "
+                              f"S^{lam} at q0 = {rep.q0} is not killed on "
+                              f"W^{lam}")
+    return rep, vectors
 
 
 class EigenvectorRecord:

@@ -24,9 +24,9 @@ from .hecke import (CheckFailed, HeckeElement, _first_index, _require_equal,
                     clear_module_cache, intermediate_recursion_check,
                     jucys_murphy_scaled, m_alpha, r2b, r2b_embedded, r2r,
                     recursion_check, x_alpha)
-from .linalg import _combine, _ints, _scale
+from .linalg import _combine, _dense, _scale
 from .qpoly import Q, ZERO, qint
-from .seminormal import (dipper_james_action, phi_apply, specht_module,
+from .seminormal import (phi_apply, seminormal_module, specht_module,
                          word_module)
 from .symmetric import Composition, Permutation, derangement_count
 from .tableaux import (Partition, SkewShape, d_mu, enumerate_syt, extend,
@@ -162,14 +162,16 @@ def check_word_module_relations(n, q0):
 
 def check_seminormal_action(n, q0):
     """Units diagonalize the Jucys-Murphy elements and follow the
-    four-case generator formula; a failure raises CheckFailed naming
-    lambda, t, q0, the JM index m or generator i, and the first differing
-    index."""
+    four-case generator formula: w_t T_i is the units combined by row t
+    of T_i's built rows on the seminormal module, the rows kernel_basis
+    reads.  A failure raises CheckFailed naming lambda, t, q0, the JM
+    index m or generator i, and the first differing index."""
     for lam in partitions_of(n):
         rep = specht_module(lam, q0)
         wm = rep.word_module
-        index = {t: k for k, t in enumerate(rep.tableaux)}
-        for t, unit in zip(rep.tableaux, rep.units):
+        gens = {i: (d, list(_dense(rows, rep.dim))) for i, (d, rows)
+                in seminormal_module(lam, q0)._gens.items()}
+        for k, (t, unit) in enumerate(zip(rep.tableaux, rep.units)):
             if not any(unit[0]):
                 raise CheckFailed(f"unit w_t is zero for t = {t} {_on(wm)}")
             for m in range(1, n + 1):
@@ -178,11 +180,9 @@ def check_seminormal_action(n, q0):
                                lambda: f"w_t J_{m} = [{t.content_of(m)}]_q "
                                        f"w_t fails for t = {t} {_on(wm)}")
             for i in range(1, n):
-                coeffs = [0] * len(rep.units)
-                for tt, c in dipper_james_action(t, i, q0).items():
-                    coeffs[index[tt]] = c
+                d, rows = gens[i]
                 _require_equal(wm.apply_gen(unit, i),
-                               _combine(_ints(coeffs), rep.units),
+                               _combine((rows[k], d), rep.units),
                                lambda: f"w_t T_{i} = the four-case formula "
                                        f"fails for t = {t} {_on(wm)}")
     return True

@@ -14,7 +14,7 @@ import pytest
 from qshuffle import spectra
 from qshuffle.flags import FlagSpace, flag_count, q_int_at, verify_commutation, \
     x_spectrum, x_spectrum_check
-from qshuffle.hecke import b2r, r2b, recursion_check
+from qshuffle.hecke import recursion_check
 from qshuffle.qpoly import qint
 from qshuffle.tableaux import Partition
 from qshuffle.verify import (check_b_charpoly, check_c_factorization,

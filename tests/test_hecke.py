@@ -581,17 +581,23 @@ def _names(node):
 
 def test_every_public_name_is_used_in_the_package():
     """No dead helpers: every public top-level def or class of a package
-    module is named in some package module outside its own definition."""
+    module, and every public method of a public class, is named in some
+    package module outside its own definition."""
     package = pathlib.Path(hecke.__file__).parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
     named = sum((_names(tree) for tree in trees.values()),
                 collections.Counter())
-    unused = [f"{module}: {node.name}"
-              for module, tree in trees.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and named[node.name] == _names(node)[node.name]]
+    defs = [(module, node) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    defs += [(f"{module}: {cls.name}", node) for module, cls in defs
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and not node.name.startswith("_")]
+    unused = [f"{where}: {node.name}" for where, node in defs
+              if named[node.name] == _names(node)[node.name]]
     assert unused == []
 
 

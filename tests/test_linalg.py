@@ -120,17 +120,6 @@ def test_left_kernel_annihilates(m):
         assert any(num) and den > 0 and math.gcd(den, *num) == 1
 
 
-def test_solve_in_span():
-    rows = [linalg._ints(r) for r in ([F(1), F(0), F(1)], [F(0), F(1), F(1)])]
-    assert linalg.solve_in_span(rows, ([2, 3, 5], 1)) == ([2, 3], 1)
-    assert linalg.solve_in_span(rows, ([0, 0, 1], 1)) is None
-    # x (1, 0, 1) / 2 + y (0, 1, 1) = (1, 3, 4) / 3: x = 2/3, y = 1
-    halves = [([1, 0, 1], 2), ([0, 1, 1], 1)]
-    assert linalg.solve_in_span(halves, ([1, 3, 4], 3)) == ([2, 3], 3)
-    assert linalg.solve_in_span([], ([0, 0], 1)) == ([], 1)
-    assert linalg.solve_in_span([], ([0, 1], 1)) is None
-
-
 def test_charpoly_known_2x2():
     # [[2,1],[1,2]] has char poly y^2 - 4y + 3
     m = [[F(2), F(1)], [F(1), F(2)]]
@@ -506,17 +495,9 @@ def form_rref(matrix):
 
 
 def kernel_results(m):
-    """Everything linalg derives from rref, on m and on two right-hand
-    sides: the sum of the rows (always solvable) and the last unit vector,
-    each solved against the rows' reduced forms."""
-    cols = len(m[0])
-    unit = [Fraction(0)] * (cols - 1) + [Fraction(1)]
-    row_sum = [sum(col, Fraction(0)) for col in zip(*m)]
-    forms = [linalg._ints(row) for row in m]
+    """Everything linalg derives from rref, on m."""
     return (linalg.rref(m), linalg.rank(m), linalg.kernel(m),
-            linalg.left_kernel(m),
-            linalg.solve_in_span(forms, linalg._ints(row_sum)),
-            linalg.solve_in_span(forms, linalg._ints(unit)))
+            linalg.left_kernel(m))
 
 
 def assert_rref_matches_oracle(m):
@@ -525,9 +506,8 @@ def assert_rref_matches_oracle(m):
         expect = kernel_results(m)
     got = kernel_results(m)
     assert got == expect
-    (reduced, _), _, kern, left, in_span, unit = got
-    assert all_reduced_forms(reduced + kern + left + [in_span]
-                             + ([unit] if unit is not None else []))
+    (reduced, _), _, kern, left = got
+    assert all_reduced_forms(reduced + kern + left)
 
 
 def assert_mat_mul_matches_oracle(a, b):

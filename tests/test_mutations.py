@@ -125,7 +125,8 @@ def _b2r_order_reversed(monkeypatch):
 @pytest.mark.parametrize("fault, families", [
     (_word_rule_swapped, {"mallows-stationarity", "seminormal-action",
                           "r2r-charpoly", "b-charpoly", "diagonalizable",
-                          "walk-spectrum"}),
+                          "walk-spectrum", "eigenbasis",
+                          "one-step-recursion"}),
     (_bn_bstar_order, {"recursion", "eigenbasis", "one-step-recursion"}),
     (_strip_values_swapped, {"eigenbasis", "positivity-degree"}),
     (_jm_power_off_by_one, {
@@ -135,7 +136,8 @@ def _b2r_order_reversed(monkeypatch):
         "eigenbasis", "one-step-recursion"}),
     (_d_mu_off_by_one, {"r2r-charpoly", "diagonalizable", "walk-spectrum"}),
     (_mallows_weight_exponent, {"mallows-stationarity"}),
-    (_dipper_james_q_dropped, {"seminormal-action"}),
+    (_dipper_james_q_dropped, {"seminormal-action", "eigenbasis",
+                               "one-step-recursion"}),
     # B_n reversed is B*_n, whose char poly is B_n's: b-charpoly holds
     (_b2r_order_reversed, {"recursion", "push-through-lemma", "r2r-charpoly",
                            "diagonalizable", "walk-spectrum", "eigenbasis",

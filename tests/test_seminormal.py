@@ -8,7 +8,7 @@ import pytest
 from qshuffle import hecke, linalg, spectra, verify
 from qshuffle.hecke import HeckeElement, HeckeModule, clear_module_cache, r2r
 from qshuffle.linalg import _combine, _fractions, _ints, _scale, _times
-from qshuffle.qpoly import LaurentPoly, qint
+from qshuffle.qpoly import LaurentPoly, Q, qint
 from qshuffle.symmetric import Composition
 from qshuffle.spectra import kernel_basis
 from conftest import lcm_sum
@@ -16,7 +16,8 @@ from qshuffle import seminormal
 from qshuffle.seminormal import (InadmissibleQ, SpechtRep, WordModuleRep,
                                  check_admissible, content_words,
                                  dipper_james_action, phi_apply, phi_map,
-                                 specht_module, word_module)
+                                 seminormal_module, specht_module,
+                                 word_module)
 from qshuffle.tableaux import (Partition, SkewShape, enumerate_syt, f_lambda,
                                horizontal_strips, partitions_of, superstandard)
 from qshuffle.verify import (CheckFailed, check_dominance_vanishing,
@@ -169,16 +170,26 @@ def test_units_are_independent():
         assert linalg.rank([num for num, _ in rep.units]) == rep.dim
 
 
-def test_gen_matrices_satisfy_quadratic_relation():
-    q0 = Fraction(3)
-    rep = SpechtRep(Partition((2, 2)), q0)
-    eye = identity(rep.dim)
-    for i in range(1, 4):
-        g = [_fractions(*row) for row in rep.hecke_action_matrix(
-            HeckeElement.t_word([i], 4))]
-        assert mat_mul(g, g) == [
-            [(q0 - 1) * x + q0 * e for x, e in zip(row, eye_row)]
-            for row, eye_row in zip(g, eye)]
+@pytest.mark.parametrize("q0", Q_VALUES + [Fraction(1)])
+def test_seminormal_modules_satisfy_the_hecke_relations(q0):
+    # the rows of Young's seminormal form on every S^lambda, lambda |- n
+    # <= 5, compared as built rows like check_word_module_relations
+    for n in range(1, 6):
+        one = HeckeElement.one(n)
+        for lam in partitions_of(n):
+            sm = seminormal_module(lam, q0)
+            assert sm.dim == f_lambda(lam)
+            for i in range(1, n):
+                quad = HeckeElement.t_word([i], n).scale(Q - 1) + one.scale(Q)
+                hecke._require_same_rows(
+                    sm, sm.word_rows((i, i)), sm._built(quad),
+                    f"quadratic relation for T_{i} on S^{lam} at q0 = {q0}")
+                for j in range(i + 1, n):
+                    a, b = (((i, j), (j, i)) if j > i + 1
+                            else ((i, j, i), (j, i, j)))
+                    hecke._require_same_rows(
+                        sm, sm.word_rows(a), sm.word_rows(b),
+                        f"relation {a} = {b} on S^{lam} at q0 = {q0}")
 
 
 def test_kernel_vector_of_column_shape():
@@ -388,10 +399,13 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
     assert all(r.passed for r in run_suite(3, q_values))
     first = dict(builds)
     # every HeckeModule a run builds is a word module memo entry, the
-    # regular representation W^(1^n) among them: one per (lambda, q0)
+    # regular representation W^(1^n) among them, or a seminormal module
+    # memo entry: one of each per (lambda, q0)
+    assert memo_table(seminormal_module)
     assert first == {"word": len(memo_table(word_module)),
                      "specht": len(memo_table(specht_module)),
-                     "module": len(memo_table(word_module))}
+                     "module": len(memo_table(word_module))
+                     + len(memo_table(seminormal_module))}
     assert (Partition((1, 1, 1)), Fraction(2)) in memo_table(word_module)
     builds.update(word=0, specht=0, module=0)
     assert all(r.passed for r in run_suite(3, q_values))
@@ -412,6 +426,13 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         fresh = SpechtRep(lam, q0)
         assert rep.word_module is word_module(lam, q0)
         assert rep.tableaux == fresh.tableaux and rep.units == fresh.units
+    # nor a shared seminormal module: its generator rows, and the rows of
+    # each element it built, are those of a fresh build
+    for args, sm in memo_table(seminormal_module).items():
+        fresh = seminormal_module.__wrapped__(*args)
+        assert sm._gens == fresh._gens, args
+        for elem, rows in sm._elements.items():
+            assert rows == fresh._built(elem), args
     # every cached kernel basis equals a fresh computation
     cached = dict(memo_table(kernel_basis))
     assert cached
@@ -427,6 +448,7 @@ def test_module_cache_builds_once_and_stays_fresh(monkeypatch):
         "qshuffle.hecke.r2r", "qshuffle.hecke.b2r_embedded",
         "qshuffle.hecke.r2b_embedded",
         "qshuffle.seminormal.word_module", "qshuffle.seminormal.specht_module",
+        "qshuffle.seminormal.seminormal_module",
         "qshuffle.spectra.kernel_basis", "qshuffle.spectra.build_eigenbasis",
         "qshuffle.spectra.bruteforce_charpoly",
         "qshuffle.spectra.regular_trace_form",

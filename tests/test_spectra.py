@@ -13,7 +13,7 @@ from qshuffle.qpoly import ONE, Q, LaurentPoly, qint
 from qshuffle.spectra import (NotAHorizontalStrip, build_eigenbasis,
                               eigenvalue_formula, kernel_basis, spectrum_table)
 from qshuffle.symmetric import all_permutations, derangement_count
-from qshuffle.seminormal import WordModuleRep, specht_module, word_module
+from qshuffle.seminormal import WordModuleRep, seminormal_module, word_module
 from qshuffle.tableaux import (Partition, SkewShape, d_mu, enumerate_syt,
                                f_lambda, horizontal_strips, partitions_of,
                                superstandard)
@@ -231,9 +231,10 @@ def test_spectrum_at_sums_values_that_meet_in_first_appearance_order():
 
 
 def specht_charpoly(op, lam, q0):
-    """Char poly of op(q0) in the unit basis of S^lambda."""
-    return linalg.charpoly([_fractions(*row) for row in
-                            specht_module(lam, q0).hecke_action_matrix(op)])
+    """Char poly of op(q0) on S^lambda in Young's seminormal form, from
+    op's built rows on the seminormal module."""
+    return linalg.charpoly([_fractions(row, d) for row, d in
+                            seminormal_module(lam, q0)._hecke_rows(op)])
 
 
 def specht_spectrum(lam, q0):
@@ -277,6 +278,30 @@ def test_kernel_dimensions_match_d_mu():
         for lam in partitions_of(n):
             _, vectors = kernel_basis(lam, Fraction(2))
             assert len(vectors) == d_mu(lam), lam
+
+
+def test_kernel_vector_off_the_word_module_names_shape_q_and_index(
+        monkeypatch):
+    # one Dipper-James pair rescaled: the coefficient of w_(t s_i) doubled
+    # where t s_i is below t in dominance and halved where it is not.  The
+    # rows are a conjugate module, so R still has a kernel on them, but its
+    # kernel vector no longer combines the units into one on W^(2,1)
+    original = seminormal.dipper_james_action
+
+    def rescaled(t, i, q0):
+        out = original(t, i, q0)
+        if len(out) == 2:
+            other = t.apply_gen_by_value(i)
+            out[other] *= 2 if other.dominance_leq(t) else Fraction(1, 2)
+        return out
+
+    clear_module_cache()
+    monkeypatch.setattr(seminormal, "dipper_james_action", rescaled)
+    with pytest.raises(CheckFailed) as err:
+        kernel_basis(P(2, 1), Fraction(7, 5))
+    assert str(err.value).startswith(
+        "kernel vector 0 of R_3 on S^(2,1) at q0 = 7/5 is not killed on "
+        "W^(2,1), first nonzero index ")
 
 
 @pytest.mark.parametrize("q0", [Fraction(2), Fraction(3)])
@@ -548,9 +573,10 @@ def test_straightening_failure_names_shapes_tableaux_and_q(monkeypatch):
         assert field in detail
 
 
-def test_unstable_unit_span_names_shape_q_and_tableau(monkeypatch):
+def test_unstable_unit_span_names_shape_q_and_kernel_vector(monkeypatch):
     # one moved p_t leaves the units of S^(2,1) outside a submodule: the
-    # kernel of R_3 on S^(2,1), and so the eigenbasis, cannot be formed
+    # kernel vector of R_3 on the seminormal rows combines them into a
+    # vector that R_3 does not kill, so the eigenbasis cannot be formed
     lam = P(2, 1)
     bad = next(t for t in enumerate_syt(lam) if t != superstandard(lam))
     original = WordModuleRep.apply_idempotent
@@ -565,9 +591,9 @@ def test_unstable_unit_span_names_shape_q_and_tableau(monkeypatch):
     monkeypatch.setattr(WordModuleRep, "apply_idempotent", wrong)
     report = {r.check_id: r for r in run_suite(3, [Fraction(7, 5)])}
     detail = report["eigenbasis[q=7/5]"].detail
-    assert detail.startswith("CheckFailed: the units of S^(2,1) at q0 = 7/5 "
-                             "do not span a submodule")
-    assert f"for t = {enumerate_syt(lam)[0]}, a = " in detail
+    assert detail == ("CheckFailed: kernel vector 0 of R_3 on S^(2,1) at "
+                      "q0 = 7/5 is not killed on W^(2,1), first nonzero "
+                      "index 0")
 
 
 @pytest.mark.parametrize("broken", ["positivity", "degree"])
